@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 import time
@@ -51,16 +50,19 @@ from .gadgets import (
 )
 from .graph_core import (
     WeightedGraph,
-    dijkstra_from,
     format_dss,
     is_scattered,
     parse_graph,
     scattered_violation,
 )
 from .oracle import RandomSpec, brute_force_max, gen_random_graph
-from .tw_approx import approx_max_scattered
+from .tw_approx import approx_max_scattered, slack_threshold
 from .tw_exact import count_scattered, max_scattered
 from .vc_fpt import max_scattered_vc
+
+# Unused here, but bench/tracing.py wraps this module-level name and the
+# benchmark's tests require every name it wraps to exist.
+from .graph_core import dijkstra_from  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -68,7 +70,7 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
 
-_PARAM_KEYS = ("d", "k", "epsilon", "seed", "threads")
+_PARAM_KEYS = ("d", "k", "epsilon", "seed")
 _RESULT_KEYS = (
     "size",
     "counts",
@@ -237,24 +239,6 @@ def _check_exact_witness(g: WeightedGraph, witness: Sequence[int], d: int, size:
         )
 
 
-def _check_approx_witness(
-    g: WeightedGraph, witness: Sequence[int], d: int, epsilon: Fraction, size: int
-) -> None:
-    # Exact relaxed guarantee: (1 + epsilon) * dist >= d for every pair.
-    if len(witness) != size:
-        raise InternalCheckError("witness length disagrees with claimed size")
-    slack = 1 + epsilon
-    members = sorted(witness)
-    for i, u in enumerate(members):
-        dist = dijkstra_from(g, u)
-        for v in members[i + 1 :]:
-            if slack * dist[v] < d:
-                raise InternalCheckError(
-                    f"witness pair ({_vname(u)}, {_vname(v)}) at dist {dist[v]} "
-                    f"violates the (1+{epsilon}) guarantee for d={d}"
-                )
-
-
 def _emit(report: RunReport, args: argparse.Namespace) -> None:
     if getattr(args, "json", False):
         print(report.to_json())
@@ -279,7 +263,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         d=d,
         k=args.k,
         epsilon=str(epsilon) if epsilon is not None else None,
-        threads=args.threads,
     )
     started = time.perf_counter()
     if args.algo == "brute":
@@ -292,11 +275,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         td = _pick_decomposition(args, g)
         nd = make_nice(td)
-        size, witness = max_scattered(g, nd, d, threads=args.threads)
+        size, witness = max_scattered(g, nd, d)
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
 
     if args.algo == "approx":
-        _check_approx_witness(g, witness, d, epsilon, size)
+        # (1+epsilon) * dist >= d, exactly, at the integer threshold.
+        _check_exact_witness(g, witness, slack_threshold(d, epsilon), size)
         report.validation["checks"].append("relaxed-distance guarantee re-validated")
     else:
         _check_exact_witness(g, witness, d, size)
@@ -312,11 +296,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     report = RunReport(command="count", solver="tw")
-    report.parameters.update(d=args.d, k=args.k, threads=args.threads)
+    report.parameters.update(d=args.d, k=args.k)
     started = time.perf_counter()
     td = _pick_decomposition(args, g)
     nd = make_nice(td)
-    counts = count_scattered(g, nd, args.d, args.k, threads=args.threads)
+    counts = count_scattered(g, nd, args.d, args.k)
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
     if counts[0] != 1:
         raise InternalCheckError("count of size-0 sets must be 1")
@@ -432,23 +416,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     report = RunReport(command="decompose", solver="heuristic")
     started = time.perf_counter()
     td = heuristic_decomposition(g)
-    base_width = td.width
     if args.balance:
+        # balance() raises unless width <= 3w+2 and depth <= 4*bitlen(n)+4.
         td = balance(td, g)
         report.solver += "+balance"
-        width_bound = 3 * base_width + 2
-        depth_bound = 4 * math.ceil(math.log2(g.n + 1)) + 4
-        if td.width > width_bound:
-            raise InternalCheckError(
-                f"balanced width {td.width} exceeds bound {width_bound}"
-            )
-        if decomposition_depth(td) > depth_bound:
-            raise InternalCheckError(
-                f"balanced depth {decomposition_depth(td)} exceeds bound {depth_bound}"
-            )
-        report.validation["checks"].append(
-            f"width <= {width_bound} and depth <= {depth_bound}"
-        )
+        report.validation["checks"].append("balance width and depth bounds checked")
     if args.nice:
         nd = make_nice(td)
         problem = validate_nice(nd)
@@ -539,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--td", help="tree decomposition file (default: heuristic)")
     p_solve.add_argument("--epsilon", type=rational, help="relaxation for --algo approx")
     p_solve.add_argument("--k", type=int, help="report whether the optimum reaches k")
-    p_solve.add_argument("--threads", type=int, default=1)
     p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -548,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument("--td", help="tree decomposition file (default: heuristic)")
-    p_count.add_argument("--threads", type=int, default=1)
     p_count.add_argument("--json", action="store_true")
     p_count.set_defaults(func=cmd_count)
 

@@ -342,10 +342,6 @@ def decomposition_depth(td: TreeDecomposition) -> int:
     return depth
 
 
-def nice_depth(nd: NiceDecomposition) -> int:
-    return decomposition_depth(nice_to_tree(nd))
-
-
 def max_introduce_depth(nd: NiceDecomposition) -> int:
     """Largest number of introduce nodes on any root-to-leaf path."""
     best = 0
@@ -564,8 +560,18 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
     return result
 
 
+def _td_ints(line_no: int, tokens: list[str]) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ValueError(f"line {line_no}: non-integer field in {' '.join(tokens)!r}") from None
+
+
 def parse_td(text: str) -> TreeDecomposition:
-    """Parse the PACE-style .td format (1-based ids, 'c' comments)."""
+    """Parse the PACE-style .td format (1-based ids, 'c' comments).
+
+    Malformed lines raise ValueError naming the 1-based line number.
+    """
     num_bags = -1
     bags: dict[int, tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []
@@ -580,12 +586,18 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise ValueError(f"line {line_no}: duplicate solution line")
             if len(fields) != 5 or fields[1] != "td":
                 raise ValueError(f"line {line_no}: malformed 's td' line")
-            num_bags = int(fields[2])
+            num_bags = _td_ints(line_no, fields[2:])[0]
         elif fields[0] == "b":
-            idx = int(fields[1])
-            bags[idx] = tuple(sorted(int(x) - 1 for x in fields[2:]))
+            if len(fields) < 2:
+                raise ValueError(f"line {line_no}: malformed bag, want 'b <id> <vertices...>'")
+            idx, *members = _td_ints(line_no, fields[1:])
+            if idx in bags:
+                raise ValueError(f"line {line_no}: duplicate bag id {idx}")
+            bags[idx] = tuple(sorted(v - 1 for v in members))
         else:
-            a, b = int(fields[0]), int(fields[1])
+            if len(fields) != 2:
+                raise ValueError(f"line {line_no}: malformed tree edge, want '<a> <b>'")
+            a, b = _td_ints(line_no, fields)
             edges.append((a - 1, b - 1))
             edge_lines.append(line_no)
     if num_bags < 0:

@@ -183,22 +183,19 @@ def all_pairs_distances(g: WeightedGraph) -> DistanceOracle:
 def is_scattered(g: WeightedGraph, members: Iterable[int], d: int) -> bool:
     """True iff every pair of distinct members is at distance >= d.
 
-    Uses radius-limited searches so the check stays cheap on graphs far too
-    large for an all-pairs matrix.  Vacuously true for at most one member.
+    Vacuously true for at most one member; see `scattered_violation`.
     """
-    ms = vertex_set(g, members)
-    for i, u in enumerate(ms[:-1]):
-        dist = dijkstra_from(g, u, radius=d)
-        for v in ms[i + 1 :]:
-            if dist[v] < d:
-                return False
-    return True
+    return scattered_violation(g, members, d) is None
 
 
 def scattered_violation(
     g: WeightedGraph, members: Iterable[int], d: int
 ) -> tuple[int, int, int] | None:
-    """First violating pair (u, v, dist) at distance < d, or None."""
+    """First violating pair (u, v, dist) at distance < d, or None.
+
+    Uses radius-limited searches so the check stays cheap on graphs far too
+    large for an all-pairs matrix.
+    """
     ms = vertex_set(g, members)
     for i, u in enumerate(ms[:-1]):
         dist = dijkstra_from(g, u, radius=d)

@@ -1,29 +1,19 @@
 """Dynamic programming for d-scattered sets over nice tree decompositions.
 
-Two layers live here.
-
-The table layer (`DPTable` and the six transition operations) implements the
-per-node tables keyed by (selection count, state vector), where a bag
-vertex's state is 0 when it is considered selected and otherwise a distance
-lower bound in [1, d-1].  These operations are the unit-testable building
-blocks, including the invertible state transform that turns join-node
-combination into a pointwise product.
-
-The solver layer (`count_scattered`, `max_scattered`, `solve_via_treedepth`)
-runs a sparse clearance DP over the same decompositions: per bag vertex it
-tracks the exact (capped) distance to the nearest selection that has already
-been forgotten.  Sparse keys make it output-sensitive, and the clearance
-semantics compose without correction terms, which keeps counting exact; the
-table layer's literal forget-after-leaf correction is kept for the table
-operations themselves.  The `clearance` hook lets the approximation module
-re-run the same engine over a rounded value domain.
+One engine, `dp_over_decomposition`, runs a sparse clearance DP bottom-up
+over a nice decomposition: per bag vertex it tracks either "selected" or the
+exact (capped) distance to the nearest selection that has already been
+forgotten.  Sparse keys make it output-sensitive, and the clearance
+semantics compose without correction terms, which keeps counting exact.
+`count_scattered` and `max_scattered` run it in counting and maximizing
+mode; `solve_via_treedepth` adds a per-component diameter shortcut.  The
+`clearance` hook lets the approximation module re-run the same engine over
+a rounded value domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 from .decomp import (
     NiceDecomposition,
@@ -35,7 +25,6 @@ from .decomp import (
 )
 from .graph_core import (
     INF,
-    DistanceOracle,
     VertexSet,
     WeightedGraph,
     all_pairs_distances,
@@ -50,333 +39,6 @@ ENGINE_RUNS = 0
 
 # State marker for a selected bag vertex in the clearance engine.
 _SELECTED = -1
-
-
-# ---------------------------------------------------------------------------
-# Table layer
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaxCell:
-    """Maximization value: best selection count, optional backtrack link."""
-
-    size: int
-    link: object | None = None
-
-
-@dataclass
-class DPTable:
-    """Associative per-node table: (kappa, encoded state vector) -> value.
-
-    State vectors follow the sorted bag order and are encoded as mixed-radix
-    integers base d.  Counting values are non-negative ints; max-mode values
-    are MaxCell records.  Absent entries mean 0 (counting) or -infinity.
-    """
-
-    d: int
-    k: int
-    bag: tuple[int, ...]
-    mode: str  # "count" | "max"
-    entries: dict[tuple[int, int], object] = field(default_factory=dict)
-
-    def encode(self, states: Sequence[int]) -> int:
-        code = 0
-        for s in reversed(states):
-            if not (0 <= s < self.d):
-                raise ValueError(f"state {s} out of [0,{self.d - 1}]")
-            code = code * self.d + s
-        return code
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        out = []
-        for _ in self.bag:
-            out.append(code % self.d)
-            code //= self.d
-        return tuple(out)
-
-    def get(self, kappa: int, states: Sequence[int]) -> object:
-        default = 0 if self.mode == "count" else MaxCell(-1)
-        return self.entries.get((kappa, self.encode(states)), default)
-
-    def put(self, kappa: int, states: Sequence[int], value: object) -> None:
-        self.entries[(kappa, self.encode(states))] = value
-
-    def accumulate(self, kappa: int, code: int, value: object) -> None:
-        """Sum (counting) or keep-max (max mode) into an entry."""
-        key = (kappa, code)
-        if self.mode == "count":
-            if value:
-                self.entries[key] = self.entries.get(key, 0) + value
-        else:
-            old = self.entries.get(key)
-            if old is None or value.size > old.size:
-                self.entries[key] = value
-
-
-def leaf_table(d: int, mode: str, vertex: int = 0) -> DPTable:
-    """Table of a leaf node: one selected entry, one per unselected state."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if mode not in ("count", "max"):
-        raise ValueError(f"unknown mode {mode!r}")
-    t = DPTable(d=d, k=1, bag=(vertex,), mode=mode)
-    if mode == "count":
-        t.put(1, (0,), 1)
-        for s in range(1, d):
-            t.put(0, (s,), 1)
-    else:
-        t.put(1, (0,), MaxCell(1))
-        for s in range(1, d):
-            t.put(0, (s,), MaxCell(0))
-    return t
-
-
-def _insert(states: tuple[int, ...], pos: int, value: int) -> tuple[int, ...]:
-    return states[:pos] + (value,) + states[pos:]
-
-
-def introduce_transition(
-    child: DPTable,
-    bag_before: tuple[int, ...],
-    v_new: int,
-    dist: DistanceOracle,
-    d: int,
-    k: int,
-) -> DPTable:
-    """Introduce v_new over `child` (whose bag is `bag_before`).
-
-    Nonzero new states copy the child entry when they respect every bag
-    vertex's distance-plus-state bound.  The zero (selected) state reads the
-    child entry at decremented kappa whose close vertices carry the mirrored
-    state d - s_j; selected bag vertices must sit at distance >= d.
-    """
-    if tuple(child.bag) != tuple(bag_before):
-        raise ValueError("child bag does not match bag_before")
-    if v_new in bag_before:
-        raise ValueError(f"vertex {v_new} already present in bag")
-    bag_after = tuple(sorted(bag_before + (v_new,)))
-    pos = bag_after.index(v_new)
-    out = DPTable(d=d, k=k, bag=bag_after, mode=child.mode, entries={})
-    half = d // 2
-    drow = dist.dist[v_new]
-    for (kappa, code), value in child.entries.items():
-        states = child.decode(code)
-        bound = INF
-        for j, u in enumerate(bag_before):
-            if drow[u] < INF:
-                bound = min(bound, drow[u] + states[j])
-        for s_new in range(1, d):
-            if s_new <= bound:
-                out.accumulate(kappa, out.encode(_insert(states, pos, s_new)), value)
-        # selected extension: map this child entry to its unique parent entry
-        if kappa + 1 > k:
-            continue
-        ok = True
-        parent_states = []
-        for j, u in enumerate(bag_before):
-            dj = drow[u]
-            if states[j] == 0:
-                if dj < d:
-                    ok = False
-                    break
-                parent_states.append(0)
-            elif dj <= half:
-                mirrored = d - states[j]
-                if mirrored < 1 or mirrored > dj:
-                    ok = False
-                    break
-                parent_states.append(mirrored)
-            else:
-                parent_states.append(states[j])
-        if not ok:
-            continue
-        if child.mode == "count":
-            out.accumulate(kappa + 1, out.encode(_insert(tuple(parent_states), pos, 0)), value)
-        else:
-            out.accumulate(
-                kappa + 1,
-                out.encode(_insert(tuple(parent_states), pos, 0)),
-                MaxCell(value.size + 1),
-            )
-    return out
-
-
-def forget_transition(
-    child: DPTable,
-    forgotten_position: int,
-    d: int,
-    k: int,
-    child_was_leaf: bool,
-) -> DPTable:
-    """Drop one bag coordinate, summing (or maxing) over its states.
-
-    Counting mode sums all d states, except directly above a leaf node where
-    only states {0, 1} are summed; max mode needs no correction because max
-    over duplicated entries is idempotent.
-    """
-    bag_after = child.bag[:forgotten_position] + child.bag[forgotten_position + 1 :]
-    out = DPTable(d=d, k=k, bag=bag_after, mode=child.mode, entries={})
-    restrict = child.mode == "count" and child_was_leaf
-    for (kappa, code), value in child.entries.items():
-        states = child.decode(code)
-        s = states[forgotten_position]
-        if restrict and s > 1:
-            continue
-        rest = states[:forgotten_position] + states[forgotten_position + 1 :]
-        out.accumulate(kappa, out.encode(rest), value)
-    return out
-
-
-def _unjustified_low(
-    states: tuple[int, ...],
-    j: int,
-    bag: tuple[int, ...],
-    dist: DistanceOracle,
-    d: int,
-) -> bool:
-    """Low, not explained by a close selected bag vertex, not self-mirrored."""
-    half = d // 2
-    s = states[j]
-    if not (1 <= s <= half) or s == d - s:
-        return False
-    row = dist.dist[bag[j]]
-    for i, u in enumerate(bag):
-        if states[i] == 0 and row[u] <= half:
-            return False
-    return True
-
-
-def forward_state_transform(
-    t: DPTable, bag: tuple[int, ...], dist: DistanceOracle, d: int, k: int
-) -> DPTable:
-    """Per-coordinate accumulation: each unjustified low state also absorbs
-    the entry at its mirrored high state d - s.  Exactly invertible."""
-    if t.mode != "count":
-        raise ValueError("state transforms apply to counting tables")
-    out = DPTable(d=d, k=k, bag=t.bag, mode=t.mode, entries=dict(t.entries))
-    half = d // 2
-    for j in range(len(bag)):
-        updates: list[tuple[tuple[int, int], int]] = []
-        for (kappa, code), value in out.entries.items():
-            states = out.decode(code)
-            s = states[j]
-            if s <= half or s == d - s:
-                continue  # only mirrored highs feed a low
-            low = d - s
-            target = states[:j] + (low,) + states[j + 1 :]
-            if _unjustified_low(target, j, bag, dist, d):
-                updates.append(((kappa, out.encode(target)), value))
-        for key, value in updates:
-            out.entries[key] = out.entries.get(key, 0) + value
-    return out
-
-
-def inverse_state_transform(
-    t: DPTable, bag: tuple[int, ...], dist: DistanceOracle, d: int, k: int
-) -> DPTable:
-    """Exact inverse of forward_state_transform (mirrored subtractions)."""
-    if t.mode != "count":
-        raise ValueError("state transforms apply to counting tables")
-    out = DPTable(d=d, k=k, bag=t.bag, mode=t.mode, entries=dict(t.entries))
-    half = d // 2
-    for j in range(len(bag) - 1, -1, -1):
-        updates: list[tuple[tuple[int, int], int]] = []
-        for (kappa, code), value in out.entries.items():
-            states = out.decode(code)
-            s = states[j]
-            if s <= half or s == d - s:
-                continue
-            low = d - s
-            target = states[:j] + (low,) + states[j + 1 :]
-            if _unjustified_low(target, j, bag, dist, d):
-                updates.append(((kappa, out.encode(target)), value))
-        for key, value in updates:
-            new = out.entries.get(key, 0) - value
-            if new:
-                out.entries[key] = new
-            else:
-                out.entries.pop(key, None)
-    return out
-
-
-def join_transition(
-    left: DPTable,
-    right: DPTable,
-    bag: tuple[int, ...],
-    dist: DistanceOracle,
-    d: int,
-    k: int,
-) -> DPTable:
-    """Combine sibling tables over an identical bag.
-
-    Counting: transform both children, multiply pointwise with a convolution
-    over kappa (re-adding the doubly counted in-bag selections), then invert
-    the transform.  Max mode enumerates compatible state pairs directly and
-    takes coordinate-wise mirrored meets.
-    """
-    if tuple(left.bag) != tuple(bag) or tuple(right.bag) != tuple(bag):
-        raise ValueError("bag mismatch between join children")
-    if left.mode != right.mode:
-        raise ValueError("join children disagree on mode")
-    if left.mode == "count":
-        lstar = forward_state_transform(left, bag, dist, d, k)
-        rstar = forward_state_transform(right, bag, dist, d, k)
-        by_code_l: dict[int, list[tuple[int, int]]] = {}
-        for (kappa, code), value in lstar.entries.items():
-            by_code_l.setdefault(code, []).append((kappa, value))
-        by_code_r: dict[int, list[tuple[int, int]]] = {}
-        for (kappa, code), value in rstar.entries.items():
-            by_code_r.setdefault(code, []).append((kappa, value))
-        star = DPTable(d=d, k=k, bag=tuple(bag), mode="count", entries={})
-        for code, lvals in by_code_l.items():
-            rvals = by_code_r.get(code)
-            if rvals is None:
-                continue
-            zeros = sum(1 for s in star.decode(code) if s == 0)
-            for kl, vl in lvals:
-                for kr, vr in rvals:
-                    kappa = kl + kr - zeros
-                    if 0 <= kappa <= k:
-                        star.accumulate(kappa, code, vl * vr)
-        return inverse_state_transform(star, bag, dist, d, k)
-
-    out = DPTable(d=d, k=k, bag=tuple(bag), mode="max", entries={})
-    half = d // 2
-    litems = sorted(left.entries.items())
-    ritems = sorted(right.entries.items())
-    for (kl, lcode), lval in litems:
-        ls = left.decode(lcode)
-        for (kr, rcode), rval in ritems:
-            rs = right.decode(rcode)
-            merged = []
-            ok = True
-            for j in range(len(bag)):
-                a, b = ls[j], rs[j]
-                if a == b:
-                    merged.append(a)
-                    continue
-                low, high = min(a, b), max(a, b)
-                if (
-                    low >= 1
-                    and high == d - low
-                    and low <= half
-                    and low != high
-                    and _unjustified_low(
-                        tuple(ls[:j]) + (low,) + tuple(ls[j + 1 :]), j, bag, dist, d
-                    )
-                ):
-                    merged.append(low)
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            zeros = sum(1 for s in merged if s == 0)
-            kappa = kl + kr - zeros
-            if 0 <= kappa <= k:
-                out.accumulate(kappa, out.encode(tuple(merged)), MaxCell(kappa))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +107,6 @@ def dp_over_decomposition(
     k: int | None = None,
     clearance: object | None = None,
     modulus: int | None = None,
-    threads: int = 1,
 ):
     """Run the scattered-set DP bottom-up over a nice decomposition.
 
@@ -455,10 +116,6 @@ def dp_over_decomposition(
     Counting keys carry the selection count; in max mode the value holds the
     best count and a backtrack link.
 
-    With threads > 1, node tables of disjoint subtrees are computed
-    concurrently (each node reads only finished child tables); the results
-    are identical to the sequential schedule.
-
     Returns per-size counts (counting) or (size, witness) (max).
     """
     global ENGINE_RUNS
@@ -467,8 +124,6 @@ def dp_over_decomposition(
     k_cap = g.n if k is None else min(k, g.n)
     if modulus is not None and modulus < 2:
         raise ValueError("modulus must be >= 2")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     ENGINE_RUNS += 1
     dist = all_pairs_distances(g).dist
     cap = dom.cap
@@ -598,36 +253,8 @@ def dp_over_decomposition(
             table = {key: value % modulus for key, value in table.items()}
         return table
 
-    order = _nice_postorder(nd)
-    if threads <= 1:
-        for i in order:
-            tables[i] = _node_table(i)
-    else:
-        # Wave-parallel evaluation: every node whose children are finished
-        # runs concurrently.  Tables are pure functions of child tables, so
-        # the outcome matches the sequential schedule exactly.
-        parent_of: dict[int, int] = {}
-        waiting: dict[int, int] = {}
-        ready: list[int] = []
-        for i in order:
-            node = nd.nodes[i]
-            waiting[i] = len(node.children)
-            for c in node.children:
-                parent_of[c] = i
-            if not node.children:
-                ready.append(i)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while ready:
-                for i, table in zip(ready, pool.map(_node_table, ready)):
-                    tables[i] = table
-                nxt: list[int] = []
-                for i in ready:
-                    parent = parent_of.get(i)
-                    if parent is not None:
-                        waiting[parent] -= 1
-                        if waiting[parent] == 0:
-                            nxt.append(parent)
-                ready = nxt
+    for i in _nice_postorder(nd):
+        tables[i] = _node_table(i)
 
     root_table = tables[nd.root]
     if counting:
@@ -682,7 +309,6 @@ def count_scattered(
     d: int,
     k: int,
     modulus: int | None = None,
-    threads: int = 1,
 ) -> list[int]:
     """Number of d-scattered sets of each size 0..k (exact, big integers).
 
@@ -691,17 +317,17 @@ def count_scattered(
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    inner = dp_over_decomposition(
-        g, nd, d, mode="count", k=k, modulus=modulus, threads=threads
-    )
+    inner = dp_over_decomposition(g, nd, d, mode="count", k=k, modulus=modulus)
     return inner + [0] * (k + 1 - len(inner))
 
 
-def max_scattered(
-    g: WeightedGraph, nd: NiceDecomposition, d: int, threads: int = 1
-) -> tuple[int, VertexSet]:
-    """Maximum d-scattered set size with a validated witness."""
-    size, witness = dp_over_decomposition(g, nd, d, mode="max", threads=threads)
+def max_scattered(g: WeightedGraph, nd: NiceDecomposition, d: int) -> tuple[int, VertexSet]:
+    """Maximum d-scattered set size and a witness of that size.
+
+    The witness comes from backtracking and is not re-checked here; the CLI
+    re-validates every witness it prints.
+    """
+    size, witness = dp_over_decomposition(g, nd, d, mode="max")
     return size, witness
 
 

@@ -1,13 +1,12 @@
 """End-to-end acceptance checks, one test per advertised guarantee.
 
 Every assertion here is exact: integer equality against brute-force
-enumeration, exact rational slack checks, or entry-wise table equality.
+enumeration or exact rational slack checks.
 The summary hook in conftest.py prints one PASS/FAIL line per test.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from fractions import Fraction
 
@@ -48,10 +47,7 @@ from scatterset.oracle import (
 )
 from scatterset.tw_approx import approx_max_scattered
 from scatterset.tw_exact import (
-    DPTable,
     count_scattered,
-    forward_state_transform,
-    inverse_state_transform,
     max_scattered,
     solve_via_treedepth,
 )
@@ -153,26 +149,6 @@ def test_approximation_recovers_exact_optimum_below_granularity():
             size, members = approx_max_scattered(g, td, d, eps)
             assert size == opt
             assert is_scattered(g, members, d)
-
-
-def test_state_transform_round_trips_on_random_tables():
-    rng = random.Random(4242)
-    trials = 0
-    for d in (2, 3, 4, 5, 6):
-        for rep in range(200):
-            g = seeded_corpus(1, 7, 2, base_seed=rep * 53 + d)[0]
-            dist = all_pairs_distances(g)
-            bag = tuple(sorted(rng.sample(range(g.n), rng.randint(1, min(4, g.n)))))
-            t = DPTable(d=d, k=3, bag=bag, mode="count")
-            for _ in range(rng.randint(1, 12)):
-                kappa = rng.randint(0, 3)
-                states = tuple(rng.randrange(d) for _ in bag)
-                t.put(kappa, states, rng.randint(1, 50))
-            forward = forward_state_transform(t, bag, dist, d, 3)
-            back = inverse_state_transform(forward, bag, dist, d, 3)
-            assert back.entries == t.entries
-            trials += 1
-    assert trials == 1000
 
 
 def test_generator_witness_sizes_match_formulas():

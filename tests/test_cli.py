@@ -82,9 +82,7 @@ def test_solve_approx_requires_epsilon(capsys, p5):
 
 
 def test_solve_reports_target(capsys, p5):
-    code, out, _ = run_cli(
-        capsys, "solve", "--graph", p5, "--d", "3", "--k", "2", "--threads", "2"
-    )
+    code, out, _ = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--k", "2")
     assert code == 0 and "target_met: true" in out
     code, out, _ = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--k", "3")
     assert code == 0 and "target_met: false" in out
@@ -300,6 +298,15 @@ def test_validate_flags_broken_decomposition(capsys, p5, tmp_path):
     code, out, _ = run_cli(capsys, "validate", "--graph", p5, "--td", str(td_file))
     assert code == 1
     assert "violation: vertex-coverage" in out
+
+
+def test_validate_malformed_td_is_precondition_error(capsys, tmp_path):
+    graph = tmp_path / "one.dss"
+    graph.write_text("p dss 1 0\n")
+    td_file = tmp_path / "short.td"
+    td_file.write_text("s td 1 1 1\nb 1 1\n5\n")  # tree-edge line with one field
+    code, _, err = run_cli(capsys, "validate", "--graph", str(graph), "--td", str(td_file))
+    assert code == 3 and "line 3" in err
 
 
 # -- exit codes and report schema ------------------------------------------------

@@ -150,6 +150,23 @@ def test_parse_td_rejects_malformed_input(text):
         parse_td(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "s td 1 1 1\nb 1 1\n5\n",  # tree edge with one field
+        "s td 2 2 2\nb 1 1\n1 2 3\n",  # tree edge with three fields
+        "s td 1 1 1\nb 1\nb\n",  # bag line without an id
+        "s td 2 2 2\nb 1 1\nb 2 x\n",  # non-integer bag vertex
+        "s td 2 2 2\nb 1 1\n1 two\n",  # non-integer tree edge
+        "s td 2 2 2\nb 1 1\nb 1 2\n",  # duplicate bag id
+        "c one\nc two\ns td x 1 1\n",  # non-integer header field
+    ],
+)
+def test_parse_td_errors_name_the_line(text):
+    with pytest.raises(ValueError, match="^line 3: "):
+        parse_td(text)
+
+
 def test_parse_td_skips_comments():
     td = parse_td("c note\ns td 1 1 1\nb 1 1\n")
     assert td.bags == ((0,),)

@@ -8,14 +8,13 @@ import pytest
 
 from conftest import cycle_graph, path_graph, seeded_corpus, star_graph
 from scatterset.decomp import heuristic_decomposition
-from scatterset.graph_core import INF, all_pairs_distances
+from scatterset.graph_core import INF, all_pairs_distances, scattered_violation
 from scatterset.oracle import brute_force_max
 from scatterset.tw_approx import (
     RoundedClearance,
     approx_max_scattered,
-    build_rounded_domain,
     choose_delta,
-    round_add,
+    slack_threshold,
 )
 
 
@@ -29,31 +28,24 @@ def test_choose_delta_is_per_level_share():
 
 
 def test_rounded_domain_is_exact_power_ladder():
-    dom = build_rounded_domain(7, Fraction(1, 4))
-    assert dom.values[0] == 0
-    assert dom.values[1] == 1
+    rc = RoundedClearance(7, Fraction(1, 4), Fraction(1, 2))
     base = Fraction(5, 4)
-    for i, v in enumerate(dom.values[1:]):
+    for i, v in enumerate(rc.powers):
         assert v == base**i
-    assert dom.values[-1] <= 7 < dom.values[-1] * base
-    assert all(a < b for a, b in zip(dom.values, dom.values[1:]))
-
-
-def test_rounded_domain_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        build_rounded_domain(1, Fraction(1, 2))
-    with pytest.raises(ValueError):
-        build_rounded_domain(5, Fraction(0))
+    assert rc.cap == len(rc.powers) - 1
+    assert rc.powers[-1] <= 7 < rc.powers[-1] * base
+    assert all(a < b for a, b in zip(rc.powers, rc.powers[1:]))
 
 
 def test_round_add_floors_to_ladder():
-    dom = build_rounded_domain(7, Fraction(1, 4))
-    # 5/4 + 2 = 13/4; the largest power below is (5/4)^5 = 3125/1024.
-    assert round_add(Fraction(5, 4), Fraction(2), dom) == Fraction(3125, 1024)
-    assert round_add(Fraction(0), Fraction(0), dom) == 0
-    assert round_add(Fraction(0), Fraction(1), dom) == 1
-    total = round_add(dom.values[-1], dom.values[-1], dom)
-    assert total == dom.values[-1]  # saturates at the top of the ladder
+    rc = RoundedClearance(7, Fraction(1, 4), Fraction(1, 2))
+    # Index 1 is 5/4; 5/4 + 2 = 13/4, and the largest power below is
+    # (5/4)^5 = 3125/1024.
+    assert rc.add(1, 2) == 5
+    assert rc.powers[5] == Fraction(3125, 1024)
+    assert rc.add(0, 1) == 3  # 1 + 1 = 2 floors to (5/4)^3 = 125/64
+    assert rc.add(rc.cap, 1) == rc.cap  # saturates at the top of the ladder
+    assert rc.add(rc.cap, 7) == rc.cap
 
 
 def test_rounded_clearance_admission_uses_slack_target():
@@ -88,9 +80,18 @@ def _check_guarantee(g, d, epsilon):
         for v in witness[i + 1 :]:
             if dist[u][v] < INF:
                 assert (1 + epsilon) * dist[u][v] >= d
+    # The integer threshold the solver and the CLI check against gives the
+    # rational verdict on every pair, failing pairs included.
+    threshold = slack_threshold(d, epsilon)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            rational_ok = dist[u][v] >= INF or (1 + epsilon) * dist[u][v] >= d
+            assert rational_ok == (scattered_violation(g, (u, v), threshold) is None)
 
 
-@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(1, 4)])
+@pytest.mark.parametrize(
+    "epsilon", [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(2, 3)]
+)
 def test_guarantee_on_pinned_shapes(epsilon):
     for g, d in ((path_graph(5), 3), (cycle_graph(8), 4), (star_graph(6), 2)):
         _check_guarantee(g, d, epsilon)

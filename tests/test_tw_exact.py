@@ -1,26 +1,17 @@
-"""Decomposition DP: tables, transitions, transforms, counting, maximizing."""
+"""Decomposition DP: the clearance engine, counting, maximizing."""
 
 from __future__ import annotations
-
-import random
-from fractions import Fraction
 
 import pytest
 
 import scatterset.tw_exact as tw
 from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
 from scatterset.decomp import heuristic_decomposition, make_nice
-from scatterset.graph_core import WeightedGraph, all_pairs_distances, is_scattered
+from scatterset.graph_core import WeightedGraph, is_scattered
 from scatterset.oracle import brute_force_count, brute_force_max
 from scatterset.tw_exact import (
-    DPTable,
     ExactClearance,
     count_scattered,
-    forget_transition,
-    forward_state_transform,
-    introduce_transition,
-    inverse_state_transform,
-    leaf_table,
     max_scattered,
     solve_via_treedepth,
 )
@@ -28,81 +19,6 @@ from scatterset.tw_exact import (
 
 def nice_for(g: WeightedGraph):
     return make_nice(heuristic_decomposition(g))
-
-
-def test_table_encode_decode_round_trip():
-    t = DPTable(d=5, k=3, bag=(2, 4, 7), mode="count")
-    for states in ((0, 0, 0), (4, 1, 3), (2, 2, 2)):
-        assert t.decode(t.encode(states)) == states
-    with pytest.raises(ValueError):
-        t.encode((5, 0, 0))
-
-
-def test_leaf_table_shapes():
-    t = leaf_table(3, "count")
-    assert t.get(1, (0,)) == 1
-    assert t.get(0, (1,)) == 1 and t.get(0, (2,)) == 1
-    m = leaf_table(3, "max")
-    assert m.get(1, (0,)).size == 1
-    assert m.get(0, (2,)).size == 0
-    with pytest.raises(ValueError):
-        leaf_table(1, "count")
-    with pytest.raises(ValueError):
-        leaf_table(3, "weird")
-
-
-def test_transition_pipeline_on_edge_overcounts_by_state_multiplicity():
-    # The raw transition layer keeps one entry per residual state, so a
-    # forgotten unselected vertex contributes once per surviving state
-    # value.  The clearance engine below collapses this to true counts.
-    g = WeightedGraph(n=2, edges=((0, 1, 1),))
-    dist = all_pairs_distances(g)
-    t = leaf_table(3, "count")
-    t = introduce_transition(t, bag_before=(0,), v_new=1, dist=dist, d=3, k=2)
-    assert t.get(1, (0, 1)) == 1  # selecting v0 pins v1's state to dist 1
-    assert t.get(1, (0, 2)) == 0
-    assert t.get(2, (0, 0)) == 0  # both endpoints at distance 1 < 3
-    t = forget_transition(t, forgotten_position=0, d=3, k=2, child_was_leaf=False)
-    t = forget_transition(t, forgotten_position=0, d=3, k=2, child_was_leaf=False)
-    totals = [0, 0, 0]
-    for (kappa, _), value in t.entries.items():
-        totals[kappa] += value
-    assert totals == [4, 2, 0]
-    assert count_scattered(g, nice_for(g), 3, 2) == [1, 2, 0]
-
-
-def _random_table(rng: random.Random, d: int, bag: tuple[int, ...], k: int) -> DPTable:
-    t = DPTable(d=d, k=k, bag=bag, mode="count")
-    for _ in range(rng.randint(1, 12)):
-        kappa = rng.randint(0, k)
-        states = tuple(rng.randrange(d) for _ in bag)
-        t.put(kappa, states, rng.randint(1, 50))
-    return t
-
-
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_state_transform_round_trip(d):
-    rng = random.Random(d * 101)
-    for trial in range(25):
-        n = rng.randint(2, 7)
-        g = seeded_corpus(1, n, 2, base_seed=trial * 37 + d)[0]
-        dist = all_pairs_distances(g)
-        bag = tuple(sorted(rng.sample(range(g.n), rng.randint(1, min(4, g.n)))))
-        t = _random_table(rng, d, bag, k=3)
-        forward = forward_state_transform(t, bag, dist, d, 3)
-        back = inverse_state_transform(forward, bag, dist, d, 3)
-        assert back.entries == t.entries
-
-
-def test_forward_transform_is_not_identity_everywhere():
-    # Mirrored-state accumulation must fire on some inputs, else the
-    # round-trip check would be vacuous.
-    g = path_graph(2, weight=5)
-    dist = all_pairs_distances(g)
-    t = DPTable(d=6, k=2, bag=(0, 1), mode="count")
-    t.put(1, (5, 0), 7)
-    forward = forward_state_transform(t, (0, 1), dist, 6, 2)
-    assert forward.entries != t.entries
 
 
 def test_exact_clearance_domain():
@@ -118,6 +34,12 @@ def test_count_path_pinned_values():
     # By enumeration: P5 with d=3 has 1/5/3 scattered sets of sizes 0/1/2.
     g = path_graph(5)
     assert count_scattered(g, nice_for(g), 3, 2) == [1, 5, 3]
+
+
+def test_count_single_edge_pinned_values():
+    # One edge of weight 1 at d=3: the empty set, either endpoint, never both.
+    g = WeightedGraph(n=2, edges=((0, 1, 1),))
+    assert count_scattered(g, nice_for(g), 3, 2) == [1, 2, 0]
 
 
 def test_count_cycle_pinned_values():
@@ -181,18 +103,6 @@ def test_max_on_star_any_two_leaves():
     assert size == 5 and 0 not in witness
     size, witness = max_scattered(g, nice_for(g), 3)
     assert size == 1
-
-
-def test_threads_match_sequential():
-    for i, g in enumerate(seeded_corpus(8, 9, 2, base_seed=44)):
-        nd = nice_for(g)
-        d = 2 + i % 4
-        assert count_scattered(g, nd, d, g.n) == count_scattered(
-            g, nd, d, g.n, threads=3
-        )
-        assert max_scattered(g, nd, d) == max_scattered(g, nd, d, threads=4)
-    with pytest.raises(ValueError):
-        count_scattered(g, nd, 2, 1, threads=0)
 
 
 def test_treedepth_wrapper_skips_dp_on_small_diameter():
