@@ -12,7 +12,8 @@ Reports print as key/value text or, with --json, as stable-schema JSON
 arguments such as --epsilon use num/den syntax; decimal floats are rejected.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 precondition
-error, 4 internal invariant breach.
+error, 4 internal error (a failed invariant or any unexpected exception,
+reported on one line).
 """
 
 from __future__ import annotations
@@ -605,6 +606,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except Exception as exc:
+        # Last resort, e.g. balance()'s failed bounds or a RecursionError:
+        # one line, no traceback.
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

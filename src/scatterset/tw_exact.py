@@ -1,19 +1,31 @@
 """Dynamic programming for d-scattered sets over nice tree decompositions.
 
 One engine, `dp_over_decomposition`, runs a sparse clearance DP bottom-up
-over a nice decomposition: per bag vertex it tracks either "selected" or the
-exact (capped) distance to the nearest selection that has already been
-forgotten.  Sparse keys make it output-sensitive, and the clearance
-semantics compose without correction terms, which keeps counting exact.
-`count_scattered` and `max_scattered` run it in counting and maximizing
-mode; `solve_via_treedepth` adds a per-component diameter shortcut.  The
+over a nice decomposition.  Every table is keyed by the bag's state tuple
+alone: per bag vertex, either "selected" or the exact (capped) distance to
+the nearest selection that has already been forgotten.  Sparse keys make it
+output-sensitive, and the clearance semantics compose without correction
+terms, which keeps counting exact.
+
+In counting mode an entry's value is one big integer that packs the counts
+of all selection sizes: the count of size m sits in bits [m*B, (m+1)*B).
+Selecting a vertex shifts the packed polynomial up one slot, and a join
+multiplies two of them in a single integer product.  Slots are wide enough
+that no carry ever reaches a kept count; `dp_over_decomposition` gives the
+bound and its proof.  In maximizing mode the value holds the best size and
+a backtrack link.
+
+`count_scattered` and `max_scattered` run the engine in those two modes;
+`solve_via_treedepth` adds a per-component diameter shortcut.  The
 `clearance` hook lets the approximation module re-run the same engine over
-a rounded value domain.
+a rounded value domain; the engine memoizes every hook call per solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import ge, getitem
 
 from .decomp import (
     NiceDecomposition,
@@ -73,6 +85,58 @@ class ExactClearance:
         return i + j >= self.d
 
 
+class _Memo(dict):
+    """Dict that computes a missing key once with `fn` and keeps it."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn, seed=()) -> None:
+        super().__init__(seed)
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _HookMemo:
+    """Per-solve memo of a clearance domain's hooks, filled lazily.
+
+    Only values the DP actually meets are computed, never a table over
+    0..cap: in the exact domain cap = d, which the gadgets make huge.
+    """
+
+    def __init__(self, dom) -> None:
+        self.cap = cap = dom.cap
+        add, join_ok = dom.add, dom.join_ok
+        # A selected position never lowers the reach of a new vertex, and an
+        # unreachable one leaves it at the cap.
+        self._unreachable = _Memo(lambda s: cap, {_SELECTED: cap})
+        self._rows = _Memo(lambda w: _Memo(lambda s: add(s, w), {_SELECTED: cap}))
+        self.from_distance = _Memo(dom.from_distance)
+        self.admit_clearance = _Memo(dom.admit_clearance)
+
+        def least_partner(a: int) -> int:
+            # join_ok(a, b) is monotone in b, so binary search for the least
+            # b that passes; cap + 1 means that none does.
+            lo, hi = 0, cap + 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if join_ok(a, mid):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        # A selected position meets a selected one (masks match), and
+        # -1 >= -1 lets it through the same comparison.
+        self.threshold = _Memo(least_partner, {_SELECTED: _SELECTED})
+
+    def add_row(self, w: int) -> _Memo:
+        """Clearance s -> add(s, w), with selected and unreachable folded in."""
+        return self._unreachable if w >= INF else self._rows[w]
+
+
 def _nice_postorder(nd: NiceDecomposition) -> list[int]:
     order: list[int] = []
     stack: list[tuple[int, bool]] = [(nd.root, False)]
@@ -106,151 +170,154 @@ def dp_over_decomposition(
     mode: str,
     k: int | None = None,
     clearance: object | None = None,
-    modulus: int | None = None,
 ):
     """Run the scattered-set DP bottom-up over a nice decomposition.
 
-    Entries are keyed by the bag's state tuple: -1 marks a selected vertex,
-    any other value is the clearance (capped distance to the nearest
-    selection already forgotten), expressed in the clearance domain's units.
-    Counting keys carry the selection count; in max mode the value holds the
-    best count and a backtrack link.
+    Every table is keyed by the bag's state tuple: -1 marks a selected
+    vertex, any other value is the clearance (capped distance to the nearest
+    selection already forgotten), in the clearance domain's units.
+
+    Max mode stores (best size, backtrack link) per state.  Counting mode
+    stores one int P per state, the generating polynomial of its partial
+    solutions evaluated at 2^B: the number of partial solutions of size m
+    sits in bits [m*B, (m+1)*B), for m <= k_cap = min(k, n), with
+    B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {(cap,): 1,
+    (sel,): 1 << B}.  Introducing a selected vertex shifts P up one slot,
+    forget adds, join multiplies and shifts down by the nsel shared
+    selections, and every step truncates above slot k_cap.
+
+    Why no carry corrupts a kept count: a state's partial solutions are
+    distinct vertex sets, so its coefficient of degree m is at most
+    C(n, m) < 2^B.  A forget sums disjoint families of sets, so the same
+    bound holds.  In a join, each compatible pair (L, R) maps injectively
+    to its union (L and R are the union's parts in the two subtrees), so
+    the product's coefficient of degree m + nsel counts distinct unions of
+    size m and stays below 2^B for every kept m.  Coefficients above the
+    kept range may overflow their slots, but carries only move upward, so
+    truncation removes them with everything above slot k_cap.  Both
+    factors contain the nsel shared selections, so every degree below nsel
+    is zero and the shift drops nothing; and since |L|, |R| <= |L u R|, the
+    truncated factors still hold every pair that a kept union needs.
+
+    The clearance hook is memoized per solve (`_HookMemo`), and each join
+    pair is checked against per-position thresholds: the least partner
+    clearance that `join_ok` accepts.
 
     Returns per-size counts (counting) or (size, witness) (max).
     """
     global ENGINE_RUNS
     _check_inputs(g, nd, d)
-    dom = clearance if clearance is not None else ExactClearance(d)
-    k_cap = g.n if k is None else min(k, g.n)
-    if modulus is not None and modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    ENGINE_RUNS += 1
-    dist = all_pairs_distances(g).dist
-    cap = dom.cap
-    counting = mode == "count"
     if mode not in ("count", "max"):
         raise ValueError(f"unknown mode {mode!r}")
+    dom = clearance if clearance is not None else ExactClearance(d)
+    ENGINE_RUNS += 1
+    dist = all_pairs_distances(g).dist
+    hooks = _HookMemo(dom)
+    cap = hooks.cap
+    counting = mode == "count"
+    k_cap = g.n if k is None else min(k, g.n)
+    # B of the docstring; C(n, m) is unimodal in m with its peak at n // 2.
+    slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
+    trunc = (1 << (slot_bits * (k_cap + 1))) - 1
+    admit_clearance = hooks.admit_clearance
+    threshold = hooks.threshold.__getitem__
 
     tables: dict[int, dict] = {}
 
     def _node_table(i: int) -> dict:
         node = nd.nodes[i]
+        table: dict = {}
         if node.kind == "leaf":
             v = node.bag[0]
             if counting:
-                table = {(0, (cap,)): 1, (1, (_SELECTED,)): 1}
+                table[(cap,)] = 1
+                if k_cap >= 1:
+                    table[(_SELECTED,)] = 1 << slot_bits
             else:
-                table = {
-                    (cap,): (0, ("leaf", v, False)),
-                    (_SELECTED,): (1, ("leaf", v, True)),
-                }
+                table[(cap,)] = (0, ("leaf", v, False))
+                table[(_SELECTED,)] = (1, ("leaf", v, True))
         elif node.kind == "introduce":
-            child = node.children[0]
-            ctable = tables[child]
-            cbag = nd.nodes[child].bag
+            ctable = tables[node.children[0]]
+            cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
             pos = node.bag.index(v)
             drow = dist[v]
-            table = {}
-            for key in sorted(ctable):
-                states = key[1] if counting else key
-                kappa = key[0] if counting else ctable[key][0]
-                value = ctable[key]
-                reach = cap
-                sel_ok = True
-                for j, u in enumerate(cbag):
-                    s = states[j]
-                    w = drow[u]
-                    if s == _SELECTED:
-                        if sel_ok and not dom.admit_distance(w):
-                            sel_ok = False
-                    elif w < INF:
-                        c = dom.add(s, w)
-                        if c < reach:
-                            reach = c
-                ext = states[:pos] + (reach,) + states[pos:]
-                if counting:
-                    _acc_count(table, (kappa, ext), value)
+            rows = [hooks.add_row(drow[u]) for u in cbag]
+            # Positions where a selected vertex is too close to select v.
+            clash = [j for j, u in enumerate(cbag) if not dom.admit_distance(drow[u])]
+            # Keys extend distinct child keys at one position, so none repeat.
+            for states, value in ctable.items():
+                reach = min(map(getitem, rows, states), default=cap)
+                head, tail = states[:pos], states[pos:]
+                table[head + (reach,) + tail] = (
+                    value if counting else (value[0], ("intro", states, None))
+                )
+                if not admit_clearance[reach]:
+                    continue
+                for j in clash:
+                    if states[j] == _SELECTED:
+                        break
                 else:
-                    _acc_max(table, ext, value[0], ("intro", key, None))
-                if sel_ok and dom.admit_clearance(reach) and kappa + 1 <= k_cap:
-                    sel = states[:pos] + (_SELECTED,) + states[pos:]
                     if counting:
-                        _acc_count(table, (kappa + 1, sel), value)
+                        shifted = (value << slot_bits) & trunc
+                        if shifted:
+                            table[head + (_SELECTED,) + tail] = shifted
                     else:
-                        _acc_max(table, sel, value[0] + 1, ("intro", key, v))
+                        table[head + (_SELECTED,) + tail] = (value[0] + 1, ("intro", states, v))
         elif node.kind == "forget":
-            child = node.children[0]
-            ctable = tables[child]
-            cbag = nd.nodes[child].bag
+            ctable = tables[node.children[0]]
+            cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
             pos = cbag.index(v)
             zrow = dist[v]
-            table = {}
-            for key in sorted(ctable):
-                states = key[1] if counting else key
-                value = ctable[key]
-                s_v = states[pos]
-                if s_v == _SELECTED:
-                    rest = []
-                    for j, u in enumerate(cbag):
-                        if j == pos:
-                            continue
-                        s = states[j]
-                        if s == _SELECTED:
-                            rest.append(_SELECTED)
-                        else:
-                            rest.append(min(s, dom.from_distance(zrow[u])))
-                    new_states = tuple(rest)
-                else:
-                    new_states = states[:pos] + states[pos + 1 :]
+            # The min keeps a selected position selected: -1 is below every clearance.
+            fresh = [hooks.from_distance[zrow[u]] for j, u in enumerate(cbag) if j != pos]
+            for states, value in ctable.items():
+                rest = states[:pos] + states[pos + 1 :]
+                if states[pos] == _SELECTED:
+                    rest = tuple([s if s < f else f for s, f in zip(rest, fresh)])
                 if counting:
-                    _acc_count(table, (key[0], new_states), value)
+                    table[rest] = table.get(rest, 0) + value
                 else:
-                    _acc_max(table, new_states, value[0], ("forget", key))
+                    old = table.get(rest)
+                    if old is None or value[0] > old[0]:
+                        table[rest] = (value[0], ("forget", states))
         else:  # join
-            lchild, rchild = node.children
-            ltable, rtable = tables[lchild], tables[rchild]
-            table = {}
-            by_mask: dict[tuple[int, ...], list] = {}
-            for key in sorted(rtable):
-                states = key[1] if counting else key
-                mask = tuple(j for j, s in enumerate(states) if s == _SELECTED)
-                by_mask.setdefault(mask, []).append(key)
-            for lkey in sorted(ltable):
-                lstates = lkey[1] if counting else lkey
-                lmask = tuple(j for j, s in enumerate(lstates) if s == _SELECTED)
-                lval = ltable[lkey]
-                for rkey in by_mask.get(lmask, ()):
-                    rstates = rkey[1] if counting else rkey
-                    merged = []
-                    ok = True
-                    for j, a in enumerate(lstates):
-                        b = rstates[j]
-                        if a == _SELECTED:
-                            merged.append(_SELECTED)
-                        elif dom.join_ok(a, b):
-                            merged.append(a if a < b else b)
-                        else:
-                            ok = False
-                            break
-                    if not ok:
+            # Bucket the larger child table by selection mask and walk the
+            # smaller one, so the per-entry thresholds are built for fewer
+            # keys; join_ok is symmetric, so either side may supply them.
+            outer, inner = (tables[c] for c in node.children)
+            swapped = len(outer) > len(inner)
+            if swapped:
+                outer, inner = inner, outer
+            by_mask: dict[tuple[bool, ...], list] = {}
+            for istates, ivalue in inner.items():
+                mask = tuple([s == _SELECTED for s in istates])
+                by_mask.setdefault(mask, []).append((istates, ivalue))
+            for ostates, ovalue in outer.items():
+                bucket = by_mask.get(tuple([s == _SELECTED for s in ostates]))
+                if bucket is None:
+                    continue
+                nsel = ostates.count(_SELECTED)
+                least = tuple(map(threshold, ostates))
+                shift = slot_bits * nsel
+                for istates, ivalue in bucket:
+                    if not all(map(ge, istates, least)):
                         continue
-                    nsel = len(lmask)
+                    merged = tuple([a if a < b else b for a, b in zip(ostates, istates)])
                     if counting:
-                        kappa = lkey[0] + rkey[0] - nsel
-                        if kappa <= k_cap:
-                            _acc_count(table, (kappa, tuple(merged)), lval * rtable[rkey])
+                        product = ((ovalue * ivalue) >> shift) & trunc
+                        if product:
+                            table[merged] = table.get(merged, 0) + product
                     else:
-                        rval = rtable[rkey]
-                        _acc_max(
-                            table,
-                            tuple(merged),
-                            lval[0] + rval[0] - nsel,
-                            ("join", lkey, rkey),
-                        )
-        if counting and modulus is not None:
-            table = {key: value % modulus for key, value in table.items()}
+                        size = ovalue[0] + ivalue[0] - nsel
+                        old = table.get(merged)
+                        if old is None or size > old[0]:
+                            pair = (istates, ostates) if swapped else (ostates, istates)
+                            table[merged] = (size, ("join", *pair))
+        if counting:
+            for c in node.children:
+                del tables[c]
         return table
 
     for i in _nice_postorder(nd):
@@ -258,21 +325,12 @@ def dp_over_decomposition(
 
     root_table = tables[nd.root]
     if counting:
-        return [root_table.get((kappa, ()), 0) for kappa in range(k_cap + 1)]
+        packed = root_table.get((), 0)
+        slot = (1 << slot_bits) - 1
+        return [(packed >> (m * slot_bits)) & slot for m in range(k_cap + 1)]
     size, _ = root_table[()]
     witness = _extract_witness(nd, tables, root_table)
     return size, tuple(sorted(witness))
-
-
-def _acc_count(table: dict, key, value: int) -> None:
-    if value:
-        table[key] = table.get(key, 0) + value
-
-
-def _acc_max(table: dict, key, size: int, link) -> None:
-    old = table.get(key)
-    if old is None or size > old[0]:
-        table[key] = (size, link)
 
 
 def _extract_witness(nd: NiceDecomposition, tables: dict[int, dict], root_table) -> set[int]:
@@ -303,21 +361,11 @@ def _extract_witness(nd: NiceDecomposition, tables: dict[int, dict], root_table)
 # ---------------------------------------------------------------------------
 
 
-def count_scattered(
-    g: WeightedGraph,
-    nd: NiceDecomposition,
-    d: int,
-    k: int,
-    modulus: int | None = None,
-) -> list[int]:
-    """Number of d-scattered sets of each size 0..k (exact, big integers).
-
-    An optional modulus reduces every table value, trading exact counts for
-    bounded memory on stress instances.
-    """
+def count_scattered(g: WeightedGraph, nd: NiceDecomposition, d: int, k: int) -> list[int]:
+    """Number of d-scattered sets of each size 0..k (exact, big integers)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    inner = dp_over_decomposition(g, nd, d, mode="count", k=k, modulus=modulus)
+    inner = dp_over_decomposition(g, nd, d, mode="count", k=k)
     return inner + [0] * (k + 1 - len(inner))
 
 

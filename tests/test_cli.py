@@ -340,6 +340,16 @@ def test_bogus_witness_is_internal_error(capsys, p5, monkeypatch):
     assert err.startswith("internal error:")
 
 
+def test_unexpected_exception_is_one_line_internal_error(capsys, p5, monkeypatch):
+    def broken_balance(td, g):
+        raise RuntimeError("balanced width 9 exceeds\nbound 5")
+
+    monkeypatch.setattr(cli, "balance", broken_balance)
+    code, _, err = run_cli(capsys, "decompose", "--graph", p5, "--balance")
+    assert code == 4
+    assert err == "internal error: RuntimeError: balanced width 9 exceeds bound 5\n"
+
+
 def test_json_reports_share_one_schema(capsys, p5, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     claim = tmp_path / "set.txt"

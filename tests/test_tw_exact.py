@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
 
 import scatterset.tw_exact as tw
 from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
-from scatterset.decomp import heuristic_decomposition, make_nice
-from scatterset.graph_core import WeightedGraph, is_scattered
-from scatterset.oracle import brute_force_count, brute_force_max
+from scatterset.decomp import balance, format_td, heuristic_decomposition, make_nice, parse_td
+from scatterset.graph_core import WeightedGraph, is_scattered, scattered_violation
+from scatterset.oracle import RandomSpec, brute_force_count, brute_force_max, gen_random_graph
+from scatterset.tw_approx import RoundedClearance
 from scatterset.tw_exact import (
     ExactClearance,
+    _HookMemo,
     count_scattered,
     max_scattered,
     solve_via_treedepth,
@@ -28,6 +33,27 @@ def test_exact_clearance_domain():
     assert dom.add(3, 2) == 4 and dom.add(1, 1) == 2
     assert dom.admit_distance(4) and not dom.admit_distance(3)
     assert dom.join_ok(2, 2) and not dom.join_ok(2, 1)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [ExactClearance(2), ExactClearance(7), RoundedClearance(100, Fraction(1, 4), Fraction(1))],
+    ids=["exact-2", "exact-7", "rounded-100"],
+)
+def test_join_threshold_is_least_accepted_partner(dom):
+    hooks = _HookMemo(dom)
+    for a in range(dom.cap + 1):
+        accepted = [b for b in range(dom.cap + 1) if dom.join_ok(a, b)]
+        assert hooks.threshold[a] == (accepted[0] if accepted else dom.cap + 1)
+        assert accepted == list(range(hooks.threshold[a], dom.cap + 1))
+
+
+def test_huge_d_builds_no_table_over_the_cap():
+    # cap = d = 10**15: the hook memo only holds values the DP meets.
+    g = path_graph(6)
+    nd = nice_for(g)
+    assert count_scattered(g, nd, 10**15, 3) == [1, 6, 0, 0]
+    assert max_scattered(g, nd, 10**15)[0] == 1
 
 
 def test_count_path_pinned_values():
@@ -68,16 +94,47 @@ def test_count_rejects_small_d():
         count_scattered(g, nice_for(g), 1, 2)
 
 
-def test_count_modulus_matches_full_counts():
-    g = cycle_graph(9)
+def test_count_carry_free_where_slot_width_is_tight():
+    # Every subset of an edgeless graph is scattered, so the count of size
+    # 40 is C(80, 40) ~ 1.1e23 itself: the largest value a slot must hold.
+    g = WeightedGraph(n=80, edges=())
     nd = nice_for(g)
-    full = count_scattered(g, nd, 3, 9)
-    for modulus in (2, 7, 1000):
-        assert count_scattered(g, nd, 3, 9, modulus=modulus) == [
-            c % modulus for c in full
-        ]
-    with pytest.raises(ValueError):
-        count_scattered(g, nd, 3, 9, modulus=1)
+    assert count_scattered(g, nd, 2, 80) == [math.comb(80, m) for m in range(81)]
+    assert count_scattered(g, nd, 2, 3) == [math.comb(80, m) for m in range(4)]
+
+
+def test_count_carry_free_through_joins():
+    g = star_graph(40)
+    nd = nice_for(g)
+    assert any(node.kind == "join" for node in nd.nodes)
+    # d=2: any set of leaves, or the centre alone.
+    expected = [math.comb(40, m) + (m == 1) for m in range(42)]
+    assert count_scattered(g, nd, 2, 41) == expected
+    # d=3: leaves are 2 apart, so only singletons.
+    assert count_scattered(g, nd, 3, 41) == [1, 41] + [0] * 40
+
+
+def _decompositions(g: WeightedGraph):
+    td = heuristic_decomposition(g)
+    yield "heuristic", td
+    yield "balanced", balance(td, g)
+    yield "td round trip", parse_td(format_td(td, g.n))
+
+
+def test_dp_matches_brute_force_on_other_decompositions():
+    for seed in range(30):
+        p = Fraction(2 + seed % 5, 10)
+        spec = RandomSpec(n=4 + seed % 9, edge_probability=p, max_weight=4, seed=900 + seed)
+        g = gen_random_graph(spec)
+        d = 2 + seed % 5
+        counts = brute_force_count(g, d, g.n)
+        best = brute_force_max(g, d)[0]
+        for name, td in _decompositions(g):
+            nd = make_nice(td)
+            assert count_scattered(g, nd, d, g.n) == counts, (seed, name)
+            size, witness = max_scattered(g, nd, d)
+            assert size == best and len(witness) == size, (seed, name)
+            assert scattered_violation(g, witness, d) is None, (seed, name)
 
 
 def test_count_matches_enumeration_on_corpus():
