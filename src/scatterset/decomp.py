@@ -101,34 +101,37 @@ def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> Violation
     bad = _check_tree(td)
     if bad is not None:
         return bad
-    covered = set()
-    for bag in td.bags:
+    # Bag vertex -> ids of the bags holding it, keyed by bag vertices only so
+    # memory stays O(sum of bag sizes) whatever n is.
+    holders: dict[int, list[int]] = {}
+    for i, bag in enumerate(td.bags):
         for v in bag:
             if not (0 <= v < g.n):
                 return Violation("structure", f"bag vertex {v} out of range", (v,))
-        covered.update(bag)
-    for v in range(g.n):
-        if v not in covered:
-            return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
-    bag_sets = [set(b) for b in td.bags]
+            held = holders.setdefault(v, [])
+            if not held or held[-1] != i:
+                held.append(i)
+    if len(holders) < g.n:
+        v = next(v for v in range(g.n) if v not in holders)
+        return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
     for u, v, _ in g.edges:
-        if not any(u in bs and v in bs for bs in bag_sets):
+        if set(holders[u]).isdisjoint(holders[v]):
             return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
     adj = _adjacency(len(td.bags), td.tree_edges)
     for v in range(g.n):
-        holders = [i for i, bs in enumerate(bag_sets) if v in bs]
-        if len(holders) <= 1:
+        held = holders[v]
+        if len(held) <= 1:
             continue
-        holder_set = set(holders)
-        stack = [holders[0]]
-        seen = {holders[0]}
+        held_set = set(held)
+        stack = [held[0]]
+        seen = {held[0]}
         while stack:
             u = stack.pop()
             for w in adj[u]:
-                if w in holder_set and w not in seen:
+                if w in held_set and w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) != len(holders):
+        if len(seen) != len(held):
             return Violation(
                 "connectivity",
                 f"bags containing vertex {v} are not connected in the tree",
@@ -587,6 +590,8 @@ def parse_td(text: str) -> TreeDecomposition:
             if len(fields) != 5 or fields[1] != "td":
                 raise ValueError(f"line {line_no}: malformed 's td' line")
             num_bags = _td_ints(line_no, fields[2:])[0]
+            if num_bags < 0:
+                raise ValueError(f"line {line_no}: negative bag count {num_bags}")
         elif fields[0] == "b":
             if len(fields) < 2:
                 raise ValueError(f"line {line_no}: malformed bag, want 'b <id> <vertices...>'")
@@ -602,7 +607,9 @@ def parse_td(text: str) -> TreeDecomposition:
             edge_lines.append(line_no)
     if num_bags < 0:
         raise ValueError("missing 's td' line")
-    if set(bags) != set(range(1, num_bags + 1)):
+    # Duplicate ids were rejected above, so this is "ids are 1..num_bags"
+    # without a set the size of the header's count.
+    if len(bags) != num_bags or not all(1 <= i <= num_bags for i in bags):
         raise ValueError("bag ids must be 1..num_bags exactly")
     for (a, b), line_no in zip(edges, edge_lines):
         if not (0 <= a < num_bags and 0 <= b < num_bags):

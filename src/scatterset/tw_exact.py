@@ -12,8 +12,10 @@ of all selection sizes: the count of size m sits in bits [m*B, (m+1)*B).
 Selecting a vertex shifts the packed polynomial up one slot, and a join
 multiplies two of them in a single integer product.  Slots are wide enough
 that no carry ever reaches a kept count; `dp_over_decomposition` gives the
-bound and its proof.  In maximizing mode the value holds the best size and
-a backtrack link.
+bound and its proof.  In maximizing mode the value is a pair (best size,
+mask): bit v of the int mask is set when vertex v is in one best partial
+solution for that state, so the root's mask is the witness.  Both modes
+free each child table once its parent has consumed it.
 
 `count_scattered` and `max_scattered` run the engine in those two modes;
 `solve_via_treedepth` adds a per-component diameter shortcut.  The
@@ -177,10 +179,16 @@ def dp_over_decomposition(
     vertex, any other value is the clearance (capped distance to the nearest
     selection already forgotten), in the clearance domain's units.
 
-    Max mode stores (best size, backtrack link) per state.  Counting mode
-    stores one int P per state, the generating polynomial of its partial
-    solutions evaluated at 2^B: the number of partial solutions of size m
-    sits in bits [m*B, (m+1)*B), for m <= k_cap = min(k, n), with
+    Max mode stores (best size, mask) per state, where bit v of the int mask
+    is set when vertex v is in one best partial solution: a leaf gives
+    {(cap,): (0, 0), (sel,): (1, 1 << v)}, selecting v ORs in 1 << v, forget
+    and an unselected introduce pass the child's pair on unchanged, and a
+    join adds the sizes less the nsel shared selections and ORs the masks.
+    Ties keep the first entry found.
+
+    Counting mode stores one int P per state, the generating polynomial of
+    its partial solutions evaluated at 2^B: the number of partial solutions
+    of size m sits in bits [m*B, (m+1)*B), for m <= k_cap = min(k, n), with
     B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {(cap,): 1,
     (sel,): 1 << B}.  Introducing a selected vertex shifts P up one slot,
     forget adds, join multiplies and shifts down by the nsel shared
@@ -202,6 +210,9 @@ def dp_over_decomposition(
     The clearance hook is memoized per solve (`_HookMemo`), and each join
     pair is checked against per-position thresholds: the least partner
     clearance that `join_ok` accepts.
+
+    Each child table is freed as soon as its parent has consumed it, in
+    both modes.
 
     Returns per-size counts (counting) or (size, witness) (max).
     """
@@ -234,8 +245,8 @@ def dp_over_decomposition(
                 if k_cap >= 1:
                     table[(_SELECTED,)] = 1 << slot_bits
             else:
-                table[(cap,)] = (0, ("leaf", v, False))
-                table[(_SELECTED,)] = (1, ("leaf", v, True))
+                table[(cap,)] = (0, 0)
+                table[(_SELECTED,)] = (1, 1 << v)
         elif node.kind == "introduce":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
@@ -249,9 +260,7 @@ def dp_over_decomposition(
             for states, value in ctable.items():
                 reach = min(map(getitem, rows, states), default=cap)
                 head, tail = states[:pos], states[pos:]
-                table[head + (reach,) + tail] = (
-                    value if counting else (value[0], ("intro", states, None))
-                )
+                table[head + (reach,) + tail] = value
                 if not admit_clearance[reach]:
                     continue
                 for j in clash:
@@ -263,7 +272,7 @@ def dp_over_decomposition(
                         if shifted:
                             table[head + (_SELECTED,) + tail] = shifted
                     else:
-                        table[head + (_SELECTED,) + tail] = (value[0] + 1, ("intro", states, v))
+                        table[head + (_SELECTED,) + tail] = (value[0] + 1, value[1] | 1 << v)
         elif node.kind == "forget":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
@@ -281,14 +290,13 @@ def dp_over_decomposition(
                 else:
                     old = table.get(rest)
                     if old is None or value[0] > old[0]:
-                        table[rest] = (value[0], ("forget", states))
+                        table[rest] = value
         else:  # join
             # Bucket the larger child table by selection mask and walk the
             # smaller one, so the per-entry thresholds are built for fewer
             # keys; join_ok is symmetric, so either side may supply them.
             outer, inner = (tables[c] for c in node.children)
-            swapped = len(outer) > len(inner)
-            if swapped:
+            if len(outer) > len(inner):
                 outer, inner = inner, outer
             by_mask: dict[tuple[bool, ...], list] = {}
             for istates, ivalue in inner.items():
@@ -313,11 +321,9 @@ def dp_over_decomposition(
                         size = ovalue[0] + ivalue[0] - nsel
                         old = table.get(merged)
                         if old is None or size > old[0]:
-                            pair = (istates, ostates) if swapped else (ostates, istates)
-                            table[merged] = (size, ("join", *pair))
-        if counting:
-            for c in node.children:
-                del tables[c]
+                            table[merged] = (size, ovalue[1] | ivalue[1])
+        for c in node.children:
+            del tables[c]
         return table
 
     for i in _nice_postorder(nd):
@@ -328,32 +334,8 @@ def dp_over_decomposition(
         packed = root_table.get((), 0)
         slot = (1 << slot_bits) - 1
         return [(packed >> (m * slot_bits)) & slot for m in range(k_cap + 1)]
-    size, _ = root_table[()]
-    witness = _extract_witness(nd, tables, root_table)
-    return size, tuple(sorted(witness))
-
-
-def _extract_witness(nd: NiceDecomposition, tables: dict[int, dict], root_table) -> set[int]:
-    chosen: set[int] = set()
-    stack: list[tuple[int, object]] = [(nd.root, ())]
-    while stack:
-        node_id, key = stack.pop()
-        link = tables[node_id][key][1]
-        kind = link[0]
-        node = nd.nodes[node_id]
-        if kind == "leaf":
-            if link[2]:
-                chosen.add(link[1])
-        elif kind == "intro":
-            if link[2] is not None:
-                chosen.add(link[2])
-            stack.append((node.children[0], link[1]))
-        elif kind == "forget":
-            stack.append((node.children[0], link[1]))
-        else:  # join
-            stack.append((node.children[0], link[1]))
-            stack.append((node.children[1], link[2]))
-    return chosen
+    size, mask = root_table[()]
+    return size, tuple(v for v, bit in enumerate(reversed(f"{mask:b}")) if bit == "1")
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +354,8 @@ def count_scattered(g: WeightedGraph, nd: NiceDecomposition, d: int, k: int) -> 
 def max_scattered(g: WeightedGraph, nd: NiceDecomposition, d: int) -> tuple[int, VertexSet]:
     """Maximum d-scattered set size and a witness of that size.
 
-    The witness comes from backtracking and is not re-checked here; the CLI
-    re-validates every witness it prints.
+    The witness is read off the root entry's vertex bitmask and is not
+    re-checked here; the CLI re-validates every witness it prints.
     """
     size, witness = dp_over_decomposition(g, nd, d, mode="max")
     return size, witness

@@ -74,6 +74,28 @@ def test_validator_catches_disconnected_occurrence():
     assert violation is not None and violation.kind == "connectivity"
 
 
+def test_validator_counts_a_repeated_bag_vertex_once():
+    # Vertex 1 appears twice in bag 0; its two holder bags are adjacent.
+    g = path_graph(2)
+    td = TreeDecomposition(bags=((0, 1, 1), (1,)), tree_edges=((0, 1),))
+    _assert_valid(g, td)
+
+
+def test_validator_reports_violations_in_order():
+    # The first three cases also break later properties; the earliest check wins.
+    g = path_graph(4)
+    edges = ((0, 1), (1, 2))
+    cases = [
+        (((0, 9), (1,), (2, 3)), "structure", (9,)),
+        (((0, 1), (3,), (0,)), "vertex-coverage", (2,)),
+        (((0, 1), (3, 2), (0,)), "edge-coverage", (1, 2)),
+        (((0, 1), (1, 2, 3), (0,)), "connectivity", (0,)),
+    ]
+    for bags, kind, witness in cases:
+        violation = validate_decomposition(g, TreeDecomposition(bags=bags, tree_edges=edges))
+        assert violation is not None and (violation.kind, violation.witness) == (kind, witness)
+
+
 def test_validator_catches_broken_tree():
     g = path_graph(2)
     td = TreeDecomposition(bags=((0, 1), (0, 1)), tree_edges=())
@@ -143,6 +165,8 @@ def test_format_parse_round_trip():
         "s td 1 2 3\nb 2 1\n",  # bag id out of range
         "s td x\n",  # malformed header
         "s td 2 2 2\nb 1 1\nb 2 2\n1 3\n",  # tree edge out of range
+        # The id check must not build a set the size of the header's count.
+        f"s td {10**12} 2 2\nb 1 1\nb 2 2\n1 2\n",
     ],
 )
 def test_parse_td_rejects_malformed_input(text):
@@ -160,6 +184,7 @@ def test_parse_td_rejects_malformed_input(text):
         "s td 2 2 2\nb 1 1\n1 two\n",  # non-integer tree edge
         "s td 2 2 2\nb 1 1\nb 1 2\n",  # duplicate bag id
         "c one\nc two\ns td x 1 1\n",  # non-integer header field
+        "c one\nc two\ns td -5 1 1\n",  # negative bag count
     ],
 )
 def test_parse_td_errors_name_the_line(text):

@@ -162,6 +162,33 @@ def test_max_on_star_any_two_leaves():
     assert size == 1
 
 
+def test_max_witness_on_wide_edgeless_graph():
+    # Vertex ids up to 79 exercise mask bits beyond one machine word.
+    g = WeightedGraph(n=80, edges=())
+    assert max_scattered(g, nice_for(g), 2) == (80, tuple(range(80)))
+
+
+def test_max_witness_on_long_path():
+    g = path_graph(200)
+    size, witness = max_scattered(g, nice_for(g), 3)
+    assert size == 67 and len(witness) == 67
+    assert scattered_violation(g, witness, 3) is None
+
+
+def test_max_witness_on_forest_with_isolated_vertices():
+    # P30 on 0..29, a 10-leaf star centred at 30, isolated 41..69, P20 on
+    # 70..89 and isolated 90..99.  At d=3 each path gives ceil(len/3), the
+    # star 1, and every isolated vertex belongs to every maximum set.
+    edges = [(i, i + 1, 1) for i in range(29)]
+    edges += [(30, leaf, 1) for leaf in range(31, 41)]
+    edges += [(i, i + 1, 1) for i in range(70, 89)]
+    g = WeightedGraph(n=100, edges=tuple(edges))
+    size, witness = max_scattered(g, nice_for(g), 3)
+    assert size == 10 + 1 + 29 + 7 + 10 and len(witness) == size
+    assert scattered_violation(g, witness, 3) is None
+    assert set(range(41, 70)) | set(range(90, 100)) <= set(witness)
+
+
 def test_treedepth_wrapper_skips_dp_on_small_diameter():
     g = cycle_graph(6)  # diameter 3
     before = tw.ENGINE_RUNS
