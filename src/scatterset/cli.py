@@ -479,7 +479,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
             raise UsageError("--set requires --d")
         members = _parse_vertex_file(_read_text(args.set), g.n)
         report.parameters.update(d=args.d)
-        bad = scattered_violation(g, members, args.d)
+        # A repeated vertex is a pair at distance 0.
+        distinct: set[int] = set()
+        bad = None
+        for v in members:
+            if v in distinct and args.d >= 1:
+                bad = (v, v, 0)
+                break
+            distinct.add(v)
+        if bad is None:
+            bad = scattered_violation(g, members, args.d)
         if bad is not None:
             u, v, dist = bad
             report.result["violation"] = (
@@ -488,9 +497,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             report.validation["ok"] = False
         else:
             report.validation["checks"].append(
-                f"{len(members)} vertices pairwise at distance >= {args.d}"
+                f"{len(distinct)} vertices pairwise at distance >= {args.d}"
             )
-            report.result["size"] = len(members)
+            report.result["size"] = len(distinct)
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
     _emit(report, args)
     return EXIT_OK if report.validation["ok"] else EXIT_VIOLATION

@@ -24,9 +24,6 @@ class TreeDecomposition:
     def width(self) -> int:
         return max(len(b) for b in self.bags) - 1
 
-    def node_count(self) -> int:
-        return len(self.bags)
-
 
 @dataclass(frozen=True)
 class Violation:

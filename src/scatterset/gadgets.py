@@ -12,6 +12,9 @@ independence instances) into d-scattered-set benchmarks:
 * ``gen_td_eth``: unit-weight instances from 3-SAT whose clause groups are
   glued through pairwise-consistency verifier vertices.
 
+``gen_w1_vc``, ``gen_fvs_unweighted`` and ``gen_td_eth`` share one
+anchor-verifier layout, built by ``_anchor_verifier_layout``.
+
 Generators never solve the graphs they emit.  Witnesses are produced only
 from a valid source assignment and re-validated with ``is_scattered`` before
 release; structural certificates (vertex covers, feedback vertex sets) are
@@ -24,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph_core import VertexSet, WeightedGraph, is_scattered, vertex_set
 
@@ -94,15 +97,6 @@ class McisInstance:
         if i > j:
             i, l, j, o = j, o, i, l
         return ((i, l), (j, o)) in self.edges
-
-    def non_edges(self, i: int, j: int) -> list[tuple[int, int]]:
-        """Index pairs (l, o) with no edge between class i and class j."""
-        return [
-            (l, o)
-            for l in range(1, self.class_size + 1)
-            for o in range(1, self.class_size + 1)
-            if not self.has_edge(i, l, j, o)
-        ]
 
 
 @dataclass(frozen=True)
@@ -289,12 +283,137 @@ def _class_choice(assignment: Sequence[int], k: int, n: int) -> list[int]:
     return [int(idx) for idx in choice]
 
 
-def _is_independent_choice(inst: McisInstance, choice: Sequence[int]) -> bool:
-    k = inst.num_classes
-    return not any(
-        inst.has_edge(i, choice[i - 1], j, choice[j - 1])
-        for i in range(1, k + 1)
-        for j in range(i + 1, k + 1)
+@dataclass(frozen=True)
+class _Layout:
+    """Vertex ids of one anchor-verifier layout, keyed by 1-based class ids."""
+
+    graph: WeightedGraph
+    names: tuple[str, ...]
+    anchors: list[int]  # a[1..k], then b[1..k]
+    hubs: list[int]  # g per verified class pair
+    pendants: list[int]  # g' per verified class pair
+    choices: dict[tuple[int, int], int]  # (i, l) -> p[i,l]
+    verifiers: dict[tuple[int, int, int, int], int]  # (i, l, j, o) -> u
+
+
+def _anchor_verifier_layout(
+    sizes: Sequence[int],
+    scale: int,
+    compatible: Callable[[int, int, int, int], bool],
+    weighted: bool,
+) -> _Layout:
+    """Lay out the choice-and-verifier encoding at scale N = ``scale``.
+
+    Class i gets anchors a[i], b[i] and choices p[i,l], l = 1..sizes[i-1],
+    at lengths N+l from a[i] and 2N-l from b[i].  Every pair (i.l, j.o),
+    i < j, with ``compatible(i, l, j, o)`` gets a verifier u at lengths 5N-l,
+    4N+l, 5N-o and 4N+o from a[i], b[i], a[j] and b[j].  Each class pair
+    with a verifier gets a hub g at 3N-1 from its verifiers and a pendant g'
+    at 3N+1 from g, so every verifier is 6N from g' and two of them are
+    6N-2 apart.  A link is a unit path, or when ``weighted`` one edge of
+    twice its length, except that the g-side edges weigh 6N-1 and 6N+1:
+    verifiers stay 12N from g' and 12N-2 apart with integral weights.
+    """
+    b = _GraphBuilder()
+
+    def link(u: int, v: int, length: int, label: str, nudge: int = 0) -> None:
+        if weighted:
+            b.edge(u, v, 2 * length + nudge)
+        else:
+            b.path(u, v, length, label)
+
+    k, n = len(sizes), scale
+    av = [b.vertex(f"a[{i}]") for i in range(1, k + 1)]
+    bv = [b.vertex(f"b[{i}]") for i in range(1, k + 1)]
+    pv: dict[tuple[int, int], int] = {}
+    for i in range(1, k + 1):
+        for l in range(1, sizes[i - 1] + 1):
+            pv[(i, l)] = b.vertex(f"p[{i},{l}]")
+            link(av[i - 1], pv[(i, l)], n + l, f"ap[{i},{l}]")
+            link(bv[i - 1], pv[(i, l)], 2 * n - l, f"bp[{i},{l}]")
+    uv: dict[tuple[int, int, int, int], int] = {}
+    hubs: list[int] = []
+    pendants: list[int] = []
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            pair_us = []
+            for l in range(1, sizes[i - 1] + 1):
+                for o in range(1, sizes[j - 1] + 1):
+                    if not compatible(i, l, j, o):
+                        continue
+                    u = b.vertex(f"u[{i}.{l},{j}.{o}]")
+                    uv[(i, l, j, o)] = u
+                    link(u, av[i - 1], 5 * n - l, f"ua[{i}.{l},{j}.{o}]")
+                    link(u, bv[i - 1], 4 * n + l, f"ub[{i}.{l},{j}.{o}]")
+                    link(u, av[j - 1], 5 * n - o, f"ua[{j}.{o},{i}.{l}]")
+                    link(u, bv[j - 1], 4 * n + o, f"ub[{j}.{o},{i}.{l}]")
+                    pair_us.append(u)
+            if pair_us:
+                g = b.vertex(f"g[{i},{j}]")
+                gp = b.vertex(f"g'[{i},{j}]")
+                hubs.append(g)
+                pendants.append(gp)
+                for u in pair_us:
+                    link(g, u, 3 * n - 1, f"gu[{i},{j}]@{u}", nudge=1)
+                link(g, gp, 3 * n + 1, f"gg[{i},{j}]", nudge=-1)
+    return _Layout(b.build(), tuple(b.names), av + bv, hubs, pendants, pv, uv)
+
+
+def _layout_witness(
+    layout: _Layout, chosen: Sequence[int], d: int, target: int
+) -> VertexSet | None:
+    """Witness of one choice per class, re-checked with ``_check_witness``.
+
+    It holds choice chosen[i-1] of every class i, the verifier of every
+    chosen pair and every g'; None when some chosen pair has no verifier.
+    """
+    k = len(chosen)
+    members = [layout.choices[(i, c)] for i, c in enumerate(chosen, start=1)]
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            u = layout.verifiers.get((i, chosen[i - 1], j, chosen[j - 1]))
+            if u is None:
+                return None
+            members.append(u)
+    members.extend(layout.pendants)
+    witness = vertex_set(layout.graph, members)
+    _check_witness(layout.graph, witness, d, target)
+    return witness
+
+
+def _mcis_gadget(
+    inst: McisInstance, assignment: Sequence[int] | None, weighted: bool
+) -> GadgetOutput:
+    """gen_w1_vc (weighted) or gen_fvs_unweighted: N = n, verifiers on non-edges."""
+    k, n = inst.num_classes, inst.class_size
+    d = 12 * n if weighted else 6 * n
+    layout = _anchor_verifier_layout(
+        [n] * k, n, lambda i, l, j, o: not inst.has_edge(i, l, j, o), weighted
+    )
+    if weighted:
+        kind = "vertex-cover"
+        certificate = vertex_set(layout.graph, layout.anchors + layout.hubs)
+        _check_vertex_cover(layout.graph, certificate)
+    else:
+        kind = "feedback-vertex-set"
+        certificate = vertex_set(layout.graph, layout.anchors)
+        _check_feedback_vertex_set(layout.graph, certificate)
+    target = k * k
+    witness: VertexSet | None = None
+    accepted: bool | None = None
+    if assignment is not None:
+        witness = _layout_witness(layout, _class_choice(assignment, k, n), d, target)
+        accepted = witness is not None
+    params: dict[str, object] = {"k": k, "n": n, "d": d}
+    if weighted:
+        params["weight_scale"] = 2
+    params.update(
+        pair_verifiers=len(layout.verifiers),
+        verified_pairs=len(layout.pendants),
+        assignment_accepted=accepted,
+    )
+    return GadgetOutput(
+        layout.graph, d, target, witness, certificate, kind, params, layout.names
     )
 
 
@@ -314,68 +433,7 @@ def gen_w1_vc(
     is refused while the graph is still emitted.  The certificate is a
     vertex cover: all a, b and g vertices.
     """
-    k, n = inst.num_classes, inst.class_size
-    d = 12 * n
-    b = _GraphBuilder()
-    av = {i: b.vertex(f"a[{i}]") for i in range(1, k + 1)}
-    bv = {i: b.vertex(f"b[{i}]") for i in range(1, k + 1)}
-    pv: dict[tuple[int, int], int] = {}
-    for i in range(1, k + 1):
-        for l in range(1, n + 1):
-            pv[(i, l)] = b.vertex(f"p[{i},{l}]")
-            b.edge(av[i], pv[(i, l)], 2 * (n + l))
-            b.edge(bv[i], pv[(i, l)], 2 * (2 * n - l))
-    uv: dict[tuple[int, int, int, int], int] = {}
-    gpv: dict[tuple[int, int], int] = {}
-    g_ids: list[int] = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            pair_us = []
-            for l, o in inst.non_edges(i, j):
-                u = b.vertex(f"u[{i}.{l},{j}.{o}]")
-                uv[(i, l, j, o)] = u
-                b.edge(u, av[i], 2 * (5 * n - l))
-                b.edge(u, bv[i], 2 * (4 * n + l))
-                b.edge(u, av[j], 2 * (5 * n - o))
-                b.edge(u, bv[j], 2 * (4 * n + o))
-                pair_us.append(u)
-            if pair_us:
-                g = b.vertex(f"g[{i},{j}]")
-                gp = b.vertex(f"g'[{i},{j}]")
-                g_ids.append(g)
-                gpv[(i, j)] = gp
-                for u in pair_us:
-                    b.edge(g, u, 6 * n - 1)
-                b.edge(g, gp, 6 * n + 1)
-    graph = b.build()
-    certificate = vertex_set(graph, list(av.values()) + list(bv.values()) + g_ids)
-    _check_vertex_cover(graph, certificate)
-    target = k * k
-    witness: VertexSet | None = None
-    accepted: bool | None = None
-    if assignment is not None:
-        choice = _class_choice(assignment, k, n)
-        accepted = _is_independent_choice(inst, choice)
-        if accepted:
-            members = [pv[(i, choice[i - 1])] for i in range(1, k + 1)]
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    members.append(uv[(i, choice[i - 1], j, choice[j - 1])])
-            members.extend(gpv.values())
-            witness = vertex_set(graph, members)
-            _check_witness(graph, witness, d, target)
-    params: dict[str, object] = {
-        "k": k,
-        "n": n,
-        "d": d,
-        "weight_scale": 2,
-        "pair_verifiers": len(uv),
-        "verified_pairs": len(gpv),
-        "assignment_accepted": accepted,
-    }
-    return GadgetOutput(
-        graph, d, target, witness, certificate, "vertex-cover", params, tuple(b.names)
-    )
+    return _mcis_gadget(inst, assignment, weighted=True)
 
 
 def gen_fvs_unweighted(
@@ -391,65 +449,7 @@ def gen_fvs_unweighted(
     target k*k carry over; the certificate is a feedback vertex set: all a
     and b vertices.
     """
-    k, n = inst.num_classes, inst.class_size
-    d = 6 * n
-    b = _GraphBuilder()
-    av = {i: b.vertex(f"a[{i}]") for i in range(1, k + 1)}
-    bv = {i: b.vertex(f"b[{i}]") for i in range(1, k + 1)}
-    pv: dict[tuple[int, int], int] = {}
-    for i in range(1, k + 1):
-        for l in range(1, n + 1):
-            pv[(i, l)] = b.vertex(f"p[{i},{l}]")
-            b.path(av[i], pv[(i, l)], n + l, f"ap[{i},{l}]")
-            b.path(bv[i], pv[(i, l)], 2 * n - l, f"bp[{i},{l}]")
-    uv: dict[tuple[int, int, int, int], int] = {}
-    gpv: dict[tuple[int, int], int] = {}
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            pair_us = []
-            for l, o in inst.non_edges(i, j):
-                u = b.vertex(f"u[{i}.{l},{j}.{o}]")
-                uv[(i, l, j, o)] = u
-                b.path(u, av[i], 5 * n - l, f"ua[{i}.{l},{j}.{o}]")
-                b.path(u, bv[i], 4 * n + l, f"ub[{i}.{l},{j}.{o}]")
-                b.path(u, av[j], 5 * n - o, f"ua[{j}.{o},{i}.{l}]")
-                b.path(u, bv[j], 4 * n + o, f"ub[{j}.{o},{i}.{l}]")
-                pair_us.append(u)
-            if pair_us:
-                g = b.vertex(f"g[{i},{j}]")
-                gp = b.vertex(f"g'[{i},{j}]")
-                gpv[(i, j)] = gp
-                for u in pair_us:
-                    b.path(g, u, 3 * n - 1, f"gu[{i},{j}]@{u}")
-                b.path(g, gp, 3 * n + 1, f"gg[{i},{j}]")
-    graph = b.build()
-    certificate = vertex_set(graph, list(av.values()) + list(bv.values()))
-    _check_feedback_vertex_set(graph, certificate)
-    target = k * k
-    witness: VertexSet | None = None
-    accepted: bool | None = None
-    if assignment is not None:
-        choice = _class_choice(assignment, k, n)
-        accepted = _is_independent_choice(inst, choice)
-        if accepted:
-            members = [pv[(i, choice[i - 1])] for i in range(1, k + 1)]
-            for i in range(1, k + 1):
-                for j in range(i + 1, k + 1):
-                    members.append(uv[(i, choice[i - 1], j, choice[j - 1])])
-            members.extend(gpv.values())
-            witness = vertex_set(graph, members)
-            _check_witness(graph, witness, d, target)
-    params: dict[str, object] = {
-        "k": k,
-        "n": n,
-        "d": d,
-        "pair_verifiers": len(uv),
-        "verified_pairs": len(gpv),
-        "assignment_accepted": accepted,
-    }
-    return GadgetOutput(
-        graph, d, target, witness, certificate, "feedback-vertex-set", params, tuple(b.names)
-    )
+    return _mcis_gadget(inst, assignment, weighted=False)
 
 
 def _floor_pow_log2(d: int, p: int) -> int:
@@ -730,51 +730,16 @@ def gen_td_eth(
     if sum(len(s) for s in profiles) > 2000:
         raise ValueError("too many satisfying partial assignments to wire")
 
-    def conflicts(i: int, li: tuple[bool, ...], j: int, lj: tuple[bool, ...]) -> bool:
-        shared = set(group_vars[i]) & set(group_vars[j])
-        for var in shared:
-            if li[group_vars[i].index(var)] != lj[group_vars[j].index(var)]:
-                return True
-        return False
+    def consistent(i: int, l: int, j: int, o: int) -> bool:
+        vi, vj = group_vars[i - 1], group_vars[j - 1]
+        li, lj = profiles[i - 1][l - 1], profiles[j - 1][o - 1]
+        return all(li[vi.index(var)] == lj[vj.index(var)] for var in set(vi) & set(vj))
 
-    b = _GraphBuilder()
-    av = [b.vertex(f"a[{i + 1}]") for i in range(r)]
-    bv = [b.vertex(f"b[{i + 1}]") for i in range(r)]
-    pv: list[list[int]] = []
-    for i in range(r):
-        row = []
-        for l, _ in enumerate(profiles[i], start=1):
-            v = b.vertex(f"p[{i + 1},{l}]")
-            b.path(av[i], v, cap + l, f"ap[{i + 1},{l}]")
-            b.path(bv[i], v, 2 * cap - l, f"bp[{i + 1},{l}]")
-            row.append(v)
-        pv.append(row)
-    uv: dict[tuple[int, int, int, int], int] = {}
-    gpv: dict[tuple[int, int], int] = {}
-    for i in range(r):
-        for j in range(i + 1, r):
-            pair_us = []
-            for l, li in enumerate(profiles[i], start=1):
-                for o, lj in enumerate(profiles[j], start=1):
-                    if conflicts(i, li, j, lj):
-                        continue
-                    u = b.vertex(f"u[{i + 1}.{l},{j + 1}.{o}]")
-                    uv[(i, l, j, o)] = u
-                    b.path(u, av[i], 5 * cap - l, f"ua[{i + 1}.{l},{j + 1}.{o}]")
-                    b.path(u, bv[i], 4 * cap + l, f"ub[{i + 1}.{l},{j + 1}.{o}]")
-                    b.path(u, av[j], 5 * cap - o, f"ua[{j + 1}.{o},{i + 1}.{l}]")
-                    b.path(u, bv[j], 4 * cap + o, f"ub[{j + 1}.{o},{i + 1}.{l}]")
-                    pair_us.append(u)
-            if pair_us:
-                g = b.vertex(f"g[{i + 1},{j + 1}]")
-                gp = b.vertex(f"g'[{i + 1},{j + 1}]")
-                gpv[(i, j)] = gp
-                for u in pair_us:
-                    b.path(g, u, 3 * cap - 1, f"gu[{i + 1},{j + 1}]@{u}")
-                b.path(g, gp, 3 * cap + 1, f"gg[{i + 1},{j + 1}]")
-    graph = b.build()
-    certificate = vertex_set(graph, av + bv)
-    _check_feedback_vertex_set(graph, certificate)
+    layout = _anchor_verifier_layout(
+        [len(sats) for sats in profiles], cap, consistent, weighted=False
+    )
+    certificate = vertex_set(layout.graph, layout.anchors)
+    _check_feedback_vertex_set(layout.graph, certificate)
     target = nv
     witness: VertexSet | None = None
     accepted: bool | None = None
@@ -785,17 +750,11 @@ def gen_td_eth(
         accepted = phi.satisfied_by(values)
         if accepted:
             full = values + [False] * (nv - phi.num_vars)
-            chosen: list[int] = []
-            for i in range(r):
-                restriction = tuple(full[v - 1] for v in group_vars[i])
-                chosen.append(profiles[i].index(restriction) + 1)
-            members = [pv[i][chosen[i] - 1] for i in range(r)]
-            for i in range(r):
-                for j in range(i + 1, r):
-                    members.append(uv[(i, chosen[i], j, chosen[j])])
-            members.extend(gpv.values())
-            witness = vertex_set(graph, members)
-            _check_witness(graph, witness, d, target)
+            chosen = [
+                sats.index(tuple(full[v - 1] for v in gvars)) + 1
+                for sats, gvars in zip(profiles, group_vars)
+            ]
+            witness = _layout_witness(layout, chosen, d, target)
     params: dict[str, object] = {
         "c": 8,
         "groups": r,
@@ -805,9 +764,10 @@ def gen_td_eth(
         "original_vars": phi.num_vars,
         "clauses": len(clauses),
         "profile_counts": tuple(len(s) for s in profiles),
-        "pair_verifiers": len(uv),
+        "pair_verifiers": len(layout.verifiers),
         "assignment_accepted": accepted,
     }
     return GadgetOutput(
-        graph, d, target, witness, certificate, "feedback-vertex-set", params, tuple(b.names)
+        layout.graph, d, target, witness, certificate, "feedback-vertex-set", params,
+        layout.names,
     )

@@ -4,20 +4,18 @@ The graph is split into a minimum vertex cover C and the independent rest I.
 Vertices of I that share the same neighborhood in C are interchangeable, so
 one representative per neighborhood class suffices.  Selection then becomes
 a set-packing question over the elements of C: each candidate vertex carries
-a per-element inclusion coefficient (how much of the distance budget around
-that cover vertex it consumes), and two candidates may coexist iff their
-coefficients sum to at most 1 on every element.  A forward DP over
-coefficient profiles solves the packing in O*(3^|C|) for even d and
-O*(4^|C|) for odd d.
+a per-element integer code (how much of the distance budget around that
+cover vertex it consumes, in halves for even d and thirds for odd d), and
+two candidates may coexist iff their codes sum to at most the budget (2 or
+3) on every element.  A forward DP over code profiles solves the packing in
+O*(3^|C|) for even d and O*(4^|C|) for odd d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import Sequence
 
 from .graph_core import (
-    INF,
     VertexSet,
     WeightedGraph,
     all_pairs_distances,
@@ -25,38 +23,9 @@ from .graph_core import (
     vertex_set,
 )
 
-# Distinct coefficient profiles materialized by the most recent solve_packing
+# Distinct code profiles materialized by the most recent solve_packing
 # run; lets tests confirm the 3^|C| / 4^|C| state bound.
 LAST_PROFILE_COUNT = 0
-
-
-@dataclass(frozen=True)
-class PackingSet:
-    """One candidate vertex with its per-element inclusion coefficients."""
-
-    origin_vertex: int
-    coefficients: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class PackingInstance:
-    """Partial set packing over the cover elements.
-
-    Elements are the vertex-cover vertices in sorted order; `sets` holds one
-    entry per candidate origin vertex.  Even-d instances use coefficients
-    {0, 1/2, 1}; odd-d instances use {0, 1/3, 2/3, 1}.
-    """
-
-    universe_size: int
-    sets: tuple[PackingSet, ...]
-
-    def __post_init__(self) -> None:
-        for s in self.sets:
-            if len(s.coefficients) != self.universe_size:
-                raise ValueError(
-                    f"set for vertex {s.origin_vertex} has "
-                    f"{len(s.coefficients)} coefficients, expected {self.universe_size}"
-                )
 
 
 def _cover_deficiency(g: WeightedGraph, cover: frozenset[int]) -> tuple[int, int] | None:
@@ -113,28 +82,24 @@ def neighborhood_classes(g: WeightedGraph, cover: VertexSet) -> VertexSet:
     return tuple(sorted(reps.values()))
 
 
-def _coefficient(dist_uv: int, d: int) -> Fraction:
-    if d % 2 == 0:
-        half = d // 2
-        if dist_uv < half:
-            return Fraction(1)
-        if dist_uv == half:
-            return Fraction(1, 2)
-        return Fraction(0)
-    lo, hi = d // 2, d // 2 + 1
-    if dist_uv < lo:
-        return Fraction(1)
-    if dist_uv == lo:
-        return Fraction(2, 3)
-    if dist_uv == hi:
-        return Fraction(1, 3)
-    return Fraction(0)
+def _code(dist_uv: int, d: int) -> int:
+    """Budget share of a vertex at distance dist_uv from a cover vertex.
+
+    Even d (budget 2): 2 below d/2, 1 at d/2, else 0.  Odd d (budget 3):
+    3 below floor(d/2), 2 at it, 1 one past it, else 0.
+    """
+    return min(2 + d % 2, max(0, (d + 1) // 2 + 1 - dist_uv))
 
 
 def reduce_to_packing(
     g: WeightedGraph, cover: VertexSet, reps: VertexSet, d: int
-) -> PackingInstance:
-    """Build the packing instance whose elements are the cover vertices."""
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """Packing over the sorted cover vertices: (budget, [(origin, codes)]).
+
+    One entry per candidate origin vertex, in increasing origin order.
+    Even d uses codes {0, 1, 2} against budget 2 (halves); odd d uses
+    {0, 1, 2, 3} against budget 3 (thirds).
+    """
     if d < 3:
         raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
     if not g.has_unit_weights():
@@ -144,39 +109,26 @@ def reduce_to_packing(
     sets = []
     for origin in sorted(set(elements) | set(reps)):
         row = dist[origin]
-        sets.append(
-            PackingSet(origin, tuple(_coefficient(row[u], d) for u in elements))
-        )
-    return PackingInstance(universe_size=len(elements), sets=tuple(sets))
+        sets.append((origin, tuple(_code(row[u], d) for u in elements)))
+    return 2 + d % 2, sets
 
 
-def solve_packing(inst: PackingInstance) -> tuple[int, VertexSet]:
-    """Maximum subfamily where per element the top two coefficients sum <= 1.
+def solve_packing(
+    budget: int, sets: Sequence[tuple[int, tuple[int, ...]]]
+) -> tuple[int, VertexSet]:
+    """Maximum subfamily where per element the top two codes sum <= budget.
 
     Equivalently every pair of chosen sets is elementwise compatible, so a
-    forward DP suffices: the profile keeps each element's maximum coefficient
-    among chosen sets, and a set may join iff profile + its coefficient stays
-    within 1 everywhere.  Coefficients run in small-integer codes (halves for
-    even d, thirds for odd) to keep the hot loop free of rational arithmetic.
+    forward DP suffices: the profile keeps each element's maximum code among
+    chosen sets, and a set may join iff profile + its code stays within the
+    budget everywhere.
     """
     global LAST_PROFILE_COUNT
-    denom = 1
-    for s in inst.sets:
-        for c in s.coefficients:
-            denom = max(denom, c.denominator)
-    if denom > 3:
-        raise ValueError(f"unsupported coefficient denominator {denom}")
-    coded = [
-        tuple(int(c * denom) for c in s.coefficients) for s in inst.sets
-    ]
-    budget = denom  # per-element cap in code units
+    universe = len(sets[0][1]) if sets else 0
     profiles: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {
-        (0,) * inst.universe_size: (0, ())
+        (0,) * universe: (0, ())
     }
-    order = sorted(range(len(inst.sets)), key=lambda i: inst.sets[i].origin_vertex)
-    for idx in order:
-        codes = coded[idx]
-        origin = inst.sets[idx].origin_vertex
+    for origin, codes in sorted(sets):
         additions: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
         for profile, (count, chosen) in profiles.items():
             if any(p + c > budget for p, c in zip(profile, codes)):
@@ -222,9 +174,7 @@ def max_scattered_vc(
     cset = frozenset(cover)
     isolated = [v for v in range(g.n) if v not in cset and not g.adjacency[v]]
     reps_eff = tuple(sorted(set(reps) | set(isolated)))
-    inst = reduce_to_packing(g, cover, reps_eff, d)
-    size, chosen = solve_packing(inst)
-    witness = tuple(sorted(chosen))
+    size, witness = solve_packing(*reduce_to_packing(g, cover, reps_eff, d))
     if not is_scattered(g, witness, d):
         raise AssertionError("internal error: packing produced an invalid witness")
     return size, witness

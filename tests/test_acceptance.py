@@ -102,16 +102,16 @@ def test_vertex_cover_solver_matches_brute_and_keeps_coefficient_alphabet(
             opt, _ = brute_force_max(g, d)
             assert size == opt
             assert len(members) == size and is_scattered(g, members, d)
-            # Distance shares attached to cover vertices: halves only for
-            # even d, thirds only for odd d.
-            allowed = {1, 2} if d % 2 == 0 else {1, 3}
+            # Distance shares attached to cover vertices: halves of budget 2
+            # for even d, thirds of budget 3 for odd d.
             cover = compute_vertex_cover(g)
             reps = neighborhood_classes(g, cover)
-            inst = reduce_to_packing(g, cover, reps, d)
-            for ps in inst.sets:
-                for c in ps.coefficients:
-                    assert c.denominator in allowed
-                    if c.denominator > 1:
+            budget, sets = reduce_to_packing(g, cover, reps, d)
+            assert budget == (2 if d % 2 == 0 else 3)
+            for _, codes in sets:
+                for c in codes:
+                    assert 0 <= c <= budget
+                    if 0 < c < budget:
                         fractional_seen += 1
     assert fractional_seen > 0  # the alphabet check must not be vacuous
 

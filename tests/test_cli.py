@@ -276,6 +276,20 @@ def test_validate_accepts_plain_integer_tokens(capsys, p5, tmp_path):
     assert code == 0
 
 
+def test_validate_reports_repeated_vertex(capsys, tmp_path):
+    # A vertex listed twice is a pair at distance 0, not two members.
+    graph = tmp_path / "p3.dss"
+    graph.write_text("p dss 3 2\ne 1 2\ne 2 3\n")
+    claim = tmp_path / "set.txt"
+    claim.write_text("v0 v0\n")
+    code, out, _ = run_cli(
+        capsys, "validate", "--graph", str(graph), "--set", str(claim), "--d", "3"
+    )
+    assert code == 1
+    assert "violation: pair (v0, v0) dist 0 < 3" in out
+    assert "size:" not in out
+
+
 def test_validate_set_requires_d(capsys, p5, tmp_path):
     claim = tmp_path / "set.txt"
     claim.write_text("v0\n")

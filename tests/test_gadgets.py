@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,11 +18,12 @@ from scatterset.gadgets import (
     parse_cnf,
     parse_mcis,
 )
-from scatterset.graph_core import WeightedGraph, is_scattered
+from scatterset.graph_core import WeightedGraph, format_dss, is_scattered
 from scatterset.oracle import brute_force_max
 
 YES_MCIS = "p mcis 2 2\ne 1.1 2.2\n"
 NO_MCIS = "p mcis 2 2\ne 1.1 2.1\ne 1.1 2.2\ne 1.2 2.1\ne 1.2 2.2\n"
+MCIS_3X3 = "p mcis 3 3\ne 1.1 2.1\ne 1.2 3.3\ne 2.2 3.1\ne 1.3 2.3\n"
 
 
 def _removal_is_acyclic(g: WeightedGraph, removed: tuple[int, ...]) -> bool:
@@ -85,7 +87,6 @@ def test_mcis_instance_normalizes_and_validates():
         McisInstance(
             num_classes=3, class_size=2, edges=frozenset({((2, 1), (1, 2))})
         )
-    assert inst.non_edges(1, 3) == [(l, o) for l in (1, 2) for o in (1, 2)]
     with pytest.raises(ValueError):
         McisInstance(num_classes=2, class_size=2, edges=frozenset({((1, 1), (1, 2))}))
 
@@ -336,3 +337,70 @@ def test_td_eth_rejects_wide_clauses_and_bad_assignments():
     out = gen_td_eth(CnfFormula(num_vars=1, clauses=((1,),)), assignment=(False,))
     assert out.witness is None
     assert out.params["assignment_accepted"] is False
+
+
+# -- pinned layouts -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        (
+            lambda: gen_w1_vc(parse_mcis(YES_MCIS), (1, 1)),
+            "d34a95296c9b6e1fa6153919347c22d1cc2a86f60cdcba398c1757c80063c7a8",
+        ),
+        (
+            lambda: gen_w1_vc(parse_mcis(NO_MCIS)),
+            "4cdeb39c37ea2dd151c84ddf2f28e393ec16a93fea14ec6322ed58cfa6f92d08",
+        ),
+        (
+            lambda: gen_w1_vc(parse_mcis(MCIS_3X3), (1, 2, 2)),
+            "c1481591cccef950066b546258142de70dba996da918814c2af5e5a3e5f9c74d",
+        ),
+        (
+            lambda: gen_fvs_unweighted(parse_mcis(YES_MCIS), (1, 1)),
+            "1bd79c73d78be8df1b8ee525415c4a2b7060883adbf8b9f2374b875b5e3e6ba3",
+        ),
+        (
+            lambda: gen_fvs_unweighted(parse_mcis(NO_MCIS)),
+            "b502c083c1ebd1cf8567741bbec9fdbecff7ea6469e7dc8dcebdb244be33dcde",
+        ),
+        (
+            lambda: gen_fvs_unweighted(parse_mcis(MCIS_3X3), (1, 2, 2)),
+            "db788ea13484faaac487b19c4f64b658f9b9672b7f83138c1c7ba8b19857e9be",
+        ),
+        (
+            lambda: gen_td_eth(CnfFormula(1, ((1,),))),
+            "9f2ceb61fd0daeae2d12ba14e432f0746652870bb1c767774f180a094318aef9",
+        ),
+        (
+            lambda: gen_td_eth(CnfFormula(1, ((1,),)), (True,)),
+            "510cdaeea301903886cd005ab61b3aaddebfa69ee981b85e243ed32da2a9df71",
+        ),
+        (
+            lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4)))),
+            "11590b9cbffb23f3fecb0e37f8592bb903eea5c1400c6516669b9c24bb4b33d0",
+        ),
+        (
+            lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4))), (True, False, False, True)),
+            "f7a0a0fbf412dd447c9febb87f1e21bc5644d395011159db8f50f381c3f90bd8",
+        ),
+    ],
+    ids=[
+        "w1vc-yes", "w1vc-no", "w1vc-3x3", "fvs-yes", "fvs-no", "fvs-3x3",
+        "tdeth-1var", "tdeth-1var-sat", "tdeth-4var", "tdeth-4var-sat",
+    ],
+)
+def test_layout_pinned(build, digest):
+    # Graph text, vertex names, witness, certificate and params, hashed;
+    # the digests were taken from the three separate builders this layout
+    # replaced, so any change to ids, names, lengths or order shows here.
+    out = build()
+    parts = [
+        format_dss(out.graph),
+        "\n".join(out.vertex_names),
+        repr(out.witness),
+        repr(out.certificate),
+        repr(out.params),
+    ]
+    assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == digest

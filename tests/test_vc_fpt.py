@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -104,15 +103,16 @@ def test_matches_enumeration_on_corpus():
 
 @pytest.mark.parametrize("d,allowed_dens", [(3, {1, 3}), (4, {1, 2}), (5, {1, 3}), (6, {1, 2})])
 def test_coefficient_alphabet_parity(d, allowed_dens):
-    # Even d: contributions are halves; odd d: thirds.  Never mixed.
+    # Even d: codes are halves, {0, 1, 2} against budget 2; odd d: thirds,
+    # {0, 1, 2, 3} against budget 3.  Never mixed.
     g = path_graph(7)
     cover = compute_vertex_cover(g)
     reps = neighborhood_classes(g, cover)
-    inst = reduce_to_packing(g, cover, reps, d)
-    denominators = {c.denominator for s in inst.sets for c in s.coefficients}
-    assert denominators <= allowed_dens
-    fractional = {c for s in inst.sets for c in s.coefficients if c.denominator > 1}
-    assert fractional  # the parity claim is exercised, not vacuous
+    budget, sets = reduce_to_packing(g, cover, reps, d)
+    assert budget == max(allowed_dens)
+    codes = {c for _, row in sets for c in row}
+    assert codes <= set(range(budget + 1))
+    assert codes - {0, budget}  # a partial code occurs, so the claim is not vacuous
 
 
 def test_profile_count_instrumentation_updates():
