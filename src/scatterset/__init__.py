@@ -44,6 +44,7 @@ from .graph_core import (
     connected_components,
     diameter,
     dijkstra_from,
+    distances_within,
     format_dss,
     induced_subgraph,
     is_scattered,
@@ -93,6 +94,7 @@ __all__ = [
     "decomposition_depth",
     "diameter",
     "dijkstra_from",
+    "distances_within",
     "dp_over_decomposition",
     "format_dss",
     "format_td",

@@ -477,13 +477,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     else:
         if args.d is None:
             raise UsageError("--set requires --d")
+        if args.d < 2:
+            raise ValueError("d must be >= 2")
         members = _parse_vertex_file(_read_text(args.set), g.n)
         report.parameters.update(d=args.d)
         # A repeated vertex is a pair at distance 0.
         distinct: set[int] = set()
         bad = None
         for v in members:
-            if v in distinct and args.d >= 1:
+            if v in distinct:
                 bad = (v, v, 0)
                 break
             distinct.add(v)

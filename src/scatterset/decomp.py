@@ -8,6 +8,7 @@ answer from a single root entry.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -137,44 +138,63 @@ def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> Violation
     return None
 
 
+def _fill(work: list[set[int]], v: int) -> int:
+    """Edges missing among v's neighbours: the fill that eliminating v adds."""
+    nb = work[v]
+    deg = len(nb)
+    # Every edge inside the neighbourhood is seen from both of its ends.
+    inside = sum(len(nb & work[u]) for u in nb)
+    return deg * (deg - 1) // 2 - inside // 2
+
+
 def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
     """Min-fill elimination ordering; ties broken by lowest vertex id.
 
     The bag of an eliminated vertex is the vertex plus its current
     neighborhood; each bag attaches to the bag of its earliest-eliminated
     surviving neighbor, which yields a valid decomposition.
+
+    Fill counts are kept incrementally.  Eliminating v removes it from its
+    neighbours' sets and joins them into a clique, which changes the fill of
+    N(v) and N(N(v)) only: a fill edge (a, b) matters to x exactly when both
+    a and b are x's neighbours.  Those fills are recomputed and pushed onto
+    a lazy (fill, id) heap, whose stale entries are skipped when popped.
     """
     n = g.n
     work: list[set[int]] = [set() for _ in range(n)]
     for u, v, _ in g.edges:
         work[u].add(v)
         work[v].add(u)
-    alive = set(range(n))
+    fill = [_fill(work, v) for v in range(n)]
+    heap = [(f, v) for v, f in enumerate(fill)]
+    heapq.heapify(heap)
+    eliminated = [False] * n
     order: list[int] = []
     position = [0] * n
     elim_bags: list[tuple[int, ...]] = []
     for step in range(n):
-        best_v = -1
-        best_fill = -1
-        for v in sorted(alive):
-            nb = [u for u in work[v] if u in alive]
-            fill = 0
-            for i in range(len(nb)):
-                for j in range(i + 1, len(nb)):
-                    if nb[j] not in work[nb[i]]:
-                        fill += 1
-            if best_fill < 0 or fill < best_fill:
-                best_fill = fill
-                best_v = v
-        nb = sorted(u for u in work[best_v] if u in alive)
-        for i in range(len(nb)):
-            for j in range(i + 1, len(nb)):
-                work[nb[i]].add(nb[j])
-                work[nb[j]].add(nb[i])
-        alive.remove(best_v)
+        while True:
+            f, best_v = heapq.heappop(heap)
+            if not eliminated[best_v] and f == fill[best_v]:
+                break
+        nb = work[best_v]
+        for u in nb:
+            nu = work[u]
+            nu |= nb
+            nu.discard(u)
+            nu.discard(best_v)
+        eliminated[best_v] = True
         order.append(best_v)
         position[best_v] = step
-        elim_bags.append(tuple(sorted([best_v] + nb)))
+        elim_bags.append(tuple(sorted([best_v, *nb])))
+        touched = set(nb)
+        for u in nb:
+            touched |= work[u]
+        for u in touched:
+            f = _fill(work, u)
+            if f != fill[u]:
+                fill[u] = f
+                heapq.heappush(heap, (f, u))
     edges: list[tuple[int, int]] = []
     for step, v in enumerate(order):
         later = [u for u in elim_bags[step] if u != v]

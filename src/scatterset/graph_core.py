@@ -4,6 +4,10 @@ Vertices are integers 0..n-1.  Edge weights are strictly positive integers;
 unit weights model the unweighted case.  Distances between vertices in
 different components are represented by the sentinel ``INF``, which compares
 larger than any realizable path length.
+
+The solvers read radius-limited distances (`distances_within`): a d-scattered
+set only asks whether a distance is below d.  The all-pairs matrix
+(`all_pairs_distances`) serves the brute-force oracle alone.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 INF = 10**18
 
@@ -175,6 +179,38 @@ def dijkstra_from(g: WeightedGraph, source: int, radius: int | None = None) -> l
     return dist
 
 
+def distances_within(
+    g: WeightedGraph, source: int, targets: Collection[int], radius: int
+) -> dict[int, int]:
+    """Exact distances from `source` to the targets closer than `radius`.
+
+    A target at distance >= radius has no entry.  The search stops as soon
+    as every target is settled or the frontier reaches the radius, so its
+    cost is bounded by the ball it explores, never by n.  `targets` is only
+    tested for membership and counted: pass a set without repeats.
+    """
+    found: dict[int, int] = {}
+    left = len(targets)
+    dist = {source: 0}
+    heap = [(0, source)]
+    adj = g.adjacency
+    while heap and left:
+        du, u = heapq.heappop(heap)
+        if du >= radius:
+            break
+        if du > dist[u]:
+            continue
+        if u in targets:
+            found[u] = du
+            left -= 1
+        for v, w in adj[u]:
+            nd = du + w
+            if nd < radius and nd < dist.get(v, radius):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return found
+
+
 def all_pairs_distances(g: WeightedGraph) -> DistanceOracle:
     """All-pairs shortest paths via one Dijkstra run per source."""
     return DistanceOracle(dist=tuple(tuple(dijkstra_from(g, s)) for s in range(g.n)))
@@ -193,15 +229,18 @@ def scattered_violation(
 ) -> tuple[int, int, int] | None:
     """First violating pair (u, v, dist) at distance < d, or None.
 
-    Uses radius-limited searches so the check stays cheap on graphs far too
-    large for an all-pairs matrix.
+    Pairs are ordered by u, then by v > u.  Each member's search stops at
+    radius d and meets only the members inside that ball, so the work grows
+    with the members' balls, not with n.
     """
     ms = vertex_set(g, members)
-    for i, u in enumerate(ms[:-1]):
-        dist = dijkstra_from(g, u, radius=d)
-        for v in ms[i + 1 :]:
-            if dist[v] < d:
-                return (u, v, dist[v])
+    chosen = set(ms)
+    for u in ms:
+        near = distances_within(g, u, chosen, d)
+        later = [v for v in near if v > u]
+        if later:
+            v = min(later)
+            return (u, v, near[v])
     return None
 
 

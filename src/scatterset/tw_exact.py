@@ -41,11 +41,15 @@ from .graph_core import (
     INF,
     VertexSet,
     WeightedGraph,
-    all_pairs_distances,
     connected_components,
     diameter,
+    distances_within,
     induced_subgraph,
 )
+
+# Unused here, but bench/tracing.py wraps this module-level name and the
+# benchmark's tests require every name it wraps to exist.
+from .graph_core import all_pairs_distances  # noqa: F401
 
 # Number of times the decomposition DP has actually executed; lets callers
 # verify that trivial cases short-circuit without running it.
@@ -153,6 +157,21 @@ def _nice_postorder(nd: NiceDecomposition) -> list[int]:
     return order
 
 
+def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
+    """Distances below d from each introduced or forgotten vertex to its bag-mates.
+
+    One radius-d search per vertex, stopped once every bag-mate it meets at
+    an introduce or forget node is settled.  A missing entry means ">= d":
+    both clearance domains map every such distance to the cap and admit it,
+    so it reads as INF without changing any state.
+    """
+    mates: dict[int, set[int]] = {}
+    for node in nd.nodes:
+        if node.kind in ("introduce", "forget"):
+            mates.setdefault(node.vertex, set()).update(node.bag)
+    return {v: distances_within(g, v, bag - {v}, d) for v, bag in mates.items()}
+
+
 def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -212,7 +231,8 @@ def dp_over_decomposition(
     clearance that `join_ok` accepts.
 
     Each child table is freed as soon as its parent has consumed it, in
-    both modes.
+    both modes.  Distances are read only between bag-mates and only below
+    d (`_bag_distances`), so no n x n matrix is built.
 
     Returns per-size counts (counting) or (size, witness) (max).
     """
@@ -222,7 +242,7 @@ def dp_over_decomposition(
         raise ValueError(f"unknown mode {mode!r}")
     dom = clearance if clearance is not None else ExactClearance(d)
     ENGINE_RUNS += 1
-    dist = all_pairs_distances(g).dist
+    near = _bag_distances(g, nd, d)
     hooks = _HookMemo(dom)
     cap = hooks.cap
     counting = mode == "count"
@@ -252,10 +272,10 @@ def dp_over_decomposition(
             cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
             pos = node.bag.index(v)
-            drow = dist[v]
-            rows = [hooks.add_row(drow[u]) for u in cbag]
+            drow = near[v]
+            rows = [hooks.add_row(drow.get(u, INF)) for u in cbag]
             # Positions where a selected vertex is too close to select v.
-            clash = [j for j, u in enumerate(cbag) if not dom.admit_distance(drow[u])]
+            clash = [j for j, u in enumerate(cbag) if not dom.admit_distance(drow.get(u, INF))]
             # Keys extend distinct child keys at one position, so none repeat.
             for states, value in ctable.items():
                 reach = min(map(getitem, rows, states), default=cap)
@@ -278,9 +298,9 @@ def dp_over_decomposition(
             cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
             pos = cbag.index(v)
-            zrow = dist[v]
+            zrow = near[v]
             # The min keeps a selected position selected: -1 is below every clearance.
-            fresh = [hooks.from_distance[zrow[u]] for j, u in enumerate(cbag) if j != pos]
+            fresh = [hooks.from_distance[zrow.get(u, INF)] for j, u in enumerate(cbag) if j != pos]
             for states, value in ctable.items():
                 rest = states[:pos] + states[pos + 1 :]
                 if states[pos] == _SELECTED:

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import scatterset.cli as cli
+import scatterset.graph_core as graph_core
+import scatterset.tw_approx as tw_approx
+import scatterset.tw_exact as tw_exact
+import scatterset.vc_fpt as vc_fpt
 from conftest import cycle_graph, path_graph
 from scatterset.cli import main
 from scatterset.graph_core import format_dss, parse_graph
@@ -116,6 +121,39 @@ def test_count_cycle_pinned(capsys, c5):
     code, out, _ = run_cli(capsys, "count", "--graph", c5, "--d", "2", "--k", "2")
     assert code == 0
     assert "counts: 1 5 5" in out
+
+
+def test_solvers_build_no_all_pairs_matrix(capsys, tmp_path, monkeypatch):
+    # Only the brute-force oracle may build the n x n matrix.
+    def refuse(g):
+        raise RuntimeError("all-pairs matrix built")
+
+    for module in (graph_core, tw_exact, tw_approx, vc_fpt):
+        monkeypatch.setattr(module, "all_pairs_distances", refuse)
+    graph = tmp_path / "c9.dss"
+    graph.write_text(format_dss(cycle_graph(9)))
+    for argv in (
+        ("solve", "--algo", "tw", "--d", "3"),
+        ("count", "--d", "3", "--k", "3"),
+        ("solve", "--algo", "vc", "--d", "4"),
+        ("solve", "--algo", "approx", "--d", "4", "--epsilon", "1/2"),
+    ):
+        code, _, err = run_cli(capsys, *argv, "--graph", str(graph))
+        assert (code, err) == (0, ""), argv
+
+
+def test_long_path_at_scale(capsys, tmp_path):
+    # 10,000 vertices: every layer on the tw path must stay near linear in n.
+    n = 10_000
+    graph = tmp_path / "path.dss"
+    graph.write_text(format_dss(path_graph(n)))
+    code, out, _ = run_cli(capsys, "solve", "--graph", str(graph), "--d", "3", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["size"] == 3334
+    code, out, _ = run_cli(capsys, "count", "--graph", str(graph), "--d", "3", "--k", "3", "--json")
+    assert code == 0
+    expected = [1, n, math.comb(n - 2, 2), math.comb(n - 4, 3)]
+    assert json.loads(out)["result"]["counts"] == [str(c) for c in expected]
 
 
 def test_count_pads_beyond_n(capsys, p5):
@@ -295,6 +333,22 @@ def test_validate_set_requires_d(capsys, p5, tmp_path):
     claim.write_text("v0\n")
     code, _, err = run_cli(capsys, "validate", "--graph", p5, "--set", str(claim))
     assert code == 2 and "--d" in err
+
+
+@pytest.mark.parametrize("d", ["1", "0", "-3"])
+def test_validate_set_refuses_small_d(capsys, tmp_path, d):
+    # The same precondition as solve and count, for a repeated vertex too.
+    graph = tmp_path / "p3.dss"
+    graph.write_text("p dss 3 2\ne 1 2\ne 2 3\n")
+    for text in ("v0 v2\n", "v0 v0\n"):
+        claim = tmp_path / "set.txt"
+        claim.write_text(text)
+        code, out, err = run_cli(
+            capsys, "validate", "--graph", str(graph), "--set", str(claim), "--d", d
+        )
+        assert (code, out, err) == (3, "", "error: d must be >= 2\n")
+    code, _, err = run_cli(capsys, "solve", "--graph", str(graph), "--d", d)
+    assert (code, err) == (3, "error: d must be >= 2\n")
 
 
 def test_validate_rejects_out_of_range_vertex(capsys, p5, tmp_path):

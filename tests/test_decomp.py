@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +22,9 @@ from scatterset.decomp import (
     validate_decomposition,
     validate_nice,
 )
+from scatterset.gadgets import gen_seth, parse_cnf
+from scatterset.graph_core import WeightedGraph
+from scatterset.oracle import RandomSpec, gen_random_graph
 
 
 def _assert_valid(g, td):
@@ -44,11 +49,83 @@ def test_heuristic_width_on_known_shapes(g, width):
 
 
 def test_heuristic_covers_disconnected_graphs():
-    from scatterset.graph_core import WeightedGraph
-
     g = WeightedGraph(n=6, edges=((0, 1, 1), (3, 4, 2)))
     td = heuristic_decomposition(g)
     _assert_valid(g, td)
+
+
+def _reference_min_fill(g: WeightedGraph) -> TreeDecomposition:
+    """The quadratic min-fill: rescans every live vertex's fill at each step."""
+    n = g.n
+    work: list[set[int]] = [set() for _ in range(n)]
+    for u, v, _ in g.edges:
+        work[u].add(v)
+        work[v].add(u)
+    alive = set(range(n))
+    order: list[int] = []
+    position = [0] * n
+    elim_bags: list[tuple[int, ...]] = []
+    for step in range(n):
+        best_v = -1
+        best_fill = -1
+        for v in sorted(alive):
+            nb = [u for u in work[v] if u in alive]
+            fill = 0
+            for i in range(len(nb)):
+                for j in range(i + 1, len(nb)):
+                    if nb[j] not in work[nb[i]]:
+                        fill += 1
+            if best_fill < 0 or fill < best_fill:
+                best_fill = fill
+                best_v = v
+        nb = sorted(u for u in work[best_v] if u in alive)
+        for i in range(len(nb)):
+            for j in range(i + 1, len(nb)):
+                work[nb[i]].add(nb[j])
+                work[nb[j]].add(nb[i])
+        alive.remove(best_v)
+        order.append(best_v)
+        position[best_v] = step
+        elim_bags.append(tuple(sorted([best_v] + nb)))
+    edges: list[tuple[int, int]] = []
+    for step, v in enumerate(order):
+        later = [u for u in elim_bags[step] if u != v]
+        if later:
+            parent = min(later, key=lambda u: position[u])
+            edges.append((step, position[parent]))
+        elif step + 1 < n:
+            edges.append((step, step + 1))
+    return TreeDecomposition(bags=tuple(elim_bags), tree_edges=tuple(edges), root=n - 1)
+
+
+def _banded(n: int, band: int, seed: int) -> WeightedGraph:
+    """Path 0..n-1 plus each chord of span <= band with probability 1/2."""
+    rng = random.Random(seed)
+    edges = []
+    for u in range(n - 1):
+        edges.append((u, u + 1, 1 + rng.randrange(3)))
+        for v in range(u + 2, min(n, u + band + 1)):
+            if rng.randrange(2):
+                edges.append((u, v, 1))
+    return WeightedGraph(n=n, edges=tuple(edges))
+
+
+def _min_fill_corpus():
+    rng = random.Random(6100)
+    for i in range(40):
+        p = Fraction(rng.randint(1, 8), 20)
+        yield f"random{i}", gen_random_graph(RandomSpec(rng.randint(1, 60), p, 1, 6100 + i))
+    yield "band400", _banded(400, 4, 1)
+    yield "band1000", _banded(1000, 4, 2)
+    yield "seth", gen_seth(parse_cnf("p cnf 1 1\n1 0\n"), 4, Fraction(1)).graph
+
+
+def test_heuristic_matches_quadratic_min_fill():
+    # Same elimination order, bags, tree edges and root as a full rescan.
+    for name, g in _min_fill_corpus():
+        td = heuristic_decomposition(g)
+        ref = _reference_min_fill(g)
+        assert (td.bags, td.tree_edges, td.root) == (ref.bags, ref.tree_edges, ref.root), name
 
 
 def test_validator_catches_missing_vertex():

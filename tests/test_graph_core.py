@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
@@ -13,6 +16,7 @@ from scatterset.graph_core import (
     connected_components,
     diameter,
     dijkstra_from,
+    distances_within,
     format_dss,
     induced_subgraph,
     is_scattered,
@@ -21,6 +25,7 @@ from scatterset.graph_core import (
     scattered_violation,
     vertex_set,
 )
+from scatterset.oracle import RandomSpec, gen_random_graph
 
 
 def test_graph_requires_positive_n():
@@ -66,6 +71,28 @@ def test_dijkstra_radius_cutoff():
     row = dijkstra_from(g, 0, radius=2)
     assert row[:3] == [0, 1, 2]
     assert all(x >= INF for x in row[3:])
+
+
+def test_distances_within_matches_dijkstra_below_the_radius():
+    rng = random.Random(2700)
+    for i in range(60):
+        spec = RandomSpec(rng.randint(1, 30), Fraction(rng.randint(1, 5), 20), rng.randint(1, 9), i)
+        g = gen_random_graph(spec)
+        for _ in range(4):
+            source = rng.randrange(g.n)
+            full = dijkstra_from(g, source)
+            targets = set(rng.sample(range(g.n), rng.randint(0, g.n)))
+            radius = rng.randint(0, 40)
+            near = distances_within(g, source, targets, radius)
+            assert near == {t: full[t] for t in targets if full[t] < radius}, (i, source)
+
+
+def test_distances_within_stops_at_the_radius_and_the_last_target():
+    g = path_graph(6)
+    assert distances_within(g, 0, {2, 5}, 3) == {2: 2}
+    assert distances_within(g, 0, {0, 1}, 10) == {0: 0, 1: 1}
+    assert distances_within(g, 0, set(), 10) == {}
+    assert distances_within(g, 0, {0}, 0) == {}
 
 
 def test_disconnected_distance_is_inf():

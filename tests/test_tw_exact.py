@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import scatterset.tw_exact as tw
 from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
-from scatterset.decomp import balance, format_td, heuristic_decomposition, make_nice, parse_td
+from scatterset.decomp import (
+    TreeDecomposition,
+    balance,
+    format_td,
+    heuristic_decomposition,
+    make_nice,
+    parse_td,
+    validate_decomposition,
+)
 from scatterset.graph_core import WeightedGraph, is_scattered, scattered_violation
 from scatterset.oracle import RandomSpec, brute_force_count, brute_force_max, gen_random_graph
 from scatterset.tw_approx import RoundedClearance
@@ -135,6 +144,46 @@ def test_dp_matches_brute_force_on_other_decompositions():
             size, witness = max_scattered(g, nd, d)
             assert size == best and len(witness) == size, (seed, name)
             assert scattered_violation(g, witness, d) is None, (seed, name)
+
+
+def _elimination_decomposition(g: WeightedGraph, order: list[int]) -> TreeDecomposition:
+    """Decomposition of an arbitrary elimination order, built as the heuristic builds its own."""
+    work: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        work[u].add(v)
+        work[v].add(u)
+    position = {v: step for step, v in enumerate(order)}
+    bags = []
+    for v in order:
+        nb = work[v]
+        for u in nb:
+            work[u] |= nb
+            work[u].discard(u)
+            work[u].discard(v)
+        bags.append(tuple(sorted([v, *nb])))
+    edges = []
+    for step, v in enumerate(order):
+        later = [position[u] for u in bags[step] if u != v]
+        if later:
+            edges.append((step, min(later)))
+        elif step + 1 < g.n:
+            edges.append((step, step + 1))
+    return TreeDecomposition(bags=tuple(bags), tree_edges=tuple(edges), root=g.n - 1)
+
+
+def test_dp_matches_brute_force_on_random_elimination_orders():
+    rng = random.Random(5150)
+    for i, g in enumerate(seeded_corpus(40, 11, 5, base_seed=5150)):
+        order = list(range(g.n))
+        rng.shuffle(order)
+        td = _elimination_decomposition(g, order)
+        assert validate_decomposition(g, td) is None, i
+        nd = make_nice(td)
+        d = 2 + i % 6
+        assert count_scattered(g, nd, d, g.n) == brute_force_count(g, d, g.n), (i, order)
+        size, witness = max_scattered(g, nd, d)
+        assert size == brute_force_max(g, d)[0] and len(witness) == size, (i, order)
+        assert scattered_violation(g, witness, d) is None, (i, order)
 
 
 def test_count_matches_enumeration_on_corpus():
