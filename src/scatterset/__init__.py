@@ -37,7 +37,6 @@ from .gadgets import (
     parse_mcis,
 )
 from .graph_core import (
-    DistanceOracle,
     DssParseError,
     WeightedGraph,
     all_pairs_distances,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CnfFormula",
-    "DistanceOracle",
     "DssParseError",
     "GadgetOutput",
     "McisInstance",

@@ -180,17 +180,6 @@ def _load_graph(path: str) -> WeightedGraph:
     return parse_graph(_read_text(path))
 
 
-def _load_td(path: str, g: WeightedGraph) -> TreeDecomposition:
-    td = parse_td(_read_text(path))
-    violation = validate_decomposition(g, td)
-    if violation is not None:
-        raise ValueError(
-            f"decomposition {path} is invalid "
-            f"({violation.kind}: {violation.message})"
-        )
-    return td
-
-
 def _parse_vertex_file(text: str, n: int) -> list[int]:
     """Whitespace-separated vertex tokens ('v3' or '3'); 'c' lines are comments."""
     ids: list[int] = []
@@ -248,8 +237,9 @@ def _emit(report: RunReport, args: argparse.Namespace) -> None:
 
 
 def _pick_decomposition(args: argparse.Namespace, g: WeightedGraph) -> TreeDecomposition:
+    """The --td file, parsed only: the solver that consumes it validates it."""
     if getattr(args, "td", None):
-        return _load_td(args.td, g)
+        return parse_td(_read_text(args.td))
     return heuristic_decomposition(g)
 
 

@@ -233,20 +233,9 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     bad = _check_tree(td)
     if bad is not None:
         raise ValueError(f"invalid decomposition: {bad.message}")
-    children = _rooted_children(td)
-
-    # Drop empty-bag leaves; they contribute nothing to a nice form.
-    alive = set(range(len(td.bags)))
-    changed = True
-    while changed:
-        changed = False
-        for u in sorted(alive):
-            kids = [c for c in children[u] if c in alive]
-            if not kids and not td.bags[u] and len(alive) > 1 and u != td.root:
-                alive.remove(u)
-                changed = True
-    if all(not td.bags[u] for u in alive):
+    if not any(td.bags):
         raise ValueError("decomposition has no nonempty bags")
+    children = _rooted_children(td)
 
     nodes: list[NiceNode] = []
 
@@ -273,25 +262,25 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
             top = emit("introduce", cur, (top,), v)
         return top
 
-    # Post-order over the pruned tree.
     post: list[int] = []
     stack: list[tuple[int, bool]] = [(td.root, False)]
     while stack:
         u, done = stack.pop()
-        if u not in alive:
-            continue
         if done:
             post.append(u)
         else:
             stack.append((u, True))
             for c in children[u]:
                 stack.append((c, False))
+    # A node stays if it is the root, its bag is nonempty, or a child stays:
+    # subtrees of empty bags contribute nothing to a nice form.
     top_of: dict[int, int] = {}
     for u in post:
-        kids = [c for c in children[u] if c in alive]
+        kids = [c for c in children[u] if c in top_of]
         bag_u = td.bags[u]
         if not kids:
-            top_of[u] = leaf_chain(bag_u)
+            if bag_u:
+                top_of[u] = leaf_chain(bag_u)
             continue
         lifted = [lift(top_of[c], td.bags[c], bag_u) for c in kids]
         acc = lifted[0]
@@ -426,8 +415,15 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
     Recursive splitting of the (subset-contracted) decomposition tree: each
     piece keeps at most two portal nodes whose bags are merged into the
     piece's emitted bag, so every emitted bag unions at most three original
-    bags.  Both the width bound and the depth bound
-    4*ceil(log2(n+1)) + 4 are checked on the result and a violation raises.
+    bags.  A piece with two portals splits at the median of the path
+    between them, any other at its centroid; both come from one rooted pass
+    that gives each node's parent and subtree size.
+
+    The input is validated here: on the approximation path no other layer
+    checks it.  The result is checked for a binary tree, width <= 3w+2 and
+    depth 4*ceil(log2(n+1)) + 4, and a violation raises.  It is not
+    validated again, because its consumers do that: the DP engine's input
+    check, and `decompose`'s round-trip check of the file it writes.
     """
     bad = validate_decomposition(g, td)
     if bad is not None:
@@ -438,79 +434,50 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
 
     out_bags: list[tuple[int, ...]] = []
     out_children: list[list[int]] = []
+    # Separators already chosen; a piece is a component of the tree minus them.
+    removed = [False] * total_nodes
+    parent = [-1] * total_nodes
+    size = [0] * total_nodes
 
     def emit(bag: set[int], children: list[int]) -> int:
         out_bags.append(tuple(sorted(bag)))
         out_children.append(children)
         return len(out_bags) - 1
 
-    def components(piece: frozenset[int], removed: int) -> list[frozenset[int]]:
-        seen: set[int] = set()
-        comps: list[frozenset[int]] = []
-        for start in sorted(piece):
-            if start == removed or start in seen:
-                continue
-            comp = {start}
-            seen.add(start)
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in adj[u]:
-                    if v in piece and v != removed and v not in seen:
-                        seen.add(v)
-                        comp.add(v)
-                        stack.append(v)
-            comps.append(frozenset(comp))
-        return comps
+    def rooted(root: int) -> list[int]:
+        """BFS order of root's piece; fills parent and size for its nodes."""
+        parent[root] = -1
+        order = [root]
+        for u in order:
+            for v in adj[u]:
+                if v != parent[u] and not removed[v]:
+                    parent[v] = u
+                    order.append(v)
+        for u in order:
+            size[u] = 1
+        for u in reversed(order[1:]):
+            size[parent[u]] += size[u]
+        return order
 
-    def centroid(piece: frozenset[int]) -> int:
-        best = -1
-        best_load = len(piece) + 1
-        for cand in sorted(piece):
-            load = max((len(c) for c in components(piece, cand)), default=0)
-            if load < best_load:
-                best_load = load
-                best = cand
-        return best
+    def centroid(piece: list[int]) -> int:
+        """Lowest id whose removal leaves the smallest largest part."""
+        order = rooted(min(piece))
+        heavy = dict.fromkeys(order, 0)
+        for u in order[1:]:
+            heavy[parent[u]] = max(heavy[parent[u]], size[u])
+        return min(order, key=lambda c: (max(len(order) - size[c], heavy[c]), c))
 
-    def portal_path(piece: frozenset[int], a: int, b: int) -> list[int]:
-        parent = {a: a}
-        queue = [a]
-        while queue:
-            nxt: list[int] = []
-            for u in queue:
-                for v in sorted(adj[u]):
-                    if v in piece and v not in parent:
-                        parent[v] = u
-                        nxt.append(v)
-            queue = nxt
+    def path_median(piece: list[int], a: int, b: int) -> int:
+        """First node on the a-b path past which at most half the piece lies."""
+        rooted(a)
         path = [b]
         while path[-1] != a:
             path.append(parent[path[-1]])
         path.reverse()
-        return path
-
-    def path_median(piece: frozenset[int], a: int, b: int) -> int:
-        path = portal_path(piece, a, b)
-        total = len(piece)
-        body = []
-        for idx, q in enumerate(path):
-            # q itself plus everything hanging off q away from the path
-            mass = 1
-            for comp in components(piece, q):
-                if idx > 0 and path[idx - 1] in comp:
-                    continue
-                if idx + 1 < len(path) and path[idx + 1] in comp:
-                    continue
-                mass += len(comp)
-            body.append(mass)
-        suffix = [0] * (len(path) + 1)
-        for i in range(len(path) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + body[i]
-        for i in range(len(path)):
-            if 2 * suffix[i + 1] <= total:
-                return path[i]
-        return path[-1]
+        for q, nxt in zip(path, path[1:]):
+            if 2 * size[nxt] <= len(piece):
+                return q
+        return b
 
     def combine(bag: set[int], items: list[tuple[int, int]]) -> tuple[int, int]:
         """Weight-balanced binary merge; returns (emitted id, weight)."""
@@ -534,20 +501,16 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
             right = combine(bag, items[cut:])
         return emit(bag, [left[0], right[0]]), total
 
-    def split(piece: frozenset[int], portals: tuple[int, ...]) -> int:
-        if len(portals) >= 2:
-            s = path_median(piece, portals[0], portals[1])
-        elif len(piece) == 1:
-            s = next(iter(piece))
-        else:
-            s = centroid(piece)
+    def split(piece: list[int], portals: tuple[int, ...]) -> int:
+        s = path_median(piece, *portals) if len(portals) == 2 else centroid(piece)
         merged = set(bags[s])
         for p in portals:
             merged |= bags[p]
+        removed[s] = True
         child_items: list[tuple[int, int]] = []
-        for comp in sorted(components(piece, s), key=min):
-            door = min(v for v in comp if s in adj[v])
-            ports = sorted({p for p in portals if p in comp} | {door})
+        # The parts of piece - s, one per neighbour of s, which heads its list.
+        for comp in sorted((rooted(v) for v in adj[s] if not removed[v]), key=min):
+            ports = sorted({p for p in portals if p in comp} | {comp[0]})
             if len(ports) > 2:
                 raise RuntimeError("balance invariant breached: >2 portals")
             child_items.append((split(comp, tuple(ports)), len(comp)))
@@ -557,7 +520,7 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
             return emit(merged, [child_items[0][0]])
         return combine(merged, child_items)[0]
 
-    root = split(frozenset(range(total_nodes)), ())
+    root = split(list(range(total_nodes)), ())
     edges = []
     for i, kids in enumerate(out_children):
         for c in kids:
@@ -574,9 +537,6 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
     got_depth = decomposition_depth(result)
     if got_depth > depth_bound:
         raise RuntimeError(f"balance depth {got_depth} exceeds bound {depth_bound}")
-    bad = validate_decomposition(g, result)
-    if bad is not None:
-        raise RuntimeError(f"balance output invalid: {bad.message}")
     return result
 
 
@@ -590,7 +550,8 @@ def _td_ints(line_no: int, tokens: list[str]) -> list[int]:
 def parse_td(text: str) -> TreeDecomposition:
     """Parse the PACE-style .td format (1-based ids, 'c' comments).
 
-    Malformed lines raise ValueError naming the 1-based line number.
+    Malformed lines, a bag that lists a vertex twice among them, raise
+    ValueError naming the 1-based line number.
     """
     num_bags = -1
     bags: dict[int, tuple[int, ...]] = {}
@@ -615,7 +576,11 @@ def parse_td(text: str) -> TreeDecomposition:
             idx, *members = _td_ints(line_no, fields[1:])
             if idx in bags:
                 raise ValueError(f"line {line_no}: duplicate bag id {idx}")
-            bags[idx] = tuple(sorted(v - 1 for v in members))
+            bag = tuple(sorted(v - 1 for v in members))
+            if len(set(bag)) < len(bag):
+                repeated = next(x for x, y in zip(bag, bag[1:]) if x == y)
+                raise ValueError(f"line {line_no}: vertex {repeated + 1} repeated in bag {idx}")
+            bags[idx] = bag
         else:
             if len(fields) != 2:
                 raise ValueError(f"line {line_no}: malformed tree edge, want '<a> <b>'")

@@ -76,16 +76,6 @@ class WeightedGraph:
         return all(w == 1 for _, _, w in self.edges)
 
 
-@dataclass(frozen=True)
-class DistanceOracle:
-    """Immutable all-pairs shortest-path matrix (INF for disconnected pairs)."""
-
-    dist: tuple[tuple[int, ...], ...]
-
-    def between(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
-
 def vertex_set(g: WeightedGraph, members: Iterable[int]) -> VertexSet:
     """Normalize an iterable of vertex ids to a sorted duplicate-free tuple."""
     out = tuple(sorted(set(members)))
@@ -159,8 +149,8 @@ def format_dss(g: WeightedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dijkstra_from(g: WeightedGraph, source: int, radius: int | None = None) -> list[int]:
-    """Single-source distances; entries beyond `radius` may stay INF."""
+def dijkstra_from(g: WeightedGraph, source: int) -> list[int]:
+    """Single-source distances, INF for unreachable vertices."""
     dist = [INF] * g.n
     dist[source] = 0
     heap = [(0, source)]
@@ -168,8 +158,6 @@ def dijkstra_from(g: WeightedGraph, source: int, radius: int | None = None) -> l
     while heap:
         du, u = heapq.heappop(heap)
         if du > dist[u]:
-            continue
-        if radius is not None and du >= radius:
             continue
         for v, w in adj[u]:
             nd = du + w
@@ -211,9 +199,9 @@ def distances_within(
     return found
 
 
-def all_pairs_distances(g: WeightedGraph) -> DistanceOracle:
-    """All-pairs shortest paths via one Dijkstra run per source."""
-    return DistanceOracle(dist=tuple(tuple(dijkstra_from(g, s)) for s in range(g.n)))
+def all_pairs_distances(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
+    """All-pairs shortest paths via one Dijkstra run per source, row per source."""
+    return tuple(tuple(dijkstra_from(g, s)) for s in range(g.n))
 
 
 def is_scattered(g: WeightedGraph, members: Iterable[int], d: int) -> bool:
@@ -255,16 +243,6 @@ def diameter(g: WeightedGraph) -> int:
         if worst >= INF:
             return INF
         best = max(best, worst)
-    return best
-
-
-def max_finite_distance(g: WeightedGraph) -> int:
-    """Largest distance among connected pairs (0 for edgeless graphs)."""
-    best = 0
-    for s in range(g.n):
-        for x in dijkstra_from(g, s):
-            if x < INF:
-                best = max(best, x)
     return best
 
 

@@ -60,7 +60,7 @@ def gen_random_graph(spec: RandomSpec) -> WeightedGraph:
 
 
 def _conflict_masks(g: WeightedGraph, d: int) -> list[int]:
-    dist = all_pairs_distances(g).dist
+    dist = all_pairs_distances(g)
     masks = [0] * g.n
     for u in range(g.n):
         row = dist[u]
@@ -139,20 +139,3 @@ def independent_set_counts(g: WeightedGraph, k: int) -> list[int]:
         if all((mask & pm) != pm for pm in pair_masks):
             counts[size] += 1
     return counts
-
-
-def max_independent_set_size(g: WeightedGraph) -> int:
-    """Maximum independent set size by direct subset enumeration (n <= 16)."""
-    if g.n > 16:
-        raise ValueError("subset enumeration limited to n <= 16")
-    pair_masks = [(1 << u) | (1 << v) for u, v, _ in g.edges]
-    best = 0
-    for mask in range(1 << g.n):
-        if all((mask & pm) != pm for pm in pair_masks):
-            best = max(best, bin(mask).count("1"))
-    return best
-
-
-def scattered_sets_total(g: WeightedGraph, d: int) -> int:
-    """Total number of d-scattered sets including the empty set (n <= 20)."""
-    return sum(brute_force_count(g, d, g.n))

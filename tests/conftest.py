@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from scatterset.graph_core import WeightedGraph
+from scatterset.graph_core import INF, WeightedGraph, dijkstra_from
 from scatterset.oracle import RandomSpec, gen_random_graph
 
 
@@ -33,6 +33,11 @@ def complete_graph(n: int, weight: int = 1) -> WeightedGraph:
         (u, v, weight) for u in range(n) for v in range(u + 1, n)
     )
     return WeightedGraph(n=n, edges=edges)
+
+
+def max_finite_distance(g: WeightedGraph) -> int:
+    """Largest distance among connected pairs (0 for edgeless graphs)."""
+    return max((x for s in range(g.n) for x in dijkstra_from(g, s) if x < INF), default=0)
 
 
 def seeded_corpus(

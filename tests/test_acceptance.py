@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import scatterset.tw_exact as tw_mod
-from conftest import seeded_corpus
+from conftest import max_finite_distance, seeded_corpus
 from scatterset.decomp import (
     TreeDecomposition,
     balance,
@@ -38,7 +38,6 @@ from scatterset.graph_core import (
     all_pairs_distances,
     diameter,
     is_scattered,
-    max_finite_distance,
 )
 from scatterset.oracle import (
     brute_force_count,
@@ -132,7 +131,7 @@ def test_approximation_guarantee_holds_exactly(weighted_corpus):
                 assert len(members) == size
                 for i in range(size):
                     for j in range(i + 1, size):
-                        duv = dist.dist[members[i]][members[j]]
+                        duv = dist[members[i]][members[j]]
                         assert (1 + eps) * duv >= d
     assert len(weighted_corpus) == 200
 

@@ -101,11 +101,49 @@ def test_solve_with_supplied_decomposition(capsys, p5, tmp_path):
     assert code == 0 and "size: 2" in out
 
 
-def test_solve_rejects_invalid_decomposition(capsys, p5, tmp_path):
+# Decompositions of P5 that parse but break one property each, with the
+# validator's message (0-based vertex ids).
+BAD_P5_TDS = {
+    "vertex-coverage": ("s td 1 2 5\nb 1 1 2\n", "vertex 2 in no bag"),
+    "edge-coverage": ("s td 2 3 5\nb 1 1 2\nb 2 3 4 5\n1 2\n", "edge (1,2) in no bag"),
+    "connectivity": (
+        "s td 5 2 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5\nb 5 1\n1 2\n2 3\n3 4\n4 5\n",
+        "bags containing vertex 0 are not connected in the tree",
+    ),
+    "out-of-range": (
+        "s td 4 3 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5 6\n1 2\n2 3\n3 4\n",
+        "bag vertex 5 out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD_P5_TDS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("solve", "--algo", "tw"),
+        ("count", "--k", "2"),
+        ("solve", "--algo", "approx", "--epsilon", "1/2"),
+    ],
+    ids=["tw", "count", "approx"],
+)
+def test_solve_rejects_invalid_decomposition(capsys, p5, tmp_path, command, kind):
+    # The solver that consumes the file validates it, once, and says why.
+    text, message = BAD_P5_TDS[kind]
     td_file = tmp_path / "bad.td"
-    td_file.write_text("s td 1 1 5\nb 1 1\n")  # misses vertices 2..5
-    code, _, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--td", str(td_file))
-    assert code == 3 and "invalid" in err
+    td_file.write_text(text)
+    code, out, err = run_cli(capsys, *command, "--graph", p5, "--d", "3", "--td", str(td_file))
+    assert (code, out, err) == (3, "", f"error: invalid decomposition: {message}\n")
+
+
+def test_repeated_bag_vertex_is_refused_by_every_command(capsys, tmp_path):
+    graph = tmp_path / "k2.dss"
+    graph.write_text("p dss 2 1\ne 1 2\n")
+    td_file = tmp_path / "rep.td"
+    td_file.write_text("s td 1 3 2\nb 1 1 2 2\n")
+    for command in (("validate",), ("solve", "--d", "2"), ("count", "--d", "2", "--k", "2")):
+        code, out, err = run_cli(capsys, *command, "--graph", str(graph), "--td", str(td_file))
+        assert (code, out, err) == (3, "", "error: line 2: vertex 2 repeated in bag 1\n"), command
 
 
 # -- count --------------------------------------------------------------------

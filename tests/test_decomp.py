@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -217,6 +218,62 @@ def test_balance_bounds_on_random_graphs(seed):
         assert decomposition_depth(btd) <= 4 * math.ceil(math.log2(g.n + 1)) + 4
 
 
+def _balance_corpus():
+    for s in range(200):
+        rng = random.Random(s)
+        n = rng.randint(2, 60)
+        p = Fraction(rng.randint(1, 6), 10 * rng.randint(1, 3))
+        yield gen_random_graph(RandomSpec(n, p, rng.randint(1, 5), s))
+    yield _banded(400, 4, 1)
+    yield _banded(1000, 4, 2)
+    yield gen_seth(parse_cnf("p cnf 1 1\n1 0\n"), 4, Fraction(1)).graph
+
+
+def test_balance_pinned():
+    # Every balanced .td, hashed; the digest was taken from the balance that
+    # rescanned components per centroid candidate and per path node, so any
+    # change to the separators, the portals or the merge order shows here.
+    texts = [format_td(balance(heuristic_decomposition(g), g), g.n) for g in _balance_corpus()]
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "25c52823ddc273ac070b5a542c771021b8ac475b608ae567c1797650f7549f62"
+
+
+def test_balance_at_scale():
+    # Banded n = 10,000: the subtree-size search keeps this well under a second.
+    g = _banded(10_000, 4, 3)
+    td = heuristic_decomposition(g)
+    btd = balance(td, g)
+    _assert_valid(g, btd)
+    assert btd.width <= 3 * td.width + 2
+    assert decomposition_depth(btd) <= 4 * math.ceil(math.log2(g.n + 1)) + 4
+
+
+def _pruned_trees(count: int):
+    """Random trees with empty bags inside and a pendant subtree of empty bags."""
+    for s in range(count):
+        rng = random.Random(4400 + s)
+        m = rng.randint(1, 25)
+        nv = rng.randint(1, 8)
+        bags = [
+            () if rng.randrange(3) == 0 else tuple(sorted(rng.sample(range(nv), rng.randint(1, nv))))
+            for _ in range(m)
+        ]
+        bags[rng.randrange(m)] = (rng.randrange(nv),)
+        edges = [(rng.randrange(i), i) for i in range(1, m)]
+        for i in range(m, m + rng.randint(1, 4)):
+            bags.append(())
+            edges.append((rng.randrange(i), i))
+        rng.shuffle(edges)
+        yield TreeDecomposition(bags=tuple(bags), tree_edges=tuple(edges), root=rng.randrange(m))
+
+
+def test_make_nice_pinned_on_pruned_trees():
+    # Subtrees of empty bags are dropped; the digest was taken from the
+    # fixed-point pruning loop this single post-order replaced.
+    parts = [repr(make_nice(td)) for td in _pruned_trees(400)]
+    assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == "82c946dc9c5ea932e9f3f541f24e753da9d3278b2a392d753ebe1847dc81125e"
+
+
 def test_depth_measures():
     td = TreeDecomposition(
         bags=((0,), (0, 1), (1, 2)), tree_edges=((0, 1), (1, 2))
@@ -262,6 +319,7 @@ def test_parse_td_rejects_malformed_input(text):
         "s td 2 2 2\nb 1 1\nb 1 2\n",  # duplicate bag id
         "c one\nc two\ns td x 1 1\n",  # non-integer header field
         "c one\nc two\ns td -5 1 1\n",  # negative bag count
+        "s td 1 3 2\nc one\nb 1 2 1 2\n",  # vertex repeated in a bag
     ],
 )
 def test_parse_td_errors_name_the_line(text):

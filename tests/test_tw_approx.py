@@ -75,7 +75,7 @@ def _check_guarantee(g, d, epsilon):
     exact, _ = brute_force_max(g, d)
     assert size >= exact
     assert len(witness) == size
-    dist = all_pairs_distances(g).dist
+    dist = all_pairs_distances(g)
     for i, u in enumerate(witness):
         for v in witness[i + 1 :]:
             if dist[u][v] < INF:
@@ -110,7 +110,7 @@ def test_slack_lets_closer_pairs_through():
     td = heuristic_decomposition(g)
     size, witness = approx_max_scattered(g, td, 3, Fraction(1))
     assert size >= 2
-    dist = all_pairs_distances(g).dist
+    dist = all_pairs_distances(g)
     assert all(
         2 * dist[u][v] >= 3 for i, u in enumerate(witness) for v in witness[i + 1 :]
     )

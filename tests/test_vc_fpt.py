@@ -7,8 +7,15 @@ from itertools import combinations
 import pytest
 
 import scatterset.vc_fpt as vc
-from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
-from scatterset.graph_core import WeightedGraph, is_scattered, max_finite_distance
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    max_finite_distance,
+    path_graph,
+    seeded_corpus,
+    star_graph,
+)
+from scatterset.graph_core import WeightedGraph, is_scattered
 from scatterset.oracle import brute_force_max
 from scatterset.vc_fpt import (
     compute_vertex_cover,
