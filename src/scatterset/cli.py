@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from .decomp import (
     TreeDecomposition,
@@ -199,26 +199,28 @@ def _parse_vertex_file(text: str, n: int) -> list[int]:
     return ids
 
 
-def _parse_bool_tokens(text: str) -> list[bool]:
-    values: list[bool] = []
-    for token in text.split():
-        low = token.lower()
-        if low in ("1", "t", "true"):
-            values.append(True)
-        elif low in ("0", "f", "false"):
-            values.append(False)
-        else:
-            raise ValueError(f"bad boolean token {token!r} in assignment file")
-    return values
+T = TypeVar("T")
+
+_BOOLEAN_TOKENS = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
 
 
-def _parse_int_tokens(text: str) -> list[int]:
-    values: list[int] = []
-    for token in text.split():
+def _boolean(token: str) -> bool:
+    try:
+        return _BOOLEAN_TOKENS[token.lower()]
+    except KeyError:
+        raise ValueError(token) from None
+
+
+def _read_assignment(path: str | None, parse: Callable[[str], T], kind: str) -> list[T] | None:
+    """The --assignment file's tokens through ``parse``; None without a file."""
+    if not path:
+        return None
+    values: list[T] = []
+    for token in _read_text(path).split():
         try:
-            values.append(int(token))
+            values.append(parse(token))
         except ValueError:
-            raise ValueError(f"bad integer token {token!r} in assignment file") from None
+            raise ValueError(f"bad {kind} token {token!r} in assignment file") from None
     return values
 
 
@@ -244,11 +246,15 @@ def _pick_decomposition(args: argparse.Namespace, g: WeightedGraph) -> TreeDecom
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
     d = args.d
     epsilon = args.epsilon
     if args.algo == "approx" and epsilon is None:
         raise UsageError("--algo approx requires --epsilon")
+    if args.algo != "approx" and epsilon is not None:
+        raise UsageError("--epsilon applies only to --algo approx")
+    if args.algo in ("vc", "brute") and args.td:
+        raise UsageError(f"--algo {args.algo} takes no --td")
+    g = _load_graph(args.graph)
     report = RunReport(command="solve", solver=args.algo)
     report.parameters.update(
         d=d,
@@ -301,44 +307,41 @@ def cmd_count(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_gadget_files(stem: str, out: GadgetOutput, family: str) -> list[str]:
+def _vertex_lines(header: str, vertices: Sequence[int]) -> str:
+    return f"{header}\n" + "\n".join(_witness_tokens(vertices)) + "\n"
+
+
+def _write_files(
+    stem: str, graph: WeightedGraph, extras: dict[str, str], manifest: dict[str, object]
+) -> list[str]:
+    """Write <stem>.dss, each extra <stem><suffix>, then <stem>.params.json."""
+    bodies = {".dss": format_dss(graph), **extras}
+    bodies[".params.json"] = json.dumps(manifest, indent=2) + "\n"
     files: list[str] = []
-    graph_path = Path(stem + ".dss")
-    graph_path.write_text(format_dss(out.graph), encoding="utf-8")
-    files.append(str(graph_path))
-    if out.witness is not None:
-        witness_path = Path(stem + ".witness")
-        body = f"c d {out.d} size {len(out.witness)}\n"
-        body += "\n".join(_vname(v) for v in out.witness) + "\n"
-        witness_path.write_text(body, encoding="utf-8")
-        files.append(str(witness_path))
-    if out.certificate_kind != "none":
-        cert_path = Path(stem + ".certificate")
-        body = f"c kind: {out.certificate_kind}\n"
-        body += "\n".join(_vname(v) for v in out.certificate) + "\n"
-        cert_path.write_text(body, encoding="utf-8")
-        files.append(str(cert_path))
-    manifest = {
-        "family": family,
-        "d": out.d,
-        "target_size": out.target_size,
-        "vertices": out.graph.n,
-        "edges": len(out.graph.edges),
-        "witness_size": len(out.witness) if out.witness is not None else None,
-        "certificate_kind": out.certificate_kind,
-    }
-    manifest.update(out.params)
-    params_path = Path(stem + ".params.json")
-    params_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    files.append(str(params_path))
+    for suffix, body in bodies.items():
+        path = Path(stem + suffix)
+        path.write_text(body, encoding="utf-8")
+        files.append(str(path))
     return files
+
+
+def _build_gadget(args: argparse.Namespace) -> GadgetOutput:
+    if args.family in ("w1vc", "fvs"):
+        inst = parse_mcis(_read_text(args.mcis))
+        assignment = _read_assignment(args.assignment, int, "integer")
+        builder = gen_w1_vc if args.family == "w1vc" else gen_fvs_unweighted
+        return builder(inst, assignment)
+    phi = parse_cnf(_read_text(args.cnf))
+    assignment = _read_assignment(args.assignment, _boolean, "boolean")
+    if args.family == "seth":
+        return gen_seth(phi, args.d, args.epsilon, assignment)
+    return gen_td_eth(phi, assignment)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     report = RunReport(command="gen", solver=args.family)
     started = time.perf_counter()
-    stem = args.out
-
+    extras: dict[str, str] = {}
     if args.family == "random":
         spec = RandomSpec(
             n=args.n,
@@ -346,57 +349,47 @@ def cmd_gen(args: argparse.Namespace) -> int:
             max_weight=args.max_weight,
             seed=args.seed,
         )
-        g = gen_random_graph(spec)
-        graph_path = Path(stem + ".dss")
-        graph_path.write_text(format_dss(g), encoding="utf-8")
-        manifest = {
+        graph = gen_random_graph(spec)
+        manifest: dict[str, object] = {
             "family": "random",
-            "n": g.n,
-            "edges": len(g.edges),
+            "n": graph.n,
+            "edges": len(graph.edges),
             "p": str(args.p),
             "max_weight": args.max_weight,
             "seed": args.seed,
         }
-        params_path = Path(stem + ".params.json")
-        params_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         report.parameters.update(seed=args.seed)
-        report.result["files"] = [str(graph_path), str(params_path)]
-        report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
-        _emit(report, args)
-        return EXIT_OK
-
-    if args.family in ("w1vc", "fvs"):
-        inst = parse_mcis(_read_text(args.mcis))
-        assignment = (
-            _parse_int_tokens(_read_text(args.assignment)) if args.assignment else None
-        )
-        builder = gen_w1_vc if args.family == "w1vc" else gen_fvs_unweighted
-        out = builder(inst, assignment)
-    elif args.family == "seth":
-        phi = parse_cnf(_read_text(args.cnf))
-        assignment = (
-            _parse_bool_tokens(_read_text(args.assignment)) if args.assignment else None
-        )
-        out = gen_seth(phi, args.d, args.epsilon, assignment)
-        report.parameters.update(d=args.d, epsilon=str(args.epsilon))
     else:
-        phi = parse_cnf(_read_text(args.cnf))
-        assignment = (
-            _parse_bool_tokens(_read_text(args.assignment)) if args.assignment else None
-        )
-        out = gen_td_eth(phi, assignment)
-
-    if assignment is not None and out.witness is None:
-        raise ValueError(
-            "assignment rejected by the construction; no witness emitted"
-        )
-    if out.witness is not None:
-        _check_exact_witness(g=out.graph, witness=out.witness, d=out.d, size=out.target_size)
-        report.validation["checks"].append("witness re-validated")
-        report.result["witness"] = _witness_tokens(out.witness)
-    report.parameters["d"] = out.d
-    report.result["size"] = out.target_size
-    report.result["files"] = _write_gadget_files(stem, out, args.family)
+        out = _build_gadget(args)
+        if args.assignment and out.witness is None:
+            raise ValueError("assignment rejected by the construction; no witness emitted")
+        graph = out.graph
+        if out.witness is not None:
+            _check_exact_witness(graph, out.witness, out.d, out.target_size)
+            report.validation["checks"].append("witness re-validated")
+            report.result["witness"] = _witness_tokens(out.witness)
+            extras[".witness"] = _vertex_lines(
+                f"c d {out.d} size {len(out.witness)}", out.witness
+            )
+        if out.certificate_kind != "none":
+            extras[".certificate"] = _vertex_lines(
+                f"c kind: {out.certificate_kind}", out.certificate
+            )
+        manifest = {
+            "family": args.family,
+            "d": out.d,
+            "target_size": out.target_size,
+            "vertices": graph.n,
+            "edges": len(graph.edges),
+            "witness_size": len(out.witness) if out.witness is not None else None,
+            "certificate_kind": out.certificate_kind,
+            **out.params,
+        }
+        report.parameters["d"] = out.d
+        if args.family == "seth":
+            report.parameters["epsilon"] = str(args.epsilon)
+        report.result["size"] = out.target_size
+    report.result["files"] = _write_files(args.out, graph, extras, manifest)
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
     _emit(report, args)
     return EXIT_OK
@@ -510,7 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--algo", choices=("tw", "vc", "approx", "brute"), default="tw"
     )
-    p_solve.add_argument("--td", help="tree decomposition file (default: heuristic)")
+    p_solve.add_argument(
+        "--td", help="tree decomposition file for --algo tw|approx (default: heuristic)"
+    )
     p_solve.add_argument("--epsilon", type=rational, help="relaxation for --algo approx")
     p_solve.add_argument("--k", type=int, help="report whether the optimum reaches k")
     p_solve.add_argument("--json", action="store_true")

@@ -234,7 +234,8 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     if bad is not None:
         raise ValueError(f"invalid decomposition: {bad.message}")
     if not any(td.bags):
-        raise ValueError("decomposition has no nonempty bags")
+        # Graphs have at least one vertex, so vertex 0 is left uncovered.
+        raise ValueError("invalid decomposition: vertex 0 in no bag")
     children = _rooted_children(td)
 
     nodes: list[NiceNode] = []

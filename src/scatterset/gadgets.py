@@ -13,7 +13,9 @@ independence instances) into d-scattered-set benchmarks:
   glued through pairwise-consistency verifier vertices.
 
 ``gen_w1_vc``, ``gen_fvs_unweighted`` and ``gen_td_eth`` share one
-anchor-verifier layout, built by ``_anchor_verifier_layout``.
+anchor-verifier layout, built by ``_anchor_verifier_layout``.  Every
+family's target is the size of the witness a valid assignment yields; only
+``gen_w1_vc`` claims it as a threshold.
 
 Generators never solve the graphs they emit.  Witnesses are produced only
 from a valid source assignment and re-validated with ``is_scattered`` before
@@ -219,16 +221,34 @@ class _GraphBuilder:
     def edge(self, u: int, v: int, w: int = 1) -> None:
         self.edges.append((u, v, w))
 
-    def path(self, u: int, v: int, length: int, label: str) -> None:
-        """Join u and v by a unit path of the given length (length-1 interior vertices)."""
+    def chain(self, labels: Iterable[str], start: int | None = None) -> list[int]:
+        """Add a vertex per label, each joined to the one before it.
+
+        The first new vertex is joined to ``start`` when one is given.
+        Returns the new ids in label order.
+        """
+        ids: list[int] = []
+        prev = start
+        for label in labels:
+            v = self.vertex(label)
+            if prev is not None:
+                self.edge(prev, v)
+            ids.append(v)
+            prev = v
+        return ids
+
+    def path(self, u: int, v: int, length: int, label: str) -> int:
+        """Join u and v by a unit path of the given length (length-1 interior vertices).
+
+        Interior vertices are named ``label:1`` onwards from u; returns v's
+        neighbour on the path (u itself when length is 1).
+        """
         if length < 1:
             raise ValueError("path length must be >= 1")
-        prev = u
-        for step in range(1, length):
-            nxt = self.vertex(f"{label}:{step}")
-            self.edge(prev, nxt)
-            prev = nxt
-        self.edge(prev, v)
+        inner = self.chain((f"{label}:{step}" for step in range(1, length)), u)
+        last = inner[-1] if inner else u
+        self.edge(last, v)
+        return last
 
     def clique(self, members: Sequence[int]) -> None:
         for u, v in itertools.combinations(members, 2):
@@ -445,9 +465,11 @@ def gen_fvs_unweighted(
     The two half-integral g-side weights split into integral paths of
     lengths 3n-1 (g to each of its verifiers) and 3n+1 (g to the pendant
     g'), keeping verifier-to-g' distances at exactly 6n while two verifiers
-    of the same pair stay within 6n-2 of each other.  Witness recipe and
-    target k*k carry over; the certificate is a feedback vertex set: all a
-    and b vertices.
+    of the same pair stay within 6n-2 of each other.  The witness recipe
+    carries over, so a valid assignment still yields a witness of size k*k;
+    unlike ``gen_w1_vc``, k*k is not a threshold here, since NO sources
+    whose optimum reaches it are known.  The certificate is a feedback
+    vertex set: all a and b vertices.
     """
     return _mcis_gadget(inst, assignment, weighted=False)
 
@@ -501,7 +523,9 @@ def gen_seth(
     that leave exactly the encoded positions at distance d.  A satisfying
     assignment yields a witness selecting, per column, the encoded position
     on every path, the input matching the first satisfied literal, and the
-    free end of the clause gadget: (t*p+2) vertices per column.
+    free end of the clause gadget: (t*p+2) vertices per column.  That count
+    is the target; it is not a proven threshold, as some unsatisfiable
+    formulas have d-scattered sets that reach it.
     """
     if d <= 2:
         raise ValueError("d must be at least 3")
@@ -528,6 +552,7 @@ def gen_seth(
         list(range(g * gamma + 1, min((g + 1) * gamma, n) + 1)) for g in range(t)
     ]
     group_of = lambda var: (var - 1) // gamma
+    tag_of = lambda code: ".".join(str(x) for x in code)
 
     # Distinct digit tuples per literal occurrence, smallest-first.
     clause_inputs: list[list[tuple[int, int, tuple[tuple[int, ...], ...]]]] = []
@@ -567,91 +592,34 @@ def gen_seth(
     if est_vertices > _MAX_VERTICES:
         raise ValueError("generated graph would be too large")
 
-    # Witness bookkeeping, fixed before the build so selections are made
-    # while each column's vertices are at hand.
-    witnessing = False
-    group_tuple: list[tuple[int, ...]] = []
-    clause_pick: list[tuple[int, int, tuple[int, ...]]] = []
-    if assignment is not None:
-        values = [bool(v) for v in assignment]
-        if len(values) != n:
-            raise ValueError("assignment length must equal the variable count")
-        if phi.satisfied_by(values):
-            witnessing = True
-            for gvars in group_vars:
-                mask = sum(1 << idx for idx, var in enumerate(gvars) if values[var - 1])
-                group_tuple.append(_base_digits(mask % codes, d, p))
-            for clause in phi.clauses:
-                for lit_idx, lit in enumerate(clause, start=1):
-                    if values[abs(lit) - 1] == (lit > 0):
-                        grp = group_of(abs(lit))
-                        clause_pick.append((lit_idx, grp, group_tuple[grp]))
-                        break
+    accepted = None if assignment is None else phi.satisfied_by(assignment)
 
     b = _GraphBuilder()
-    members: list[int] = []
-    prev_ends: dict[tuple[int, int], int] | None = None
+    prev_cells: dict[tuple[int, int], list[int]] = {}
     for j in range(1, columns + 1):
-        mu = (j - 1) % m
         col_cells: dict[tuple[int, int], list[int]] = {}
-        new_ends: dict[tuple[int, int], int] = {}
         for grp in range(t):
             for path in range(p):
-                cells = [b.vertex(f"P[{j},{grp + 1},{path + 1},1]")]
-                for i in range(2, d + 1):
-                    v = b.vertex(f"P[{j},{grp + 1},{path + 1},{i}]")
-                    b.edge(cells[-1], v)
-                    cells.append(v)
-                if prev_ends is not None:
-                    b.edge(prev_ends[(grp, path)], cells[0])
-                new_ends[(grp, path)] = cells[-1]
+                cells = b.chain(f"P[{j},{grp + 1},{path + 1},{i}]" for i in range(1, d + 1))
+                if prev_cells:
+                    b.edge(prev_cells[(grp, path)][-1], cells[0])
                 col_cells[(grp, path)] = cells
-                if witnessing:
-                    members.append(cells[group_tuple[grp][path]])
-        prev_ends = new_ends
+        prev_cells = col_cells
 
-        bpath = [b.vertex(f"B[{j},{i}]") for i in range(1, b_len + 1)]
-        for x, y in zip(bpath, bpath[1:]):
-            b.edge(x, y)
-        hub = bpath[-1]
-        if witnessing:
-            members.append(bpath[0])
+        hub = b.chain(f"B[{j},{i}]" for i in range(1, b_len + 1))[-1]
         a_ends: list[int] = []
-        for lit_idx, grp, images in clause_inputs[mu]:
+        for lit_idx, grp, images in clause_inputs[(j - 1) % m]:
             for s in images:
-                tag = ".".join(str(x) for x in s)
-                v = b.vertex(f"in[{j},{lit_idx},{tag}]")
-                if witnessing and (lit_idx, grp, s) == clause_pick[mu]:
-                    members.append(v)
-                aend = v
-                prev = v
-                for step in range(1, a_len + 1):
-                    aend = b.vertex(f"A[{j},{lit_idx},{tag}]:{step}")
-                    b.edge(prev, aend)
-                    prev = aend
-                b.edge(aend, hub)
-                a_ends.append(aend)
-                wpath = [b.vertex(f"W[{j},{lit_idx},{tag}]:1")]
-                b.edge(v, wpath[0])
-                for step in range(2, w_len + 1):
-                    nxt = b.vertex(f"W[{j},{lit_idx},{tag}]:{step}")
-                    b.edge(wpath[-1], nxt)
-                    wpath.append(nxt)
-                wend = wpath[-1]
+                label = f"{j},{lit_idx},{tag_of(s)}"
+                v = b.vertex(f"in[{label}]")
+                a_ends.append(b.path(v, hub, a_len + 1, f"A[{label}]"))
+                wend = b.chain((f"W[{label}]:{step}" for step in range(1, w_len + 1)), v)[-1]
                 for path in range(p):
-                    y_ends = []
-                    for i in range(1, d + 1):
-                        if i == s[path] + 1:
-                            continue
-                        ylab = f"Y[{j},{lit_idx},{tag},{path + 1},{i}]"
-                        ycur = b.vertex(f"{ylab}:1")
-                        b.edge(ycur, col_cells[(grp, path)][i - 1])
-                        for step in range(2, w_len + 1):
-                            nxt = b.vertex(f"{ylab}:{step}")
-                            b.edge(ycur, nxt)
-                            ycur = nxt
-                        b.edge(ycur, wend)
-                        y_ends.append(ycur)
+                    y_ends = [
+                        b.path(cell, wend, w_len + 1, f"Y[{label},{path + 1},{i}]")
+                        for i, cell in enumerate(col_cells[(grp, path)], start=1)
+                        if i != s[path] + 1
+                    ]
                     if d % 2 == 0:
                         b.clique(y_ends)
         if d % 2 == 0:
@@ -659,7 +627,32 @@ def gen_seth(
 
     graph = b.build()
     witness: VertexSet | None = None
-    if witnessing:
+    if accepted:
+        # Per column: the encoded cell of every path, the free end B[j,1] of
+        # the clause gadget, and the input of the clause's first true literal.
+        values = [bool(x) for x in assignment]
+        digits = [
+            _base_digits(
+                sum(1 << idx for idx, var in enumerate(gvars) if values[var - 1]) % codes, d, p
+            )
+            for gvars in group_vars
+        ]
+        picks = []
+        for clause in phi.clauses:
+            lit_idx, lit = next(
+                (idx, lit) for idx, lit in enumerate(clause, start=1)
+                if values[abs(lit) - 1] == (lit > 0)
+            )
+            picks.append(f"{lit_idx},{tag_of(digits[group_of(abs(lit))])}")
+        ids = {name: v for v, name in enumerate(b.names)}
+        members = []
+        for j in range(1, columns + 1):
+            members += [
+                ids[f"P[{j},{grp + 1},{path + 1},{digits[grp][path] + 1}]"]
+                for grp in range(t)
+                for path in range(p)
+            ]
+            members += [ids[f"B[{j},1]"], ids[f"in[{j},{picks[(j - 1) % m]}]"]]
         witness = vertex_set(graph, members)
         _check_witness(graph, witness, d, target)
     lam = math.log(float(shortfall)) / math.log(d)
@@ -675,7 +668,7 @@ def gen_seth(
         "inputs_total": sum(
             inputs_per_clause[(j - 1) % m] for j in range(1, columns + 1)
         ),
-        "assignment_accepted": witnessing if assignment is not None else None,
+        "assignment_accepted": accepted,
     }
     return GadgetOutput(
         graph, d, target, witness, vertex_set(graph, ()), "none", params, tuple(b.names)
@@ -696,10 +689,11 @@ def gen_td_eth(
     one verifier gets a g vertex reaching its verifiers by paths of length
     3N-1 and a pendant g' on a path of length 3N+1, putting every verifier
     at exactly 6N from g' and two same-pair verifiers within 6N-2.  With
-    capacity N = 8**sqrt(n) the distance is d = 6N and the target is n; a
-    satisfying assignment yields the witness (one vertex per group, one
-    verifier per pair, every g').  The certificate is a feedback vertex
-    set: all anchors.
+    capacity N = 8**sqrt(n) the distance is d = 6N and the target is n, the
+    size of the witness a satisfying assignment yields (one vertex per
+    group, one verifier per pair, every g').  The target is not a proven
+    threshold: the unsatisfiable ``1 / -1`` has optimum 2.  The certificate
+    is a feedback vertex set: all anchors.
     """
     if phi.max_clause_width() > 3:
         raise ValueError("only clauses of width <= 3 are supported")
@@ -744,12 +738,9 @@ def gen_td_eth(
     witness: VertexSet | None = None
     accepted: bool | None = None
     if assignment is not None:
-        values = [bool(v) for v in assignment]
-        if len(values) != phi.num_vars:
-            raise ValueError("assignment length must equal the variable count")
-        accepted = phi.satisfied_by(values)
+        accepted = phi.satisfied_by(assignment)
         if accepted:
-            full = values + [False] * (nv - phi.num_vars)
+            full = [bool(v) for v in assignment] + [False] * (nv - phi.num_vars)
             chosen = [
                 sats.index(tuple(full[v - 1] for v in gvars)) + 1
                 for sats, gvars in zip(profiles, group_vars)

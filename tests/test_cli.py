@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -114,6 +115,7 @@ BAD_P5_TDS = {
         "s td 4 3 5\nb 1 1 2\nb 2 2 3\nb 3 3 4\nb 4 4 5 6\n1 2\n2 3\n3 4\n",
         "bag vertex 5 out of range",
     ),
+    "empty-bags": ("s td 2 0 5\nb 1\nb 2\n1 2\n", "vertex 0 in no bag"),
 }
 
 
@@ -134,6 +136,24 @@ def test_solve_rejects_invalid_decomposition(capsys, p5, tmp_path, command, kind
     td_file.write_text(text)
     code, out, err = run_cli(capsys, *command, "--graph", p5, "--d", "3", "--td", str(td_file))
     assert (code, out, err) == (3, "", f"error: invalid decomposition: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--algo", "vc", "--td", "/nonexistent.td"),
+        ("--algo", "brute", "--td", "/nonexistent.td"),
+        ("--algo", "tw", "--epsilon", "1/2"),
+        ("--epsilon", "1/2"),
+        ("--algo", "vc", "--epsilon", "1"),
+        ("--algo", "brute", "--epsilon", "1"),
+    ],
+    ids=["vc-td", "brute-td", "tw-epsilon", "default-epsilon", "vc-epsilon", "brute-epsilon"],
+)
+def test_solve_refuses_flags_it_would_ignore(capsys, p5, flags):
+    code, out, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", *flags, "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_repeated_bag_vertex_is_refused_by_every_command(capsys, tmp_path):
@@ -267,6 +287,55 @@ def test_gen_seth_manifest_pinned(capsys, tmp_path, monkeypatch):
     assert manifest["gamma"] == 8
     assert not Path("seth.witness").exists()  # no assignment given
     assert not Path("seth.certificate").exists()
+
+
+GEN_RUNS = {
+    "w1vc": (
+        ("w1vc", "--mcis", "in.mcis", "--assignment", "a.txt", "--out", "sub/o"),
+        {
+            "in.mcis": "p mcis 3 3\ne 1.1 2.1\ne 1.2 3.3\ne 2.2 3.1\ne 1.3 2.3\n",
+            "a.txt": "1 2 2\n",
+        },
+    ),
+    "fvs": (
+        ("fvs", "--mcis", "in.mcis", "--assignment", "a.txt"),
+        {"in.mcis": YES_MCIS, "a.txt": "1 1\n"},
+    ),
+    "fvs-no-assignment": (("fvs", "--mcis", "in.mcis"), {"in.mcis": YES_MCIS}),
+    "tdeth": (
+        ("tdeth", "--cnf", "f.cnf", "--assignment", "a.txt"),
+        {"f.cnf": "p cnf 4 2\n1 2 3 0\n-1 4 0\n", "a.txt": "1 0 f true\n"},
+    ),
+    "random": (("random", "--n", "12", "--p", "1/3", "--max-weight", "5", "--seed", "9"), {}),
+}
+
+
+@pytest.mark.parametrize(
+    "family,digest",
+    [
+        ("w1vc", "683b0ff85ed86dcba2762f01fe5d27fc0fcba81908ddb9f89de965a2c44aef6a"),
+        ("fvs", "deb5daed9f564f7c152b39466765e86783ec63033129daa1b64661a1b8261659"),
+        ("fvs-no-assignment", "0cd8aa1856476053ad1a2b3cfc972c745de0c99635f4756cf1543b2edc685ef5"),
+        ("tdeth", "8198c46624dea36190222be26b98fdede301668812589e7ac8813d258abf2246"),
+        ("random", "5267b05c9aaa85219430002a9b9597854737a96d2bb55089f4d741a733f9ede1"),
+    ],
+)
+def test_gen_files_pinned(capsys, tmp_path, monkeypatch, family, digest):
+    # Every file gen writes, in report order, plus the --json report without
+    # its timings; the digests were taken before the families shared a writer.
+    monkeypatch.chdir(tmp_path)
+    Path("sub").mkdir()
+    argv, inputs = GEN_RUNS[family]
+    for name, text in inputs.items():
+        Path(name).write_text(text)
+    code, out, _ = run_cli(capsys, "gen", *argv, "--json")
+    assert code == 0
+    report = json.loads(out)
+    del report["timings_ms"]
+    h = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+    for name in report["result"]["files"]:
+        h.update(b"\0" + name.encode() + b"\0" + Path(name).read_bytes())
+    assert h.hexdigest() == digest
 
 
 def test_gen_tdeth_round_trips_through_validate(capsys, tmp_path, monkeypatch):

@@ -296,6 +296,47 @@ def test_seth_rejects_bad_parameters(d, eps):
         gen_seth(phi, d, eps)
 
 
+# (formula, d, epsilon, assignment): d = 3 has a_len = 0, even and odd d,
+# 1-4 variables, and no, satisfying and unsatisfying assignments.
+SETH_CORPUS = [
+    (CnfFormula(1, ((1,),)), 3, Fraction(1), None),
+    (CnfFormula(1, ((1,),)), 3, Fraction(1), (True,)),
+    (CnfFormula(1, ((1,),)), 3, Fraction(1), (False,)),
+    (CnfFormula(1, ((1,),)), 3, Fraction(2), (True,)),
+    (CnfFormula(1, ((1,), (-1,))), 4, Fraction(1), (True,)),
+    (CnfFormula(1, ((1,), (-1,))), 5, Fraction(1), None),
+    (CnfFormula(2, ((1, 2), (-1, 2))), 3, Fraction(1), (True, True)),
+    (CnfFormula(2, ((1, 2), (-1, 2))), 3, Fraction(1, 2), (False, True)),
+    (CnfFormula(2, ((1, 2), (-1, 2))), 4, Fraction(1), (True, False)),
+    (CnfFormula(2, ((1, 2), (-1, 2))), 4, Fraction(1, 2), (True, True)),
+    (CnfFormula(3, ((1, -2), (2, 3))), 4, Fraction(1), (True, False, True)),
+    (CnfFormula(3, ((1, -2), (2, 3))), 5, Fraction(2), (True, False, True)),
+    (CnfFormula(3, ((1, -2), (2, 3))), 6, Fraction(1), None),
+    (CnfFormula(4, ((1, -2, 3), (-3, 4), (2, -4))), 3, Fraction(2), (True,) * 4),
+    (CnfFormula(4, ((1, -2, 3), (-3, 4), (2, -4))), 4, Fraction(1), (False,) * 4),
+]
+
+
+def test_seth_pinned():
+    # Vertex names, witness, target, params and edges as (min, max, w) in
+    # file order, hashed per instance and then over the corpus; the digest
+    # was taken from the builder that predates _GraphBuilder.chain.
+    corpus = hashlib.sha256()
+    for phi, d, eps, assignment in SETH_CORPUS:
+        out = gen_seth(phi, d, eps, assignment)
+        parts = [
+            "\n".join(out.vertex_names),
+            repr(out.witness),
+            repr(out.target_size),
+            repr(out.params),
+            repr([(min(u, v), max(u, v), w) for u, v, w in out.graph.edges]),
+        ]
+        corpus.update(hashlib.sha256("\0".join(parts).encode()).hexdigest().encode())
+    assert corpus.hexdigest() == (
+        "9af128c614f1d722bb9881e5f2f43fd0476ea3f0b92c17db1e5052f0784317fc"
+    )
+
+
 # -- CNF to bounded-treedepth construction ------------------------------------
 
 
