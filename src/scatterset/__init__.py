@@ -37,7 +37,7 @@ from .gadgets import (
     parse_mcis,
 )
 from .graph_core import (
-    DssParseError,
+    ParseError,
     WeightedGraph,
     all_pairs_distances,
     connected_components,
@@ -71,11 +71,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CnfFormula",
-    "DssParseError",
     "GadgetOutput",
     "McisInstance",
     "NiceDecomposition",
     "NiceNode",
+    "ParseError",
     "RandomSpec",
     "TreeDecomposition",
     "Violation",

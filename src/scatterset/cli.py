@@ -50,10 +50,13 @@ from .gadgets import (
     parse_mcis,
 )
 from .graph_core import (
+    ParseError,
     WeightedGraph,
     format_dss,
+    ints,
     is_scattered,
     parse_graph,
+    records,
     scattered_violation,
 )
 from .oracle import RandomSpec, brute_force_max, gen_random_graph
@@ -183,19 +186,12 @@ def _load_graph(path: str) -> WeightedGraph:
 def _parse_vertex_file(text: str, n: int) -> list[int]:
     """Whitespace-separated vertex tokens ('v3' or '3'); 'c' lines are comments."""
     ids: list[int] = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped == "c" or stripped.startswith("c "):
-            continue
-        for token in stripped.split():
-            body = token[1:] if token[:1] in ("v", "V") else token
-            try:
-                value = int(body)
-            except ValueError:
-                raise ValueError(f"bad vertex token {token!r}") from None
+    for line_no, fields in records(text):
+        values = ints(line_no, [t[1:] if t[:1] in ("v", "V") else t for t in fields])
+        for token, value in zip(fields, values):
             if not 0 <= value < n:
-                raise ValueError(f"vertex {token} out of range 0..{n - 1}")
-            ids.append(value)
+                raise ParseError(line_no, f"vertex {token} out of range 0..{n - 1}")
+        ids.extend(values)
     return ids
 
 
@@ -204,23 +200,22 @@ T = TypeVar("T")
 _BOOLEAN_TOKENS = {"1": True, "t": True, "true": True, "0": False, "f": False, "false": False}
 
 
-def _boolean(token: str) -> bool:
-    try:
-        return _BOOLEAN_TOKENS[token.lower()]
-    except KeyError:
-        raise ValueError(token) from None
+def _booleans(line_no: int, tokens: list[str]) -> list[bool]:
+    for token in tokens:
+        if token.lower() not in _BOOLEAN_TOKENS:
+            raise ParseError(line_no, f"bad boolean token {token!r} in assignment file")
+    return [_BOOLEAN_TOKENS[token.lower()] for token in tokens]
 
 
-def _read_assignment(path: str | None, parse: Callable[[str], T], kind: str) -> list[T] | None:
-    """The --assignment file's tokens through ``parse``; None without a file."""
+def _read_assignment(
+    path: str | None, parse: Callable[[int, list[str]], list[T]]
+) -> list[T] | None:
+    """The --assignment file's records through ``parse``; None without a file."""
     if not path:
         return None
     values: list[T] = []
-    for token in _read_text(path).split():
-        try:
-            values.append(parse(token))
-        except ValueError:
-            raise ValueError(f"bad {kind} token {token!r} in assignment file") from None
+    for line_no, fields in records(_read_text(path)):
+        values.extend(parse(line_no, fields))
     return values
 
 
@@ -328,11 +323,11 @@ def _write_files(
 def _build_gadget(args: argparse.Namespace) -> GadgetOutput:
     if args.family in ("w1vc", "fvs"):
         inst = parse_mcis(_read_text(args.mcis))
-        assignment = _read_assignment(args.assignment, int, "integer")
+        assignment = _read_assignment(args.assignment, ints)
         builder = gen_w1_vc if args.family == "w1vc" else gen_fvs_unweighted
         return builder(inst, assignment)
     phi = parse_cnf(_read_text(args.cnf))
-    assignment = _read_assignment(args.assignment, _boolean, "boolean")
+    assignment = _read_assignment(args.assignment, _booleans)
     if args.family == "seth":
         return gen_seth(phi, args.d, args.epsilon, assignment)
     return gen_td_eth(phi, assignment)

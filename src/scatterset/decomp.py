@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph_core import WeightedGraph
+from .graph_core import ParseError, WeightedGraph, ints, records
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,22 @@ def _rooted_children(td: TreeDecomposition) -> list[list[int]]:
     return children
 
 
+def postorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
+    """The nodes under `root`, each after its children.
+
+    Sibling subtrees come in reverse child order, the last child's first;
+    `make_nice`'s node ids and so its `.td` output depend on this order.
+    """
+    order: list[int] = []
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        stack.extend(reversed(children[u]))
+    order.reverse()
+    return order
+
+
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Convert to a nice decomposition of identical width, empty root bag.
 
@@ -263,20 +279,10 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
             top = emit("introduce", cur, (top,), v)
         return top
 
-    post: list[int] = []
-    stack: list[tuple[int, bool]] = [(td.root, False)]
-    while stack:
-        u, done = stack.pop()
-        if done:
-            post.append(u)
-        else:
-            stack.append((u, True))
-            for c in children[u]:
-                stack.append((c, False))
     # A node stays if it is the root, its bag is nonempty, or a child stays:
     # subtrees of empty bags contribute nothing to a nice form.
     top_of: dict[int, int] = {}
-    for u in post:
+    for u in postorder(children, td.root):
         kids = [c for c in children[u] if c in top_of]
         bag_u = td.bags[u]
         if not kids:
@@ -541,51 +547,40 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
     return result
 
 
-def _td_ints(line_no: int, tokens: list[str]) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ValueError(f"line {line_no}: non-integer field in {' '.join(tokens)!r}") from None
-
-
 def parse_td(text: str) -> TreeDecomposition:
     """Parse the PACE-style .td format (1-based ids, 'c' comments).
 
     Malformed lines, a bag that lists a vertex twice among them, raise
-    ValueError naming the 1-based line number.
+    `ParseError` naming the 1-based line number.
     """
     num_bags = -1
     bags: dict[int, tuple[int, ...]] = {}
     edges: list[tuple[int, int]] = []
     edge_lines: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, fields in records(text):
         if fields[0] == "s":
             if num_bags >= 0:
-                raise ValueError(f"line {line_no}: duplicate solution line")
+                raise ParseError(line_no, "duplicate solution line")
             if len(fields) != 5 or fields[1] != "td":
-                raise ValueError(f"line {line_no}: malformed 's td' line")
-            num_bags = _td_ints(line_no, fields[2:])[0]
+                raise ParseError(line_no, "malformed 's td' line")
+            num_bags = ints(line_no, fields[2:])[0]
             if num_bags < 0:
-                raise ValueError(f"line {line_no}: negative bag count {num_bags}")
+                raise ParseError(line_no, f"negative bag count {num_bags}")
         elif fields[0] == "b":
             if len(fields) < 2:
-                raise ValueError(f"line {line_no}: malformed bag, want 'b <id> <vertices...>'")
-            idx, *members = _td_ints(line_no, fields[1:])
+                raise ParseError(line_no, "malformed bag, want 'b <id> <vertices...>'")
+            idx, *members = ints(line_no, fields[1:])
             if idx in bags:
-                raise ValueError(f"line {line_no}: duplicate bag id {idx}")
+                raise ParseError(line_no, f"duplicate bag id {idx}")
             bag = tuple(sorted(v - 1 for v in members))
             if len(set(bag)) < len(bag):
                 repeated = next(x for x, y in zip(bag, bag[1:]) if x == y)
-                raise ValueError(f"line {line_no}: vertex {repeated + 1} repeated in bag {idx}")
+                raise ParseError(line_no, f"vertex {repeated + 1} repeated in bag {idx}")
             bags[idx] = bag
         else:
             if len(fields) != 2:
-                raise ValueError(f"line {line_no}: malformed tree edge, want '<a> <b>'")
-            a, b = _td_ints(line_no, fields)
+                raise ParseError(line_no, "malformed tree edge, want '<a> <b>'")
+            a, b = ints(line_no, fields)
             edges.append((a - 1, b - 1))
             edge_lines.append(line_no)
     if num_bags < 0:
@@ -596,9 +591,7 @@ def parse_td(text: str) -> TreeDecomposition:
         raise ValueError("bag ids must be 1..num_bags exactly")
     for (a, b), line_no in zip(edges, edge_lines):
         if not (0 <= a < num_bags and 0 <= b < num_bags):
-            raise ValueError(
-                f"line {line_no}: tree edge ({a + 1},{b + 1}) references a missing bag"
-            )
+            raise ParseError(line_no, f"tree edge ({a + 1},{b + 1}) references a missing bag")
     ordered = tuple(bags[i] for i in range(1, num_bags + 1))
     return TreeDecomposition(bags=ordered, tree_edges=tuple(edges), root=0)
 

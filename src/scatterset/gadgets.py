@@ -31,7 +31,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .graph_core import VertexSet, WeightedGraph, is_scattered, vertex_set
+from .graph_core import (
+    ParseError,
+    VertexSet,
+    WeightedGraph,
+    ints,
+    is_scattered,
+    records,
+    vertex_set,
+)
 
 # Refuse constructions beyond these sizes instead of thrashing; the
 # generators target desk-scale benchmark instances.
@@ -120,27 +128,17 @@ def parse_cnf(text: str) -> CnfFormula:
     num_vars: int | None = None
     declared = 0
     tokens: list[int] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+    for line_no, fields in records(text):
+        if fields[0] == "p":
             if num_vars is not None:
-                raise ValueError(f"line {line_no}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {line_no}: expected 'p cnf <vars> <clauses>'")
-            try:
-                num_vars, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-integer header field") from None
+                raise ParseError(line_no, "duplicate problem line")
+            if len(fields) != 4 or fields[1] != "cnf":
+                raise ParseError(line_no, "expected 'p cnf <vars> <clauses>'")
+            num_vars, declared = ints(line_no, fields[2:])
             continue
         if num_vars is None:
-            raise ValueError(f"line {line_no}: clause before the problem line")
-        try:
-            tokens.extend(int(tok) for tok in parts)
-        except ValueError:
-            raise ValueError(f"line {line_no}: non-integer literal") from None
+            raise ParseError(line_no, "clause before the problem line")
+        tokens.extend(ints(line_no, fields))
     if num_vars is None:
         raise ValueError("missing 'p cnf' problem line")
     clauses: list[tuple[int, ...]] = []
@@ -163,45 +161,38 @@ def parse_cnf(text: str) -> CnfFormula:
 def _parse_class_vertex(token: str, line_no: int) -> tuple[int, int]:
     cls, sep, idx = token.partition(".")
     if sep != ".":
-        raise ValueError(f"line {line_no}: vertex '{token}' is not <class>.<index>")
+        raise ParseError(line_no, f"vertex '{token}' is not <class>.<index>")
     try:
         return int(cls), int(idx)
     except ValueError:
-        raise ValueError(f"line {line_no}: vertex '{token}' is not <class>.<index>") from None
+        raise ParseError(line_no, f"vertex '{token}' is not <class>.<index>") from None
 
 
 def parse_mcis(text: str) -> McisInstance:
     """Parse 'p mcis <k> <n>' plus 'e <class.index> <class.index>' lines."""
-    header: tuple[int, int] | None = None
+    header: list[int] | None = None
     edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        parts = line.split()
-        if parts[0] == "p":
+    for line_no, fields in records(text):
+        if fields[0] == "p":
             if header is not None:
-                raise ValueError(f"line {line_no}: duplicate problem line")
-            if len(parts) != 4 or parts[1] != "mcis":
-                raise ValueError(f"line {line_no}: expected 'p mcis <k> <n>'")
-            try:
-                header = (int(parts[2]), int(parts[3]))
-            except ValueError:
-                raise ValueError(f"line {line_no}: non-integer header field") from None
-        elif parts[0] == "e":
+                raise ParseError(line_no, "duplicate problem line")
+            if len(fields) != 4 or fields[1] != "mcis":
+                raise ParseError(line_no, "expected 'p mcis <k> <n>'")
+            header = ints(line_no, fields[2:])
+        elif fields[0] == "e":
             if header is None:
-                raise ValueError(f"line {line_no}: edge before the problem line")
-            if len(parts) != 3:
-                raise ValueError(f"line {line_no}: expected 'e <class.index> <class.index>'")
-            a = _parse_class_vertex(parts[1], line_no)
-            b = _parse_class_vertex(parts[2], line_no)
+                raise ParseError(line_no, "edge before the problem line")
+            if len(fields) != 3:
+                raise ParseError(line_no, "expected 'e <class.index> <class.index>'")
+            a = _parse_class_vertex(fields[1], line_no)
+            b = _parse_class_vertex(fields[2], line_no)
             if a[0] == b[0]:
-                raise ValueError(f"line {line_no}: edge inside class {a[0]}")
+                raise ParseError(line_no, f"edge inside class {a[0]}")
             if a[0] > b[0]:
                 a, b = b, a
             edges.add((a, b))
         else:
-            raise ValueError(f"line {line_no}: unknown record '{parts[0]}'")
+            raise ParseError(line_no, f"unknown record '{fields[0]}'")
     if header is None:
         raise ValueError("missing 'p mcis' problem line")
     return McisInstance(header[0], header[1], frozenset(edges))

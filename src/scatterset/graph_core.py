@@ -8,6 +8,10 @@ larger than any realizable path length.
 The solvers read radius-limited distances (`distances_within`): a d-scattered
 set only asks whether a distance is below d.  The all-pairs matrix
 (`all_pairs_distances`) serves the brute-force oracle alone.
+
+Every input file the package reads shares one line grammar, owned here:
+`records` skips blank and comment lines, `ints` converts fields, and a bad
+line raises `ParseError` with its line number.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 INF = 10**18
 
@@ -25,12 +29,31 @@ _MAX_TOTAL_WEIGHT = INF // 4
 VertexSet = tuple[int, ...]
 
 
-class DssParseError(ValueError):
-    """Malformed DSS text; carries the offending 1-based line number."""
+class ParseError(ValueError):
+    """A malformed input line; carries its 1-based line number."""
 
     def __init__(self, line_no: int, message: str) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, fields) of every line that is not blank or a comment.
+
+    A comment is a line whose first field is ``c``.
+    """
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0] != "c":
+            yield line_no, fields
+
+
+def ints(line_no: int, tokens: Sequence[str]) -> list[int]:
+    """The tokens as integers, or a `ParseError` naming the line."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        raise ParseError(line_no, f"non-integer field in {' '.join(tokens)!r}") from None
 
 
 @dataclass(frozen=True)
@@ -90,55 +113,45 @@ def parse_graph(text: str) -> WeightedGraph:
 
     Header ``p dss <n> <m>``, then m lines ``e <u> <v> [<w>]`` with 1-based
     vertex ids and optional positive integer weight (default 1).  Lines
-    starting with ``c`` are comments.
+    whose first field is ``c`` are comments.
     """
     n = -1
     m = -1
     edges: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
+    for line_no, fields in records(text):
         if fields[0] == "p":
             if n >= 0:
-                raise DssParseError(line_no, "duplicate header")
+                raise ParseError(line_no, "duplicate header")
             if len(fields) != 4 or fields[1] != "dss":
-                raise DssParseError(line_no, "malformed header, want 'p dss <n> <m>'")
-            try:
-                n, m = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DssParseError(line_no, "non-integer header fields") from None
+                raise ParseError(line_no, "malformed header, want 'p dss <n> <m>'")
+            n, m = ints(line_no, fields[2:])
             if n < 1 or m < 0:
-                raise DssParseError(line_no, f"invalid sizes n={n} m={m}")
+                raise ParseError(line_no, f"invalid sizes n={n} m={m}")
         elif fields[0] == "e":
             if n < 0:
-                raise DssParseError(line_no, "edge before header")
+                raise ParseError(line_no, "edge before header")
             if len(fields) not in (3, 4):
-                raise DssParseError(line_no, "malformed edge, want 'e <u> <v> [<w>]'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-                w = int(fields[3]) if len(fields) == 4 else 1
-            except ValueError:
-                raise DssParseError(line_no, "non-integer edge fields") from None
+                raise ParseError(line_no, "malformed edge, want 'e <u> <v> [<w>]'")
+            u, v, *weight = ints(line_no, fields[1:])
+            w = weight[0] if weight else 1
             if not (1 <= u <= n and 1 <= v <= n):
-                raise DssParseError(line_no, f"vertex id out of range in edge ({u},{v})")
+                raise ParseError(line_no, f"vertex id out of range in edge ({u},{v})")
             if u == v:
-                raise DssParseError(line_no, f"self-loop at vertex {u}")
+                raise ParseError(line_no, f"self-loop at vertex {u}")
             if w < 1:
-                raise DssParseError(line_no, f"weight {w} < 1")
+                raise ParseError(line_no, f"weight {w} < 1")
             key = (u - 1, v - 1) if u < v else (v - 1, u - 1)
             if key in seen:
-                raise DssParseError(line_no, f"duplicate edge ({u},{v})")
+                raise ParseError(line_no, f"duplicate edge ({u},{v})")
             seen.add(key)
             edges.append((u - 1, v - 1, w))
         else:
-            raise DssParseError(line_no, f"unknown line type {fields[0]!r}")
+            raise ParseError(line_no, f"unknown line type {fields[0]!r}")
     if n < 0:
-        raise DssParseError(1, "missing header")
+        raise ParseError(1, "missing header")
     if len(edges) != m:
-        raise DssParseError(1, f"header declares {m} edges, found {len(edges)}")
+        raise ParseError(1, f"header declares {m} edges, found {len(edges)}")
     return WeightedGraph(n=n, edges=tuple(edges))
 
 
@@ -151,20 +164,8 @@ def format_dss(g: WeightedGraph) -> str:
 
 def dijkstra_from(g: WeightedGraph, source: int) -> list[int]:
     """Single-source distances, INF for unreachable vertices."""
-    dist = [INF] * g.n
-    dist[source] = 0
-    heap = [(0, source)]
-    adj = g.adjacency
-    while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = du + w
-            if nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    dist = distances_within(g, source, range(g.n), INF)
+    return [dist.get(v, INF) for v in range(g.n)]
 
 
 def distances_within(

@@ -34,6 +34,7 @@ from .decomp import (
     heuristic_decomposition,
     make_nice,
     nice_to_tree,
+    postorder,
     validate_decomposition,
     validate_nice,
 )
@@ -141,20 +142,6 @@ class _HookMemo:
     def add_row(self, w: int) -> _Memo:
         """Clearance s -> add(s, w), with selected and unreachable folded in."""
         return self._unreachable if w >= INF else self._rows[w]
-
-
-def _nice_postorder(nd: NiceDecomposition) -> list[int]:
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(nd.root, False)]
-    while stack:
-        i, done = stack.pop()
-        if done:
-            order.append(i)
-        else:
-            stack.append((i, True))
-            for c in nd.nodes[i].children:
-                stack.append((c, False))
-    return order
 
 
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
@@ -346,7 +333,7 @@ def dp_over_decomposition(
             del tables[c]
         return table
 
-    for i in _nice_postorder(nd):
+    for i in postorder([node.children for node in nd.nodes], nd.root):
         tables[i] = _node_table(i)
 
     root_table = tables[nd.root]

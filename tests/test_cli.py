@@ -275,6 +275,27 @@ def test_gen_rejected_assignment_fails(capsys, tmp_path, monkeypatch):
     assert code == 3 and "assignment rejected" in err
 
 
+def test_gen_assignment_files_take_comments(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("in.mcis").write_text(YES_MCIS)
+    Path("plain.txt").write_text("1 1\n")
+    Path("noted.txt").write_text("c note\n1\nc choice for class 2\n1\n")
+    for name in ("plain", "noted"):
+        code, _, _ = run_cli(
+            capsys, "gen", "w1vc", "--mcis", "in.mcis", "--assignment", f"{name}.txt",
+            "--out", name,
+        )
+        assert code == 0
+    for ext in (".dss", ".witness"):
+        assert Path(f"noted{ext}").read_text() == Path(f"plain{ext}").read_text()
+    # Reader errors name their line.
+    Path("bad.txt").write_text("c note\n1 x\n")
+    code, _, err = run_cli(
+        capsys, "gen", "w1vc", "--mcis", "in.mcis", "--assignment", "bad.txt"
+    )
+    assert (code, err) == (3, "error: line 2: non-integer field in '1 x'\n")
+
+
 def test_gen_seth_manifest_pinned(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("f.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")

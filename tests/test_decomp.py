@@ -24,7 +24,7 @@ from scatterset.decomp import (
     validate_nice,
 )
 from scatterset.gadgets import gen_seth, parse_cnf
-from scatterset.graph_core import WeightedGraph
+from scatterset.graph_core import ParseError, WeightedGraph
 from scatterset.oracle import RandomSpec, gen_random_graph
 
 
@@ -320,11 +320,14 @@ def test_parse_td_rejects_malformed_input(text):
         "c one\nc two\ns td x 1 1\n",  # non-integer header field
         "c one\nc two\ns td -5 1 1\n",  # negative bag count
         "s td 1 3 2\nc one\nb 1 2 1 2\n",  # vertex repeated in a bag
+        "s td 1 1 1\nb 1 1\ncfoo\n",  # only a first field 'c' makes a comment
+        "s td 1 1 1\nb 1 1\ncomment-less line\n",
     ],
 )
 def test_parse_td_errors_name_the_line(text):
-    with pytest.raises(ValueError, match="^line 3: "):
+    with pytest.raises(ParseError, match="^line 3: ") as info:
         parse_td(text)
+    assert info.value.line_no == 3
 
 
 def test_parse_td_skips_comments():

@@ -18,7 +18,7 @@ from scatterset.gadgets import (
     parse_cnf,
     parse_mcis,
 )
-from scatterset.graph_core import WeightedGraph, format_dss, is_scattered
+from scatterset.graph_core import ParseError, WeightedGraph, format_dss, is_scattered
 from scatterset.oracle import brute_force_max
 
 YES_MCIS = "p mcis 2 2\ne 1.1 2.2\n"
@@ -97,19 +97,25 @@ def test_parse_cnf():
     assert phi.clauses == ((1, -2), (3,))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "1 2 0\n",  # clause before header
-        "p cnf 2 1\np cnf 2 1\n1 0\n",  # duplicate header
-        "p cnf 2 2\n1 0\n",  # clause count mismatch
-        "p cnf 2 1\n5 0\n",  # literal out of range
-        "p cnf 2 1\n1 2\n",  # unterminated clause
-    ],
-)
-def test_parse_cnf_rejects_malformed(text):
-    with pytest.raises(ValueError):
+# (text, line_no): line-level errors are ParseErrors naming their line, and
+# the rest are plain ValueErrors.  Each case's id is its text alone.
+CNF_MALFORMED = [
+    ("1 2 0\n", 1),  # clause before header
+    ("p cnf 2 1\np cnf 2 1\n1 0\n", 2),  # duplicate header
+    ("p cnf 2 2\n1 0\n", None),  # clause count mismatch
+    ("p cnf 2 1\n5 0\n", None),  # literal out of range
+    ("p cnf 2 1\n1 2\n", None),  # unterminated clause
+    ("p cnf 1 1\ncfoo\n1 0\n", 2),  # only a first field 'c' makes a comment
+    ("p cnf 1 1\ncomment-less line\n1 0\n", 2),
+]
+
+
+@pytest.mark.parametrize("text,line_no", CNF_MALFORMED, ids=[t for t, _ in CNF_MALFORMED])
+def test_parse_cnf_rejects_malformed(text, line_no):
+    with pytest.raises(ValueError) as info:
         parse_cnf(text)
+    assert getattr(info.value, "line_no", None) == line_no
+    assert isinstance(info.value, ParseError) == (line_no is not None)
 
 
 def test_parse_mcis():
@@ -119,18 +125,22 @@ def test_parse_mcis():
     assert not inst.has_edge(1, 1, 2, 1)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "e 1.1 2.1\n",  # edge before header
-        "p mcis 2 2\ne 1.1 1.2\n",  # intra-class edge
-        "p mcis 2 2\ne 1.3 2.1\n",  # index out of range
-        "p mcis 2 2\ne 1 2\n",  # malformed endpoint
-    ],
-)
-def test_parse_mcis_rejects_malformed(text):
-    with pytest.raises(ValueError):
+MCIS_MALFORMED = [
+    ("e 1.1 2.1\n", 1),  # edge before header
+    ("p mcis 2 2\ne 1.1 1.2\n", 2),  # intra-class edge
+    ("p mcis 2 2\ne 1.3 2.1\n", None),  # index out of range
+    ("p mcis 2 2\ne 1 2\n", 2),  # malformed endpoint
+    ("p mcis 2 2\ncfoo\n", 2),  # only a first field 'c' makes a comment
+    ("p mcis 2 2\ncomment-less line\n", 2),
+]
+
+
+@pytest.mark.parametrize("text,line_no", MCIS_MALFORMED, ids=[t for t, _ in MCIS_MALFORMED])
+def test_parse_mcis_rejects_malformed(text, line_no):
+    with pytest.raises(ValueError) as info:
         parse_mcis(text)
+    assert getattr(info.value, "line_no", None) == line_no
+    assert isinstance(info.value, ParseError) == (line_no is not None)
 
 
 # -- weighted construction ---------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from conftest import complete_graph, cycle_graph, max_finite_distance, path_graph, star_graph
 from scatterset.graph_core import (
     INF,
-    DssParseError,
+    ParseError,
     WeightedGraph,
     all_pairs_distances,
     connected_components,
@@ -156,10 +156,12 @@ def test_parse_graph_accepts_comments_and_blank_lines():
         ("p dss 3 1\ne 1 4 1\n", 2),  # vertex out of range
         ("p dss 3 2\ne 1 2 1\ne 2 1 5\n", 3),  # duplicate edge
         ("p dss 3 9\ne 1 2 1\n", 1),  # edge count mismatch
+        ("p dss 2 0\ncfoo\n", 2),  # only a first field 'c' makes a comment
+        ("p dss 2 0\ncomment-less line\n", 2),
     ],
 )
 def test_parse_graph_rejects_malformed_input(text, line_no):
-    with pytest.raises(DssParseError) as info:
+    with pytest.raises(ParseError) as info:
         parse_graph(text)
     assert info.value.line_no == line_no
 

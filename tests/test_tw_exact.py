@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 import scatterset.tw_exact as tw
 from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
 from scatterset.decomp import (
+    NiceDecomposition,
     TreeDecomposition,
     balance,
     format_td,
@@ -55,6 +57,47 @@ def test_join_threshold_is_least_accepted_partner(dom):
         accepted = [b for b in range(dom.cap + 1) if dom.join_ok(a, b)]
         assert hooks.threshold[a] == (accepted[0] if accepted else dom.cap + 1)
         assert accepted == list(range(hooks.threshold[a], dom.cap + 1))
+
+
+def _first(nd: NiceDecomposition, kind: str) -> int:
+    return next(i for i, node in enumerate(nd.nodes) if node.kind == kind)
+
+
+def _with_node(nd: NiceDecomposition, which: str, **changes) -> NiceDecomposition:
+    """`nd` with its first node of kind `which` changed."""
+    nodes = list(nd.nodes)
+    i = _first(nd, which)
+    nodes[i] = dataclasses.replace(nodes[i], **changes)
+    return NiceDecomposition(tuple(nodes), nd.root)
+
+
+# One break per rule of validate_nice, keyed by the end of its message.
+NICE_BREAKS = {
+    "leaf must have no children and a size-1 bag": lambda nd: _with_node(nd, "leaf", bag=()),
+    "introduce needs exactly one child": lambda nd: _with_node(nd, "introduce", children=()),
+    "forget needs exactly one child": lambda nd: _with_node(nd, "forget", children=()),
+    "introduce bag mismatch": lambda nd: _with_node(nd, "introduce", vertex=None),
+    "forget bag mismatch": lambda nd: _with_node(nd, "forget", vertex=None),
+    "join needs two children": lambda nd: _with_node(
+        nd, "join", children=nd.nodes[_first(nd, "join")].children[:1]
+    ),
+    "join children bags differ from own bag": lambda nd: _with_node(nd, "join", bag=()),
+    "unknown kind 'bogus'": lambda nd: _with_node(nd, "leaf", kind="bogus"),
+    "root bag is not empty": lambda nd: NiceDecomposition(nd.nodes, _first(nd, "leaf")),
+}
+
+
+@pytest.mark.parametrize("rule", list(NICE_BREAKS))
+def test_engine_refuses_each_broken_nice_rule(rule):
+    # A star's centre bag has two children, so make_nice emits every kind.
+    g = star_graph(3)
+    td = TreeDecomposition(bags=((0, 1), (0, 2), (0, 3)), tree_edges=((0, 1), (0, 2)))
+    nd = make_nice(td)
+    assert max_scattered(g, nd, 2)[0] == 3
+    with pytest.raises(ValueError) as info:
+        max_scattered(g, NICE_BREAKS[rule](nd), 2)
+    message = str(info.value)
+    assert message.startswith("invalid nice decomposition: ") and message.endswith(rule)
 
 
 def test_huge_d_builds_no_table_over_the_cap():
