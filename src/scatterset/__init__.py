@@ -58,7 +58,7 @@ from .oracle import (
     gen_random_graph,
     independent_set_counts,
 )
-from .tw_approx import approx_max_scattered, choose_delta
+from .tw_approx import approx_max_scattered
 from .tw_exact import (
     count_scattered,
     dp_over_decomposition,
@@ -85,7 +85,6 @@ __all__ = [
     "balance",
     "brute_force_count",
     "brute_force_max",
-    "choose_delta",
     "compute_vertex_cover",
     "connected_components",
     "count_scattered",

@@ -53,15 +53,12 @@ class NiceDecomposition:
         return max(len(nd.bag) for nd in self.nodes) - 1
 
 
-def _adjacency(num_nodes: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return adj
+def _parents(td: TreeDecomposition) -> list[int] | Violation:
+    """Each node's parent (-1 at the root), or the first structure violation.
 
-
-def _check_tree(td: TreeDecomposition) -> Violation | None:
+    This one rooting pass is the only code that reads the tree's shape: the
+    validator, `make_nice` and `decomposition_depth` all start from it.
+    """
     n = len(td.bags)
     if n == 0:
         return Violation("structure", "decomposition has no nodes")
@@ -71,24 +68,38 @@ def _check_tree(td: TreeDecomposition) -> Violation | None:
         return Violation(
             "structure", f"{len(td.tree_edges)} edges for {n} nodes, want {n - 1}"
         )
+    adj: list[list[int]] = [[] for _ in range(n)]
     for a, b in td.tree_edges:
         if not (0 <= a < n and 0 <= b < n) or a == b:
             return Violation("structure", f"bad tree edge ({a},{b})", (a, b))
-    adj = _adjacency(n, td.tree_edges)
-    seen = [False] * n
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = [-2] * n  # -2 until the node is reached
+    parent[td.root] = -1
     stack = [td.root]
-    seen[td.root] = True
-    reached = 0
     while stack:
         u = stack.pop()
-        reached += 1
         for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
+            if parent[v] == -2:
+                parent[v] = u
                 stack.append(v)
-    if reached != n:
+    if -2 in parent:
         return Violation("structure", "decomposition tree is not connected")
-    return None
+    return parent
+
+
+def _children(td: TreeDecomposition) -> list[list[int]]:
+    """Each node's children in `tree_edges` order; raises on a malformed tree."""
+    parent = _parents(td)
+    if isinstance(parent, Violation):
+        raise ValueError(f"invalid decomposition: {parent.message}")
+    children: list[list[int]] = [[] for _ in td.bags]
+    for a, b in td.tree_edges:
+        if parent[b] == a:
+            children[a].append(b)
+        else:
+            children[b].append(a)
+    return children
 
 
 def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> Violation | None:
@@ -96,9 +107,9 @@ def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> Violation
 
     Returns None when valid, otherwise the first violation found.
     """
-    bad = _check_tree(td)
-    if bad is not None:
-        return bad
+    parent = _parents(td)
+    if isinstance(parent, Violation):
+        return parent
     # Bag vertex -> ids of the bags holding it, keyed by bag vertices only so
     # memory stays O(sum of bag sizes) whatever n is.
     holders: dict[int, list[int]] = {}
@@ -115,21 +126,19 @@ def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> Violation
     for u, v, _ in g.edges:
         if set(holders[u]).isdisjoint(holders[v]):
             return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
-    adj = _adjacency(len(td.bags), td.tree_edges)
+    # v's bags are connected iff exactly one of them is a top: the root, or
+    # a bag whose parent bag lacks v.  Each connected group has one top.
+    # owner[i] == v marks the bags holding v while v is checked.
+    owner = [-1] * len(td.bags)
     for v in range(g.n):
         held = holders[v]
-        if len(held) <= 1:
-            continue
-        held_set = set(held)
-        stack = [held[0]]
-        seen = {held[0]}
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in held_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(held):
+        for i in held:
+            owner[i] = v
+        tops = 0
+        for i in held:
+            if parent[i] < 0 or owner[parent[i]] != v:
+                tops += 1
+        if tops > 1:
             return Violation(
                 "connectivity",
                 f"bags containing vertex {v} are not connected in the tree",
@@ -207,22 +216,6 @@ def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
     return TreeDecomposition(bags=tuple(elim_bags), tree_edges=tuple(edges), root=n - 1)
 
 
-def _rooted_children(td: TreeDecomposition) -> list[list[int]]:
-    adj = _adjacency(len(td.bags), td.tree_edges)
-    children: list[list[int]] = [[] for _ in td.bags]
-    seen = [False] * len(td.bags)
-    seen[td.root] = True
-    stack = [td.root]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                children[u].append(v)
-                stack.append(v)
-    return children
-
-
 def postorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
     """The nodes under `root`, each after its children.
 
@@ -242,17 +235,16 @@ def postorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Convert to a nice decomposition of identical width, empty root bag.
 
-    Each original bag appears verbatim as some nice node's bag; between
-    original bags the chains forget then introduce one vertex at a time in
-    sorted order, and multi-child nodes become cascades of join nodes.
+    Each original bag appears, as a set, as some nice node's bag.  Every
+    chain is one `lift`, which forgets then introduces one vertex at a time
+    in sorted order: from a leaf's lowest vertex up to its bag, from a child
+    bag to its parent's, and from the root bag down to the empty bag.
+    Multi-child nodes become cascades of join nodes.
     """
-    bad = _check_tree(td)
-    if bad is not None:
-        raise ValueError(f"invalid decomposition: {bad.message}")
+    children = _children(td)
     if not any(td.bags):
         # Graphs have at least one vertex, so vertex 0 is left uncovered.
         raise ValueError("invalid decomposition: vertex 0 in no bag")
-    children = _rooted_children(td)
 
     nodes: list[NiceNode] = []
 
@@ -270,36 +262,24 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
             top = emit("introduce", cur, (top,), v)
         return top
 
-    def leaf_chain(bag: tuple[int, ...]) -> int:
-        vs = sorted(bag)
-        top = emit("leaf", (vs[0],), ())
-        cur = {vs[0]}
-        for v in vs[1:]:
-            cur.add(v)
-            top = emit("introduce", cur, (top,), v)
-        return top
-
-    # A node stays if it is the root, its bag is nonempty, or a child stays:
-    # subtrees of empty bags contribute nothing to a nice form.
+    # A node stays if its bag is nonempty or a child stays: subtrees of
+    # empty bags contribute nothing to a nice form.
     top_of: dict[int, int] = {}
     for u in postorder(children, td.root):
         kids = [c for c in children[u] if c in top_of]
         bag_u = td.bags[u]
         if not kids:
             if bag_u:
-                top_of[u] = leaf_chain(bag_u)
+                first = (min(bag_u),)
+                top_of[u] = lift(emit("leaf", first, ()), first, bag_u)
             continue
         lifted = [lift(top_of[c], td.bags[c], bag_u) for c in kids]
         acc = lifted[0]
         for other in lifted[1:]:
-            acc = emit("join", bag_u, (acc, other))
+            acc = emit("join", set(bag_u), (acc, other))
         top_of[u] = acc
-    top = top_of[td.root]
-    cur = set(td.bags[td.root])
-    for v in sorted(cur):
-        cur.remove(v)
-        top = emit("forget", cur.copy(), (top,), v)
-    return NiceDecomposition(nodes=tuple(nodes), root=top)
+    root = lift(top_of[td.root], td.bags[td.root], ())
+    return NiceDecomposition(nodes=tuple(nodes), root=root)
 
 
 def nice_to_tree(nd: NiceDecomposition) -> TreeDecomposition:
@@ -346,8 +326,8 @@ def validate_nice(nd: NiceDecomposition) -> str | None:
 
 
 def decomposition_depth(td: TreeDecomposition) -> int:
-    """Edges on the longest root-to-leaf path."""
-    children = _rooted_children(td)
+    """Edges on the longest root-to-leaf path; a malformed tree raises ValueError."""
+    children = _children(td)
     depth = 0
     stack = [(td.root, 0)]
     while stack:

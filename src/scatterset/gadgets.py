@@ -38,6 +38,7 @@ from .graph_core import (
     ints,
     is_scattered,
     records,
+    uncovered_edge,
     vertex_set,
 )
 
@@ -236,6 +237,8 @@ class _GraphBuilder:
         """
         if length < 1:
             raise ValueError("path length must be >= 1")
+        if len(self.names) + length - 1 > _MAX_VERTICES:
+            raise ValueError("generated graph would be too large")
         inner = self.chain((f"{label}:{step}" for step in range(1, length)), u)
         last = inner[-1] if inner else u
         self.edge(last, v)
@@ -249,13 +252,6 @@ class _GraphBuilder:
         if len(self.names) > _MAX_VERTICES or len(self.edges) > _MAX_EDGES:
             raise ValueError("generated graph would be too large")
         return WeightedGraph(len(self.names), tuple(self.edges))
-
-
-def _check_vertex_cover(graph: WeightedGraph, cover: Iterable[int]) -> None:
-    covered = set(cover)
-    for u, v, _ in graph.edges:
-        if u not in covered and v not in covered:
-            raise AssertionError(f"certificate misses edge ({u},{v})")
 
 
 def _check_feedback_vertex_set(graph: WeightedGraph, removed: Iterable[int]) -> None:
@@ -404,7 +400,9 @@ def _mcis_gadget(
     if weighted:
         kind = "vertex-cover"
         certificate = vertex_set(layout.graph, layout.anchors + layout.hubs)
-        _check_vertex_cover(layout.graph, certificate)
+        missed = uncovered_edge(layout.graph, set(certificate))
+        if missed is not None:
+            raise AssertionError(f"certificate misses edge {missed}")
     else:
         kind = "feedback-vertex-set"
         certificate = vertex_set(layout.graph, layout.anchors)

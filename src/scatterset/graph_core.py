@@ -108,12 +108,22 @@ def vertex_set(g: WeightedGraph, members: Iterable[int]) -> VertexSet:
     return out
 
 
+def uncovered_edge(g: WeightedGraph, cover: Collection[int]) -> tuple[int, int] | None:
+    """The first edge with neither end in `cover`, or None if it is a vertex cover."""
+    for u, v, _ in g.edges:
+        if u not in cover and v not in cover:
+            return (u, v)
+    return None
+
+
 def parse_graph(text: str) -> WeightedGraph:
     """Parse the DSS format.
 
     Header ``p dss <n> <m>``, then m lines ``e <u> <v> [<w>]`` with 1-based
     vertex ids and optional positive integer weight (default 1).  Lines
-    whose first field is ``c`` are comments.
+    whose first field is ``c`` are comments.  A malformed line raises
+    `ParseError` naming its line; a missing header or a wrong edge count is
+    a file-level `ValueError`, as in the other readers.
     """
     n = -1
     m = -1
@@ -149,9 +159,9 @@ def parse_graph(text: str) -> WeightedGraph:
         else:
             raise ParseError(line_no, f"unknown line type {fields[0]!r}")
     if n < 0:
-        raise ParseError(1, "missing header")
+        raise ValueError("missing header")
     if len(edges) != m:
-        raise ParseError(1, f"header declares {m} edges, found {len(edges)}")
+        raise ValueError(f"header declares {m} edges, found {len(edges)}")
     return WeightedGraph(n=n, edges=tuple(edges))
 
 

@@ -28,16 +28,6 @@ from .tw_exact import dp_over_decomposition
 from .graph_core import all_pairs_distances  # noqa: F401
 
 
-def choose_delta(epsilon: Fraction, depth: int) -> Fraction:
-    """Starting granularity epsilon/depth for a decomposition of that depth."""
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return epsilon / depth
-
-
 def slack_threshold(d: int, epsilon: Fraction) -> int:
     """Smallest integer distance t with (1+epsilon) * t >= d.
 
@@ -109,7 +99,7 @@ def approx_max_scattered(
         raise ValueError("d must be >= 2")
     nd = make_nice(balance(td, g))
     depth = max(1, max_introduce_depth(nd))
-    delta = choose_delta(epsilon, depth)
+    delta = epsilon / depth
     while (1 + delta) ** depth > 1 + epsilon:
         delta /= 2
     clearance = RoundedClearance(d, delta, epsilon)

@@ -21,7 +21,7 @@ from .graph_core import (
     WeightedGraph,
     distances_within,
     is_scattered,
-    vertex_set,
+    uncovered_edge,
 )
 
 # Unused here, but bench/tracing.py wraps this module-level name and the
@@ -33,11 +33,10 @@ from .graph_core import all_pairs_distances  # noqa: F401
 LAST_PROFILE_COUNT = 0
 
 
-def _cover_deficiency(g: WeightedGraph, cover: frozenset[int]) -> tuple[int, int] | None:
-    for u, v, _ in g.edges:
-        if u not in cover and v not in cover:
-            return (u, v)
-    return None
+# Largest greedy matching the cover search accepts.  A matching of m edges
+# bounds the minimum cover size tau by m <= tau <= 2m, so a larger one means
+# a cover, and a packing over 3^tau profiles, far past desk scale.
+_MAX_MATCHING = 20
 
 
 def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
@@ -45,18 +44,30 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
 
     The higher-degree endpoint is tried first (ties toward the lower id) and
     only strictly smaller covers replace the incumbent, which keeps the
-    result deterministic.
+    result deterministic.  A greedy maximal matching M, taken in edge order,
+    bounds the search: it is refused when |M| exceeds `_MAX_MATCHING`, and
+    no branch grows past 2|M| vertices, which cuts no minimum cover.
     """
     if not g.has_unit_weights():
         raise ValueError("vertex cover solving expects unit weights")
+    matched: set[int] = set()
+    for u, v, _ in g.edges:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+    max_cover = len(matched)  # 2|M|
+    if max_cover > 2 * _MAX_MATCHING:
+        raise ValueError(
+            f"vertex cover search refused: a greedy matching has {max_cover // 2} "
+            f"edges, more than {_MAX_MATCHING}"
+        )
     degree = [g.degree(v) for v in range(g.n)]
     best: set[int] = {v for v in range(g.n) if degree[v] > 0}
 
     def branch(cover: set[int]) -> None:
         nonlocal best
-        if len(cover) >= len(best):
+        if len(cover) >= len(best) or len(cover) > max_cover:
             return
-        edge = _cover_deficiency(g, frozenset(cover))
+        edge = uncovered_edge(g, cover)
         if edge is None:
             best = set(cover)
             return
@@ -74,7 +85,7 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
 def neighborhood_classes(g: WeightedGraph, cover: VertexSet) -> VertexSet:
     """One representative (lowest id) per distinct neighborhood N(v) in C."""
     cset = frozenset(cover)
-    bad = _cover_deficiency(g, cset)
+    bad = uncovered_edge(g, cset)
     if bad is not None:
         raise ValueError(f"not a vertex cover: edge {bad} is uncovered")
     reps: dict[frozenset[int], int] = {}
@@ -160,21 +171,13 @@ def solve_packing(
     return best_count, tuple(sorted(best_chosen))
 
 
-def max_scattered_vc(
-    g: WeightedGraph, d: int, cover: VertexSet | None = None
-) -> tuple[int, VertexSet]:
+def max_scattered_vc(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
     """Maximum d-scattered set via the cover reduction (unit weights, d >= 3)."""
     if not g.has_unit_weights():
         raise ValueError("max_scattered_vc expects unit weights")
     if d < 3:
         raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
-    if cover is None:
-        cover = compute_vertex_cover(g)
-    else:
-        cover = vertex_set(g, cover)
-        bad = _cover_deficiency(g, frozenset(cover))
-        if bad is not None:
-            raise ValueError(f"provided set is not a vertex cover: edge {bad} uncovered")
+    cover = compute_vertex_cover(g)
     reps = neighborhood_classes(g, cover)
     # isolated non-cover vertices are all freely selectable, not one per
     # class: give each its own (all-zero) packing set

@@ -81,6 +81,20 @@ def test_solve_vc_redirects_small_d(capsys, tmp_path):
     assert "d = 2" in err
 
 
+def test_solve_vc_refuses_a_cover_search_past_its_limit(capsys, tmp_path, monkeypatch):
+    # The fvs gadget of a 3x3 source has a greedy matching of 693 edges, so
+    # its minimum cover has at least 693 vertices.
+    monkeypatch.chdir(tmp_path)
+    Path("in.mcis").write_text("p mcis 3 3\ne 1.1 2.2\ne 1.2 2.3\ne 2.1 3.3\ne 1.3 3.1\n")
+    code, _, _ = run_cli(capsys, "gen", "fvs", "--mcis", "in.mcis")
+    assert code == 0
+    code, _, err = run_cli(capsys, "solve", "--graph", "fvs.dss", "--d", "18", "--algo", "vc")
+    assert code == 3
+    assert err.splitlines() == [
+        "error: vertex cover search refused: a greedy matching has 693 edges, more than 20"
+    ]
+
+
 def test_solve_approx_requires_epsilon(capsys, p5):
     code, _, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--algo", "approx")
     assert code == 2

@@ -152,6 +152,19 @@ def test_validator_catches_disconnected_occurrence():
     assert violation is not None and violation.kind == "connectivity"
 
 
+def test_validator_counts_each_separate_group_of_bags():
+    # Bag 0 is joined to bags 1, 2 and 3.  Vertex 3's bags are connected
+    # through bag 0; vertices 4 and 5 sit in bags 1, 2 and 3 only, three
+    # separate groups whatever the root, and the lower one is reported.
+    g = WeightedGraph(n=6, edges=())
+    bags = ((0, 3), (1, 3, 4, 5), (2, 3, 4, 5), (4, 5))
+    for root in range(4):
+        td = TreeDecomposition(bags=bags, tree_edges=((0, 1), (0, 2), (3, 0)), root=root)
+        violation = validate_decomposition(g, td)
+        assert violation is not None
+        assert (violation.kind, violation.witness) == ("connectivity", (4,)), root
+
+
 def test_validator_counts_a_repeated_bag_vertex_once():
     # Vertex 1 appears twice in bag 0; its two holder bags are adjacent.
     g = path_graph(2)
@@ -281,6 +294,10 @@ def test_depth_measures():
     # Depth counts edges on the longest root-to-leaf path.
     assert decomposition_depth(td) == 2
     assert decomposition_depth(TreeDecomposition(bags=((0,),), tree_edges=())) == 0
+    # A cycle plus a node it does not reach is no tree, so it has no depth.
+    broken = TreeDecomposition(bags=((0,),) * 4, tree_edges=((0, 1), (1, 2), (2, 0)))
+    with pytest.raises(ValueError, match="tree is not connected"):
+        decomposition_depth(broken)
     nd = make_nice(td)
     assert max_introduce_depth(nd) >= 1
 

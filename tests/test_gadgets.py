@@ -390,6 +390,14 @@ def test_td_eth_rejects_wide_clauses_and_bad_assignments():
     assert out.params["assignment_accepted"] is False
 
 
+def test_td_eth_refuses_an_oversized_layout_before_building_it():
+    # 100 variables pad to 10 groups of capacity N = 8**10, so the first
+    # anchor path alone, of length N+1, would pass the vertex limit.
+    phi = parse_cnf("p cnf 100 2\n1 -2 0\n2 0\n")
+    with pytest.raises(ValueError, match="generated graph would be too large"):
+        gen_td_eth(phi)
+
+
 # -- pinned layouts -----------------------------------------------------------
 
 

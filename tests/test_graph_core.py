@@ -149,21 +149,22 @@ def test_parse_graph_accepts_comments_and_blank_lines():
 @pytest.mark.parametrize(
     "text,line_no",
     [
-        ("", 1),
+        ("", None),  # missing header
         ("e 1 2 1\n", 1),  # edge before header
         ("p dss 3 1\ne 1 1 1\n", 2),  # self loop
         ("p dss 3 1\ne 1 2 0\n", 2),  # zero weight
         ("p dss 3 1\ne 1 4 1\n", 2),  # vertex out of range
         ("p dss 3 2\ne 1 2 1\ne 2 1 5\n", 3),  # duplicate edge
-        ("p dss 3 9\ne 1 2 1\n", 1),  # edge count mismatch
+        ("p dss 3 9\ne 1 2 1\n", None),  # edge count mismatch
         ("p dss 2 0\ncfoo\n", 2),  # only a first field 'c' makes a comment
         ("p dss 2 0\ncomment-less line\n", 2),
     ],
 )
 def test_parse_graph_rejects_malformed_input(text, line_no):
-    with pytest.raises(ParseError) as info:
+    with pytest.raises(ValueError) as info:
         parse_graph(text)
-    assert info.value.line_no == line_no
+    assert getattr(info.value, "line_no", None) == line_no
+    assert isinstance(info.value, ParseError) == (line_no is not None)
 
 
 def test_connected_components_partition():

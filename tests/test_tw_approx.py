@@ -13,18 +13,8 @@ from scatterset.oracle import brute_force_max
 from scatterset.tw_approx import (
     RoundedClearance,
     approx_max_scattered,
-    choose_delta,
     slack_threshold,
 )
-
-
-def test_choose_delta_is_per_level_share():
-    assert choose_delta(Fraction(1, 2), 10) == Fraction(1, 20)
-    assert choose_delta(Fraction(3), 1) == 3
-    with pytest.raises(ValueError):
-        choose_delta(Fraction(0), 5)
-    with pytest.raises(ValueError):
-        choose_delta(Fraction(1, 2), 0)
 
 
 def test_rounded_domain_is_exact_power_ladder():

@@ -171,6 +171,9 @@ def _decompositions(g: WeightedGraph):
     yield "heuristic", td
     yield "balanced", balance(td, g)
     yield "td round trip", parse_td(format_td(td, g.n))
+    # The validator accepts a bag that lists a vertex twice, so solvers must too.
+    repeated = tuple(tuple(sorted(bag + bag[:1])) for bag in td.bags)
+    yield "repeated bag vertex", dataclasses.replace(td, bags=repeated)
 
 
 def test_dp_matches_brute_force_on_other_decompositions():

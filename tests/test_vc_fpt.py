@@ -129,14 +129,6 @@ def test_profile_count_instrumentation_updates():
     assert vc.LAST_PROFILE_COUNT > 0
 
 
-def test_supplied_cover_is_honored():
-    g = path_graph(6)
-    # A non-minimum cover is still a valid parameter.
-    size, witness = max_scattered_vc(g, 3, cover=(0, 1, 2, 3, 4))
-    assert size == brute_force_max(g, 3)[0]
-    assert is_scattered(g, witness, 3)
-
-
 def test_large_d_reduces_to_single_choice():
     g = path_graph(5)
     d = max_finite_distance(g) + 1
