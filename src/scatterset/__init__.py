@@ -41,7 +41,6 @@ from .graph_core import (
     WeightedGraph,
     all_pairs_distances,
     connected_components,
-    diameter,
     dijkstra_from,
     distances_within,
     format_dss,
@@ -89,7 +88,6 @@ __all__ = [
     "connected_components",
     "count_scattered",
     "decomposition_depth",
-    "diameter",
     "dijkstra_from",
     "distances_within",
     "dp_over_decomposition",

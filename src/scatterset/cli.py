@@ -92,10 +92,6 @@ class UsageError(Exception):
     """Bad flag combination that argparse alone cannot express."""
 
 
-class InternalCheckError(RuntimeError):
-    """A result failed its final re-validation before being emitted."""
-
-
 @dataclass
 class RunReport:
     """Uniform machine-readable record of one command invocation."""
@@ -221,7 +217,7 @@ def _read_assignment(
 
 def _check_exact_witness(g: WeightedGraph, witness: Sequence[int], d: int, size: int) -> None:
     if len(witness) != size or not is_scattered(g, witness, d):
-        raise InternalCheckError(
+        raise AssertionError(
             f"witness of claimed size {size} failed distance-{d} re-validation"
         )
 
@@ -295,7 +291,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     counts = count_scattered(g, nd, args.d, args.k)
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
     if counts[0] != 1:
-        raise InternalCheckError("count of size-0 sets must be 1")
+        raise AssertionError("count of size-0 sets must be 1")
     report.validation["checks"].append("size-0 count is 1")
     report.result["counts"] = [str(c) for c in counts]
     _emit(report, args)
@@ -404,7 +400,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         nd = make_nice(td)
         problem = validate_nice(nd)
         if problem is not None:
-            raise InternalCheckError(f"nice-form validation failed: {problem}")
+            raise AssertionError(f"nice-form validation failed: {problem}")
         td = nice_to_tree(nd)
         report.solver += "+nice"
         report.validation["checks"].append("nice-form validated")
@@ -414,7 +410,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     reparsed = parse_td(text)
     violation = validate_decomposition(g, reparsed)
     if violation is not None:
-        raise InternalCheckError(
+        raise AssertionError(
             f"emitted decomposition failed re-validation "
             f"({violation.kind}: {violation.message})"
         )
@@ -459,16 +455,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             raise ValueError("d must be >= 2")
         members = _parse_vertex_file(_read_text(args.set), g.n)
         report.parameters.update(d=args.d)
-        # A repeated vertex is a pair at distance 0.
-        distinct: set[int] = set()
-        bad = None
-        for v in members:
-            if v in distinct:
-                bad = (v, v, 0)
-                break
-            distinct.add(v)
-        if bad is None:
-            bad = scattered_violation(g, members, args.d)
+        bad = scattered_violation(g, members, args.d)
         if bad is not None:
             u, v, dist = bad
             report.result["violation"] = (
@@ -477,9 +464,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             report.validation["ok"] = False
         else:
             report.validation["checks"].append(
-                f"{len(distinct)} vertices pairwise at distance >= {args.d}"
+                f"{len(members)} vertices pairwise at distance >= {args.d}"
             )
-            report.result["size"] = len(distinct)
+            report.result["size"] = len(members)
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
     _emit(report, args)
     return EXIT_OK if report.validation["ok"] else EXIT_VIOLATION
@@ -588,9 +575,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InternalCheckError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -15,7 +15,9 @@ independence instances) into d-scattered-set benchmarks:
 ``gen_w1_vc``, ``gen_fvs_unweighted`` and ``gen_td_eth`` share one
 anchor-verifier layout, built by ``_anchor_verifier_layout``.  Every
 family's target is the size of the witness a valid assignment yields; only
-``gen_w1_vc`` claims it as a threshold.
+``gen_w1_vc`` claims it as a threshold.  Every family computes its vertex
+and edge counts in closed form and passes them to ``_check_size`` before
+it builds its first vertex.
 
 Generators never solve the graphs they emit.  Witnesses are produced only
 from a valid source assignment and re-validated with ``is_scattered`` before
@@ -46,6 +48,12 @@ from .graph_core import (
 # generators target desk-scale benchmark instances.
 _MAX_VERTICES = 2_000_000
 _MAX_EDGES = 8_000_000
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    """Refuse a graph of these sizes if it passes either limit."""
+    if vertices > _MAX_VERTICES or edges > _MAX_EDGES:
+        raise ValueError("generated graph would be too large")
 
 
 @dataclass(frozen=True)
@@ -237,8 +245,6 @@ class _GraphBuilder:
         """
         if length < 1:
             raise ValueError("path length must be >= 1")
-        if len(self.names) + length - 1 > _MAX_VERTICES:
-            raise ValueError("generated graph would be too large")
         inner = self.chain((f"{label}:{step}" for step in range(1, length)), u)
         last = inner[-1] if inner else u
         self.edge(last, v)
@@ -249,8 +255,7 @@ class _GraphBuilder:
             self.edge(u, v)
 
     def build(self) -> WeightedGraph:
-        if len(self.names) > _MAX_VERTICES or len(self.edges) > _MAX_EDGES:
-            raise ValueError("generated graph would be too large")
+        _check_size(len(self.names), len(self.edges))
         return WeightedGraph(len(self.names), tuple(self.edges))
 
 
@@ -319,7 +324,8 @@ def _anchor_verifier_layout(
     at 3N+1 from g, so every verifier is 6N from g' and two of them are
     6N-2 apart.  A link is a unit path, or when ``weighted`` one edge of
     twice its length, except that the g-side edges weigh 6N-1 and 6N+1:
-    verifiers stay 12N from g' and 12N-2 apart with integral weights.
+    verifiers stay 12N from g' and 12N-2 apart with integral weights.  The
+    graph's size is checked from closed forms before its first vertex.
     """
     b = _GraphBuilder()
 
@@ -330,6 +336,27 @@ def _anchor_verifier_layout(
             b.path(u, v, length, label)
 
     k, n = len(sizes), scale
+    matches = {
+        (i, j): [
+            (l, o)
+            for l in range(1, sizes[i - 1] + 1)
+            for o in range(1, sizes[j - 1] + 1)
+            if compatible(i, l, j, o)
+        ]
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
+    }
+    # s choices, m verifiers and h verified pairs make 2s+5m+h links of total
+    # length 3N*s + (21N-1)*m + (3N+1)*h between 2k+s+m+2h end vertices.
+    s = sum(sizes)
+    m = sum(len(lo_pairs) for lo_pairs in matches.values())
+    h = sum(1 for lo_pairs in matches.values() if lo_pairs)
+    links, ends = 2 * s + 5 * m + h, 2 * k + s + m + 2 * h
+    length = 3 * n * s + (21 * n - 1) * m + (3 * n + 1) * h
+    if weighted:
+        _check_size(ends, links)
+    else:
+        _check_size(ends + length - links, length)
     av = [b.vertex(f"a[{i}]") for i in range(1, k + 1)]
     bv = [b.vertex(f"b[{i}]") for i in range(1, k + 1)]
     pv: dict[tuple[int, int], int] = {}
@@ -341,28 +368,24 @@ def _anchor_verifier_layout(
     uv: dict[tuple[int, int, int, int], int] = {}
     hubs: list[int] = []
     pendants: list[int] = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            pair_us = []
-            for l in range(1, sizes[i - 1] + 1):
-                for o in range(1, sizes[j - 1] + 1):
-                    if not compatible(i, l, j, o):
-                        continue
-                    u = b.vertex(f"u[{i}.{l},{j}.{o}]")
-                    uv[(i, l, j, o)] = u
-                    link(u, av[i - 1], 5 * n - l, f"ua[{i}.{l},{j}.{o}]")
-                    link(u, bv[i - 1], 4 * n + l, f"ub[{i}.{l},{j}.{o}]")
-                    link(u, av[j - 1], 5 * n - o, f"ua[{j}.{o},{i}.{l}]")
-                    link(u, bv[j - 1], 4 * n + o, f"ub[{j}.{o},{i}.{l}]")
-                    pair_us.append(u)
-            if pair_us:
-                g = b.vertex(f"g[{i},{j}]")
-                gp = b.vertex(f"g'[{i},{j}]")
-                hubs.append(g)
-                pendants.append(gp)
-                for u in pair_us:
-                    link(g, u, 3 * n - 1, f"gu[{i},{j}]@{u}", nudge=1)
-                link(g, gp, 3 * n + 1, f"gg[{i},{j}]", nudge=-1)
+    for (i, j), lo_pairs in matches.items():
+        pair_us = []
+        for l, o in lo_pairs:
+            u = b.vertex(f"u[{i}.{l},{j}.{o}]")
+            uv[(i, l, j, o)] = u
+            link(u, av[i - 1], 5 * n - l, f"ua[{i}.{l},{j}.{o}]")
+            link(u, bv[i - 1], 4 * n + l, f"ub[{i}.{l},{j}.{o}]")
+            link(u, av[j - 1], 5 * n - o, f"ua[{j}.{o},{i}.{l}]")
+            link(u, bv[j - 1], 4 * n + o, f"ub[{j}.{o},{i}.{l}]")
+            pair_us.append(u)
+        if pair_us:
+            g = b.vertex(f"g[{i},{j}]")
+            gp = b.vertex(f"g'[{i},{j}]")
+            hubs.append(g)
+            pendants.append(gp)
+            for u in pair_us:
+                link(g, u, 3 * n - 1, f"gu[{i},{j}]@{u}", nudge=1)
+            link(g, gp, 3 * n + 1, f"gg[{i},{j}]", nudge=-1)
     return _Layout(b.build(), tuple(b.names), av + bv, hubs, pendants, pv, uv)
 
 
@@ -570,16 +593,22 @@ def gen_seth(
     b_len = (d + 1) // 2 + 1
     w_len = d // 2 - 1 if d % 2 == 0 else d // 2
 
+    # Column j wires clause (j-1) % m and columns is a multiple of m, so every
+    # clause's inputs occur columns // m times.  Cliques exist for even d only.
     inputs_per_clause = [
         sum(len(images) for _, _, images in per_lit) for per_lit in clause_inputs
     ]
-    per_input = 1 + a_len + w_len + p * (d - 1) * w_len
-    est_vertices = sum(
-        t * p * d + b_len + inputs_per_clause[(j - 1) % m] * per_input
-        for j in range(1, columns + 1)
+    inputs_total = columns // m * sum(inputs_per_clause)
+    even = d % 2 == 0
+    _check_size(
+        columns * (t * p * d + b_len)
+        + inputs_total * (1 + a_len + w_len + p * (d - 1) * w_len),
+        columns * (t * p * (d - 1) + b_len - 1)
+        + (columns - 1) * t * p
+        + inputs_total * (a_len + 1 + w_len + p * (d - 1) * (w_len + 1))
+        + even * inputs_total * p * math.comb(d - 1, 2)
+        + even * (columns // m) * sum(math.comb(c, 2) for c in inputs_per_clause),
     )
-    if est_vertices > _MAX_VERTICES:
-        raise ValueError("generated graph would be too large")
 
     accepted = None if assignment is None else phi.satisfied_by(assignment)
 
@@ -609,9 +638,9 @@ def gen_seth(
                         for i, cell in enumerate(col_cells[(grp, path)], start=1)
                         if i != s[path] + 1
                     ]
-                    if d % 2 == 0:
+                    if even:
                         b.clique(y_ends)
-        if d % 2 == 0:
+        if even:
             b.clique(a_ends)
 
     graph = b.build()
@@ -654,9 +683,7 @@ def gen_seth(
         "epsilon": str(eps),
         "codes": codes,
         "columns": columns,
-        "inputs_total": sum(
-            inputs_per_clause[(j - 1) % m] for j in range(1, columns + 1)
-        ),
+        "inputs_total": inputs_total,
         "assignment_accepted": accepted,
     }
     return GadgetOutput(

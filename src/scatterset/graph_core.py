@@ -216,9 +216,10 @@ def all_pairs_distances(g: WeightedGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_scattered(g: WeightedGraph, members: Iterable[int], d: int) -> bool:
-    """True iff every pair of distinct members is at distance >= d.
+    """True iff the members are distinct and pairwise at distance >= d.
 
-    Vacuously true for at most one member; see `scattered_violation`.
+    A member listed twice counts as a pair at distance 0; see
+    `scattered_violation`.
     """
     return scattered_violation(g, members, d) is None
 
@@ -228,11 +229,16 @@ def scattered_violation(
 ) -> tuple[int, int, int] | None:
     """First violating pair (u, v, dist) at distance < d, or None.
 
-    Pairs are ordered by u, then by v > u.  Each member's search stops at
-    radius d and meets only the members inside that ball, so the work grows
-    with the members' balls, not with n.
+    A member listed twice comes first, as (v, v, 0) for the smallest
+    repeated v.  Otherwise pairs are ordered by u, then by v > u.  Each
+    member's search stops at radius d and meets only the members inside
+    that ball, so the work grows with the members' balls, not with n.
     """
-    ms = vertex_set(g, members)
+    listed = sorted(members)
+    ms = vertex_set(g, listed)
+    if len(ms) < len(listed):
+        v = next(u for u, w in zip(listed, listed[1:]) if u == w)
+        return (v, v, 0)
     chosen = set(ms)
     for u in ms:
         near = distances_within(g, u, chosen, d)
@@ -241,20 +247,6 @@ def scattered_violation(
             v = min(later)
             return (u, v, near[v])
     return None
-
-
-def diameter(g: WeightedGraph) -> int:
-    """Largest finite pairwise distance; INF if g is disconnected with n >= 2."""
-    if g.n == 1:
-        return 0
-    best = 0
-    for s in range(g.n):
-        row = dijkstra_from(g, s)
-        worst = max(row)
-        if worst >= INF:
-            return INF
-        best = max(best, worst)
-    return best
 
 
 def connected_components(g: WeightedGraph) -> list[list[int]]:

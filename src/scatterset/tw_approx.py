@@ -108,7 +108,7 @@ def approx_max_scattered(
     if bad is not None:
         u, v, dist = bad
         raise AssertionError(
-            f"internal error: witness pair ({u},{v}) at distance "
+            f"witness pair ({u},{v}) at distance "
             f"{dist} violates the (1+epsilon) slack"
         )
     return size, witness

@@ -43,7 +43,6 @@ from .graph_core import (
     VertexSet,
     WeightedGraph,
     connected_components,
-    diameter,
     distances_within,
     induced_subgraph,
 )
@@ -376,10 +375,12 @@ def _solve_component(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
 def solve_via_treedepth(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
     """Maximization with the diameter shortcut, per connected component.
 
-    On a connected component whose diameter is below d the answer is a single
-    vertex and the DP is skipped entirely (observable via ENGINE_RUNS);
-    otherwise the component is solved by the decomposition DP.  Components
-    combine additively since inter-component distances are infinite.
+    A component whose diameter is below d answers with a single vertex and
+    skips the DP (observable via ENGINE_RUNS).  The test runs one radius-d
+    ball per vertex and stops at the first ball that misses part of the
+    component, so no all-pairs pass is made.  Other components are solved
+    by the decomposition DP; components combine additively since
+    inter-component distances are infinite.
     """
     if not g.has_unit_weights():
         raise ValueError("treedepth-style solving expects unit weights")
@@ -389,7 +390,8 @@ def solve_via_treedepth(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
     chosen: list[int] = []
     for comp in connected_components(g):
         sub, old_ids = induced_subgraph(g, comp)
-        if d > diameter(sub):
+        everyone = range(sub.n)
+        if all(len(distances_within(sub, s, everyone, d)) == sub.n for s in everyone):
             total += 1
             chosen.append(old_ids[0])
             continue

@@ -83,18 +83,19 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
 
 
 def neighborhood_classes(g: WeightedGraph, cover: VertexSet) -> VertexSet:
-    """One representative (lowest id) per distinct neighborhood N(v) in C."""
+    """One representative (lowest id) per distinct neighborhood N(v) in C.
+
+    An isolated vertex outside C is its own class: it is at infinite
+    distance from every other vertex, so all of them can be chosen at once.
+    """
     cset = frozenset(cover)
     bad = uncovered_edge(g, cset)
     if bad is not None:
         raise ValueError(f"not a vertex cover: edge {bad} is uncovered")
-    reps: dict[frozenset[int], int] = {}
+    reps: dict[frozenset[tuple[int, int]] | int, int] = {}
     for v in range(g.n):
-        if v in cset:
-            continue
-        signature = frozenset(g.adjacency[v])
-        if signature not in reps:
-            reps[signature] = v
+        if v not in cset:
+            reps.setdefault(frozenset(g.adjacency[v]) or v, v)
     return tuple(sorted(reps.values()))
 
 
@@ -179,12 +180,7 @@ def max_scattered_vc(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
         raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
     cover = compute_vertex_cover(g)
     reps = neighborhood_classes(g, cover)
-    # isolated non-cover vertices are all freely selectable, not one per
-    # class: give each its own (all-zero) packing set
-    cset = frozenset(cover)
-    isolated = [v for v in range(g.n) if v not in cset and not g.adjacency[v]]
-    reps_eff = tuple(sorted(set(reps) | set(isolated)))
-    size, witness = solve_packing(*reduce_to_packing(g, cover, reps_eff, d))
+    size, witness = solve_packing(*reduce_to_packing(g, cover, reps, d))
     if not is_scattered(g, witness, d):
-        raise AssertionError("internal error: packing produced an invalid witness")
+        raise AssertionError("packing produced an invalid witness")
     return size, witness

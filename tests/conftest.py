@@ -35,6 +35,19 @@ def complete_graph(n: int, weight: int = 1) -> WeightedGraph:
     return WeightedGraph(n=n, edges=edges)
 
 
+def diameter(g: WeightedGraph) -> int:
+    """Largest finite pairwise distance; INF if g is disconnected with n >= 2."""
+    if g.n == 1:
+        return 0
+    best = 0
+    for s in range(g.n):
+        worst = max(dijkstra_from(g, s))
+        if worst >= INF:
+            return INF
+        best = max(best, worst)
+    return best
+
+
 def max_finite_distance(g: WeightedGraph) -> int:
     """Largest distance among connected pairs (0 for edgeless graphs)."""
     return max((x for s in range(g.n) for x in dijkstra_from(g, s) if x < INF), default=0)

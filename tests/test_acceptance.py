@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import scatterset.tw_exact as tw_mod
-from conftest import max_finite_distance, seeded_corpus
+from conftest import diameter, max_finite_distance, seeded_corpus
 from scatterset.decomp import (
     TreeDecomposition,
     balance,
@@ -36,7 +36,6 @@ from scatterset.gadgets import (
 from scatterset.graph_core import (
     INF,
     all_pairs_distances,
-    diameter,
     is_scattered,
 )
 from scatterset.oracle import (

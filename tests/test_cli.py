@@ -470,6 +470,15 @@ def test_validate_reports_repeated_vertex(capsys, tmp_path):
     assert "size:" not in out
 
 
+def test_validate_reports_the_smallest_repeat_first(capsys, p5, tmp_path):
+    # v3 and v1 both repeat, and v3 v4 are adjacent: the report is (v1, v1).
+    claim = tmp_path / "set.txt"
+    claim.write_text("v3 v4 v1\nv3 v1\n")
+    code, out, _ = run_cli(capsys, "validate", "--graph", p5, "--set", str(claim), "--d", "2")
+    assert code == 1
+    assert "violation: pair (v1, v1) dist 0 < 2" in out
+
+
 def test_validate_set_requires_d(capsys, p5, tmp_path):
     claim = tmp_path / "set.txt"
     claim.write_text("v0\n")
@@ -548,6 +557,30 @@ def test_bogus_witness_is_internal_error(capsys, p5, monkeypatch):
     code, _, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--algo", "brute")
     assert code == 4
     assert err.startswith("internal error:")
+
+
+def test_repeated_witness_vertex_is_internal_error(capsys, p5, monkeypatch):
+    # (0, 0) has the claimed size 2, but it is one vertex listed twice.
+    monkeypatch.setattr(cli, "brute_force_max", lambda g, d: (2, (0, 0)))
+    code, out, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--algo", "brute")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:")
+
+
+@pytest.mark.parametrize(
+    "module,name,extra",
+    [
+        (tw_approx, "dp_over_decomposition", ["--algo", "approx", "--epsilon", "1/2"]),
+        (vc_fpt, "solve_packing", ["--algo", "vc"]),
+    ],
+    ids=["approx", "vc"],
+)
+def test_solver_self_check_prints_one_internal_error(capsys, p5, monkeypatch, module, name, extra):
+    # v0 and v1 are adjacent, so the solver's own re-check must fail.
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: (2, (0, 1)))
+    code, out, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", *extra)
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:") and err.count("internal error") == 1
 
 
 def test_unexpected_exception_is_one_line_internal_error(capsys, p5, monkeypatch):

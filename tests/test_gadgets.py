@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import scatterset.gadgets as gadgets
 from scatterset.gadgets import (
     CnfFormula,
     McisInstance,
@@ -401,55 +402,55 @@ def test_td_eth_refuses_an_oversized_layout_before_building_it():
 # -- pinned layouts -----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "build,digest",
-    [
-        (
-            lambda: gen_w1_vc(parse_mcis(YES_MCIS), (1, 1)),
-            "d34a95296c9b6e1fa6153919347c22d1cc2a86f60cdcba398c1757c80063c7a8",
-        ),
-        (
-            lambda: gen_w1_vc(parse_mcis(NO_MCIS)),
-            "4cdeb39c37ea2dd151c84ddf2f28e393ec16a93fea14ec6322ed58cfa6f92d08",
-        ),
-        (
-            lambda: gen_w1_vc(parse_mcis(MCIS_3X3), (1, 2, 2)),
-            "c1481591cccef950066b546258142de70dba996da918814c2af5e5a3e5f9c74d",
-        ),
-        (
-            lambda: gen_fvs_unweighted(parse_mcis(YES_MCIS), (1, 1)),
-            "1bd79c73d78be8df1b8ee525415c4a2b7060883adbf8b9f2374b875b5e3e6ba3",
-        ),
-        (
-            lambda: gen_fvs_unweighted(parse_mcis(NO_MCIS)),
-            "b502c083c1ebd1cf8567741bbec9fdbecff7ea6469e7dc8dcebdb244be33dcde",
-        ),
-        (
-            lambda: gen_fvs_unweighted(parse_mcis(MCIS_3X3), (1, 2, 2)),
-            "db788ea13484faaac487b19c4f64b658f9b9672b7f83138c1c7ba8b19857e9be",
-        ),
-        (
-            lambda: gen_td_eth(CnfFormula(1, ((1,),))),
-            "9f2ceb61fd0daeae2d12ba14e432f0746652870bb1c767774f180a094318aef9",
-        ),
-        (
-            lambda: gen_td_eth(CnfFormula(1, ((1,),)), (True,)),
-            "510cdaeea301903886cd005ab61b3aaddebfa69ee981b85e243ed32da2a9df71",
-        ),
-        (
-            lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4)))),
-            "11590b9cbffb23f3fecb0e37f8592bb903eea5c1400c6516669b9c24bb4b33d0",
-        ),
-        (
-            lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4))), (True, False, False, True)),
-            "f7a0a0fbf412dd447c9febb87f1e21bc5644d395011159db8f50f381c3f90bd8",
-        ),
-    ],
-    ids=[
-        "w1vc-yes", "w1vc-no", "w1vc-3x3", "fvs-yes", "fvs-no", "fvs-3x3",
-        "tdeth-1var", "tdeth-1var-sat", "tdeth-4var", "tdeth-4var-sat",
-    ],
-)
+LAYOUT_CASES = [
+    (
+        lambda: gen_w1_vc(parse_mcis(YES_MCIS), (1, 1)),
+        "d34a95296c9b6e1fa6153919347c22d1cc2a86f60cdcba398c1757c80063c7a8",
+    ),
+    (
+        lambda: gen_w1_vc(parse_mcis(NO_MCIS)),
+        "4cdeb39c37ea2dd151c84ddf2f28e393ec16a93fea14ec6322ed58cfa6f92d08",
+    ),
+    (
+        lambda: gen_w1_vc(parse_mcis(MCIS_3X3), (1, 2, 2)),
+        "c1481591cccef950066b546258142de70dba996da918814c2af5e5a3e5f9c74d",
+    ),
+    (
+        lambda: gen_fvs_unweighted(parse_mcis(YES_MCIS), (1, 1)),
+        "1bd79c73d78be8df1b8ee525415c4a2b7060883adbf8b9f2374b875b5e3e6ba3",
+    ),
+    (
+        lambda: gen_fvs_unweighted(parse_mcis(NO_MCIS)),
+        "b502c083c1ebd1cf8567741bbec9fdbecff7ea6469e7dc8dcebdb244be33dcde",
+    ),
+    (
+        lambda: gen_fvs_unweighted(parse_mcis(MCIS_3X3), (1, 2, 2)),
+        "db788ea13484faaac487b19c4f64b658f9b9672b7f83138c1c7ba8b19857e9be",
+    ),
+    (
+        lambda: gen_td_eth(CnfFormula(1, ((1,),))),
+        "9f2ceb61fd0daeae2d12ba14e432f0746652870bb1c767774f180a094318aef9",
+    ),
+    (
+        lambda: gen_td_eth(CnfFormula(1, ((1,),)), (True,)),
+        "510cdaeea301903886cd005ab61b3aaddebfa69ee981b85e243ed32da2a9df71",
+    ),
+    (
+        lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4)))),
+        "11590b9cbffb23f3fecb0e37f8592bb903eea5c1400c6516669b9c24bb4b33d0",
+    ),
+    (
+        lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4))), (True, False, False, True)),
+        "f7a0a0fbf412dd447c9febb87f1e21bc5644d395011159db8f50f381c3f90bd8",
+    ),
+]
+LAYOUT_IDS = [
+    "w1vc-yes", "w1vc-no", "w1vc-3x3", "fvs-yes", "fvs-no", "fvs-3x3",
+    "tdeth-1var", "tdeth-1var-sat", "tdeth-4var", "tdeth-4var-sat",
+]
+
+
+@pytest.mark.parametrize("build,digest", LAYOUT_CASES, ids=LAYOUT_IDS)
 def test_layout_pinned(build, digest):
     # Graph text, vertex names, witness, certificate and params, hashed;
     # the digests were taken from the three separate builders this layout
@@ -463,3 +464,53 @@ def test_layout_pinned(build, digest):
         repr(out.params),
     ]
     assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == digest
+
+
+# -- size plan ----------------------------------------------------------------
+
+
+def _no_vertex(builder, name):
+    raise AssertionError(f"vertex {name} was built before the size check")
+
+
+SETH_SIZED = [
+    lambda: gen_seth(CnfFormula(1, ((1,), (-1,))), 4, Fraction(1), (True,)),
+    lambda: gen_seth(CnfFormula(1, ((1,), (-1,))), 5, Fraction(1)),
+    lambda: gen_seth(CnfFormula(3, ((1, -2), (2, 3))), 6, Fraction(1)),
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for build, _ in LAYOUT_CASES] + SETH_SIZED,
+    ids=LAYOUT_IDS + ["seth-d4", "seth-d5", "seth-d6"],
+)
+def test_size_is_checked_before_the_first_vertex(build, monkeypatch):
+    # At limits equal to the graph's sizes the same graph is built; one
+    # vertex or one edge less is refused before any vertex exists.
+    graph = build().graph
+    n, m = graph.n, len(graph.edges)
+    monkeypatch.setattr(gadgets, "_MAX_VERTICES", n)
+    monkeypatch.setattr(gadgets, "_MAX_EDGES", m)
+    assert build().graph == graph
+    monkeypatch.setattr(gadgets._GraphBuilder, "vertex", _no_vertex)
+    for limits in ((n - 1, m), (n, m - 1)):
+        monkeypatch.setattr(gadgets, "_MAX_VERTICES", limits[0])
+        monkeypatch.setattr(gadgets, "_MAX_EDGES", limits[1])
+        with pytest.raises(ValueError, match="generated graph would be too large"):
+            build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_td_eth(parse_cnf("p cnf 10 2\n1 -2 0\n2 0\n")),
+        lambda: gen_fvs_unweighted(parse_mcis("p mcis 8 30\n")),
+        lambda: gen_seth(parse_cnf("p cnf 1 1\n1 0\n"), 10**12, 10**12 - 1),
+    ],
+    ids=["tdeth", "fvs", "seth"],
+)
+def test_oversized_sources_are_refused_with_no_vertex_built(build, monkeypatch):
+    monkeypatch.setattr(gadgets._GraphBuilder, "vertex", _no_vertex)
+    with pytest.raises(ValueError, match="generated graph would be too large"):
+        build()

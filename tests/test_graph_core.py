@@ -7,14 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, max_finite_distance, path_graph, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    diameter,
+    max_finite_distance,
+    path_graph,
+    star_graph,
+)
 from scatterset.graph_core import (
     INF,
     ParseError,
     WeightedGraph,
     all_pairs_distances,
     connected_components,
-    diameter,
     dijkstra_from,
     distances_within,
     format_dss,
@@ -121,6 +127,15 @@ def test_scattered_violation_reports_closest_offender():
     assert scattered_violation(g, (0, 3), 3) is None
     bad = scattered_violation(g, (0, 2), 3)
     assert bad == (0, 2, 2)
+
+
+def test_scattered_violation_reports_the_smallest_repeat_first():
+    # A member listed twice is the pair (v, v, 0), ahead of any distance
+    # violation (3 and 4 are adjacent) and wherever it is listed.
+    g = path_graph(5)
+    assert scattered_violation(g, [4, 0, 3, 1, 3, 0], 3) == (0, 0, 0)
+    assert scattered_violation(g, [4, 2, 4], 2) == (4, 4, 0)
+    assert not is_scattered(g, (0, 0), 2)
 
 
 def test_disconnected_members_always_scattered():

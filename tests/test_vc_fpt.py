@@ -68,6 +68,13 @@ def test_neighborhood_classes_pick_smallest_representatives():
     assert reps == (0, 2, 4, 6)
 
 
+def test_neighborhood_classes_keep_every_isolated_vertex():
+    # 1 and 2 share the neighborhood {0}; 3, 4 and 5 are isolated, at
+    # distance INF from everything, so each is a class of its own.
+    g = WeightedGraph(n=6, edges=((0, 1, 1), (0, 2, 1)))
+    assert neighborhood_classes(g, (0,)) == (1, 3, 4, 5)
+
+
 def test_rejects_small_d_with_redirect():
     with pytest.raises(ValueError, match="d = 2"):
         max_scattered_vc(path_graph(4), 2)
