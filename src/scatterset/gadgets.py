@@ -740,10 +740,22 @@ def gen_td_eth(
     if sum(len(s) for s in profiles) > 2000:
         raise ValueError("too many satisfying partial assignments to wire")
 
+    def restrict(g: int, common: list[int]) -> list[tuple[bool, ...]]:
+        # Group g's satisfying partial assignments, restricted to `common`.
+        positions = [group_vars[g - 1].index(var) for var in common]
+        return [tuple(sat[pos] for pos in positions) for sat in profiles[g - 1]]
+
+    # Two partial assignments agree iff their restrictions to the variables
+    # their groups share are equal; the restrictions are computed once per
+    # group pair.
+    restricted = {}
+    for i, j in itertools.combinations(range(1, r + 1), 2):
+        common = sorted(set(group_vars[i - 1]) & set(group_vars[j - 1]))
+        restricted[i, j] = (restrict(i, common), restrict(j, common))
+
     def consistent(i: int, l: int, j: int, o: int) -> bool:
-        vi, vj = group_vars[i - 1], group_vars[j - 1]
-        li, lj = profiles[i - 1][l - 1], profiles[j - 1][o - 1]
-        return all(li[vi.index(var)] == lj[vj.index(var)] for var in set(vi) & set(vj))
+        left, right = restricted[i, j]
+        return left[l - 1] == right[o - 1]
 
     layout = _anchor_verifier_layout(
         [len(sats) for sats in profiles], cap, consistent, weighted=False

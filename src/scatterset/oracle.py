@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .gadgets import _check_size
 from .graph_core import (
     INF,
     VertexSet,
@@ -47,8 +48,10 @@ def gen_random_graph(spec: RandomSpec) -> WeightedGraph:
 
     Pair (u, v) order is u < v, lexicographic.  Presence is decided by an
     exact integer draw against the rational probability; weights are uniform
-    in [1, max_weight].
+    in [1, max_weight].  Before the first draw, n is checked against the
+    generator limits as if p were 1, every pair an edge.
     """
+    _check_size(spec.n, spec.n * (spec.n - 1) // 2)
     rng = random.Random(spec.seed)
     p = Fraction(spec.edge_probability)
     edges: list[tuple[int, int, int]] = []

@@ -8,7 +8,12 @@ a per-element integer code (how much of the distance budget around that
 cover vertex it consumes, in halves for even d and thirds for odd d), and
 two candidates may coexist iff their codes sum to at most the budget (2 or
 3) on every element.  A forward DP over code profiles solves the packing in
-O*(3^|C|) for even d and O*(4^|C|) for odd d.
+O*(3^|C|) for even d and O*(4^|C|) for odd d.  Each code row and each
+profile is one int of 4-bit fields, field i for element i, so the DP tests
+and merges a row against a profile with a few whole-int operations.
+
+The cover comes from a bounded branching search; each branch resumes its
+scan for an uncovered edge just past the edge its parent branched on.
 """
 
 from __future__ import annotations
@@ -40,9 +45,12 @@ _MAX_MATCHING = 20
 
 
 def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
-    """Minimum vertex cover by branching on an uncovered edge.
+    """Minimum vertex cover by branching on the first uncovered edge.
 
-    The higher-degree endpoint is tried first (ties toward the lower id) and
+    The cover only grows down a branch, so no edge before the one a node
+    branches on can be uncovered below it: each child resumes the scan of
+    `g.edges` just past that edge instead of starting at edge 0.  The
+    higher-degree endpoint is tried first (ties toward the lower id) and
     only strictly smaller covers replace the incumbent, which keeps the
     result deterministic.  A greedy maximal matching M, taken in edge order,
     bounds the search: it is refused when |M| exceeds `_MAX_MATCHING`, and
@@ -61,24 +69,28 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
             f"edges, more than {_MAX_MATCHING}"
         )
     degree = [g.degree(v) for v in range(g.n)]
+    edges = g.edges
     best: set[int] = {v for v in range(g.n) if degree[v] > 0}
 
-    def branch(cover: set[int]) -> None:
+    def branch(cover: set[int], start: int) -> None:
+        # Every edge before `start` is covered: the cover only grows.
         nonlocal best
         if len(cover) >= len(best) or len(cover) > max_cover:
             return
-        edge = uncovered_edge(g, cover)
-        if edge is None:
+        for i in range(start, len(edges)):
+            u, v, _ = edges[i]
+            if u not in cover and v not in cover:
+                break
+        else:
             best = set(cover)
             return
-        u, v = edge
         first, second = (u, v) if (-degree[u], u) <= (-degree[v], v) else (v, u)
         for w in (first, second):
             cover.add(w)
-            branch(cover)
+            branch(cover, i + 1)
             cover.remove(w)
 
-    branch(set())
+    branch(set(), 0)
     return tuple(sorted(best))
 
 
@@ -141,18 +153,36 @@ def solve_packing(
     forward DP suffices: the profile keeps each element's maximum code among
     chosen sets, and a set may join iff profile + its code stays within the
     budget everywhere.
+
+    Rows and profiles are packed into 4-bit fields (field i holds element
+    i).  With ONES = sum of 1 << 4i and HIGH = 8 * ONES, a row C fits a
+    profile P iff (P + C + (7 - budget) * ONES) & HIGH == 0: no field sum
+    exceeds 3 + 3 + 7 < 16, so none carries.  Each field of (P | HIGH) - C
+    is 8 + p - c >= 5, so none borrows, and its high bit is set iff p >= c;
+    spreading those bits over their fields gives the mask K of the per-field
+    max (P & K) | (C & ~K).  Codes must lie in 0..3 and the budget in 0..7.
+    The profile dict keeps insertion order, so ties break as with tuples:
+    larger count, then the lexicographically smaller chosen tuple.
     """
     global LAST_PROFILE_COUNT
+    if not 0 <= budget <= 7 or any(not 0 <= c <= 3 for _, row in sets for c in row):
+        raise ValueError("packing expects codes in 0..3 and a budget in 0..7")
     universe = len(sets[0][1]) if sets else 0
-    profiles: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {
-        (0,) * universe: (0, ())
-    }
+    ones = (16**universe - 1) // 15  # 1 in every 4-bit field
+    high = 8 * ones
+    slack = (7 - budget) * ones
+    profiles: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
     for origin, codes in sorted(sets):
-        additions: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+        row = 0
+        for code in reversed(codes):
+            row = row << 4 | code
+        limit = row + slack
+        additions: dict[int, tuple[int, tuple[int, ...]]] = {}
         for profile, (count, chosen) in profiles.items():
-            if any(p + c > budget for p, c in zip(profile, codes)):
+            if (profile + limit) & high:
                 continue
-            new_profile = tuple(max(p, c) for p, c in zip(profile, codes))
+            keep = ((((profile | high) - row) & high) >> 3) * 15
+            new_profile = (profile & keep) | (row & ~keep)
             candidate = (count + 1, chosen + (origin,))
             incumbent = additions.get(new_profile)
             if incumbent is None:

@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import scatterset.cli as cli
+import scatterset.gadgets as gadgets
 import scatterset.graph_core as graph_core
 import scatterset.tw_approx as tw_approx
 import scatterset.tw_exact as tw_exact
@@ -387,6 +389,29 @@ def test_gen_tdeth_round_trips_through_validate(capsys, tmp_path, monkeypatch):
         "--set", "tdeth.witness", "--d", str(manifest["d"]),
     )
     assert code == 0
+
+
+def _no_draw(rng, *args):
+    raise AssertionError("random graph drawn before its size check")
+
+
+def test_gen_random_is_sized_before_its_first_draw(capsys, tmp_path, monkeypatch):
+    # n = 12 has 66 vertex pairs.  A limit of 66 edges admits it whatever p
+    # is; a limit of 65 refuses it before a single draw, even at a p that
+    # would give almost no edges.
+    monkeypatch.chdir(tmp_path)
+    argv = ("gen", "random", "--n", "12", "--p", "1/100000", "--seed", "1")
+    monkeypatch.setattr(gadgets, "_MAX_EDGES", 66)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(gadgets, "_MAX_EDGES", 65)
+    monkeypatch.setattr(random.Random, "randrange", _no_draw)
+    for written in tmp_path.iterdir():
+        written.unlink()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert err.splitlines() == ["error: generated graph would be too large"]
+    assert out == "" and not list(tmp_path.iterdir())
 
 
 # -- decompose ------------------------------------------------------------------

@@ -402,6 +402,8 @@ def test_td_eth_refuses_an_oversized_layout_before_building_it():
 # -- pinned layouts -----------------------------------------------------------
 
 
+TDETH_SHARED = CnfFormula(4, ((2, -3, 4), (1, 2), (-1, -4), (3, -4, 1)))
+
 LAYOUT_CASES = [
     (
         lambda: gen_w1_vc(parse_mcis(YES_MCIS), (1, 1)),
@@ -443,10 +445,23 @@ LAYOUT_CASES = [
         lambda: gen_td_eth(CnfFormula(4, ((1, 2, 3), (-1, 4))), (True, False, False, True)),
         "f7a0a0fbf412dd447c9febb87f1e21bc5644d395011159db8f50f381c3f90bd8",
     ),
+    # The groups share variables 1, 3 and 4 at different positions (0, 2, 3
+    # in the first group, 0, 1, 2 in the second), so every verifier rests
+    # on matching shared positions; digests taken before those positions
+    # were precomputed per group pair.
+    (
+        lambda: gen_td_eth(TDETH_SHARED),
+        "bc3b8391e1772be9ffad2b0d84a2b2d30bcae1e3b202ec5761c99c813cc91142",
+    ),
+    (
+        lambda: gen_td_eth(TDETH_SHARED, (True, True, True, False)),
+        "45bd1f427790187482f0b687c93564b236df3db2e99a43d5c59bab04103a1944",
+    ),
 ]
 LAYOUT_IDS = [
     "w1vc-yes", "w1vc-no", "w1vc-3x3", "fvs-yes", "fvs-no", "fvs-3x3",
     "tdeth-1var", "tdeth-1var-sat", "tdeth-4var", "tdeth-4var-sat",
+    "tdeth-shared", "tdeth-shared-sat",
 ]
 
 

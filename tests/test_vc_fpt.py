@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,13 +16,14 @@ from conftest import (
     seeded_corpus,
     star_graph,
 )
-from scatterset.graph_core import WeightedGraph, is_scattered
+from scatterset.graph_core import WeightedGraph, is_scattered, uncovered_edge
 from scatterset.oracle import brute_force_max
 from scatterset.vc_fpt import (
     compute_vertex_cover,
     max_scattered_vc,
     neighborhood_classes,
     reduce_to_packing,
+    solve_packing,
 )
 
 
@@ -141,3 +143,132 @@ def test_large_d_reduces_to_single_choice():
     d = max_finite_distance(g) + 1
     size, witness = max_scattered_vc(g, d)
     assert size == 1 and len(witness) == 1
+
+
+# -- references for the packed profiles and the resumed cover scan -----------
+
+
+def _tuple_packing(budget, sets):
+    # Reference: the profile DP over code tuples that the packed ints
+    # replaced; returns (size, witness, profile count).
+    universe = len(sets[0][1]) if sets else 0
+    profiles = {(0,) * universe: (0, ())}
+    for origin, codes in sorted(sets):
+        additions = {}
+        for profile, (count, chosen) in profiles.items():
+            if any(p + c > budget for p, c in zip(profile, codes)):
+                continue
+            new_profile = tuple(max(p, c) for p, c in zip(profile, codes))
+            candidate = (count + 1, chosen + (origin,))
+            incumbent = additions.get(new_profile) or profiles.get(new_profile)
+            if (
+                incumbent is None
+                or candidate[0] > incumbent[0]
+                or (candidate[0] == incumbent[0] and candidate[1] < incumbent[1])
+            ):
+                additions[new_profile] = candidate
+        profiles.update(additions)
+    best_count, best_chosen = 0, ()
+    for count, chosen in profiles.values():
+        if count > best_count or (count == best_count and chosen < best_chosen):
+            best_count, best_chosen = count, chosen
+    return best_count, tuple(sorted(best_chosen)), len(profiles)
+
+
+def _packing_instances():
+    # Seeded rows with up to three nonzero codes each, at universes 0, 1, 2,
+    # 5 and 17 (17 fields pass 64 bits).  Codes run to 3 at budget 2 too: a
+    # row with a 3 there never fits.
+    rng = random.Random(612)
+    for budget in (2, 3):
+        for universe in (0, 1, 2, 5, 17):
+            for _ in range(8):
+                sets = []
+                for origin in rng.sample(range(40), rng.randint(0, 12)):
+                    codes = [0] * universe
+                    for e in rng.sample(range(universe), min(universe, rng.randint(0, 3))):
+                        codes[e] = rng.randint(0, 3)
+                    sets.append((origin, tuple(codes)))
+                yield budget, sets
+    # Rows at the carry boundary: at budget 3 the field sums 3+3 and 3+0,
+    # at budget 2 the sums 2+2, 2+1 and 1+1, in the lowest, the 16th (bits
+    # 60-63) and the highest field.
+    for budget, top in ((3, 3), (2, 2)):
+        for field in (0, 15, 16):
+            rows = [top, top, 0, 1, 1, top - 1, 0]
+            yield budget, [
+                (origin, tuple(code if e == field else 0 for e in range(17)))
+                for origin, code in enumerate(rows)
+            ] + [(len(rows), (top,) * 17)]
+
+
+def test_packed_profiles_match_the_tuple_reference():
+    for budget, sets in _packing_instances():
+        vc.LAST_PROFILE_COUNT = -1
+        size, witness = solve_packing(budget, sets)
+        assert (size, witness, vc.LAST_PROFILE_COUNT) == _tuple_packing(budget, sets)
+
+
+def test_packed_profiles_match_the_tuple_reference_on_reductions():
+    for i, g in enumerate(seeded_corpus(30, 12, 1, base_seed=57)):
+        d = 3 + i % 3
+        cover = compute_vertex_cover(g)
+        budget, sets = reduce_to_packing(g, cover, neighborhood_classes(g, cover), d)
+        size, witness = solve_packing(budget, sets)
+        assert (size, witness, vc.LAST_PROFILE_COUNT) == _tuple_packing(budget, sets)
+
+
+@pytest.mark.parametrize(
+    "budget,sets",
+    [(2, [(0, (1, 4))]), (3, [(0, (-1,))]), (8, [(0, (1,))]), (-1, [(0, (0,))])],
+)
+def test_packing_refuses_codes_or_budgets_its_fields_cannot_hold(budget, sets):
+    with pytest.raises(ValueError, match="codes in 0..3"):
+        solve_packing(budget, sets)
+
+
+def _rescanning_cover(g):
+    # Reference: the cover search that rescanned g.edges from edge 0 at
+    # every branch node.
+    matched = set()
+    for u, v, _ in g.edges:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+    degree = [g.degree(v) for v in range(g.n)]
+    best = {v for v in range(g.n) if degree[v] > 0}
+
+    def branch(cover):
+        nonlocal best
+        if len(cover) >= len(best) or len(cover) > len(matched):
+            return
+        edge = uncovered_edge(g, cover)
+        if edge is None:
+            best = set(cover)
+            return
+        u, v = edge
+        first, second = (u, v) if (-degree[u], u) <= (-degree[v], v) else (v, u)
+        for w in (first, second):
+            cover.add(w)
+            branch(cover)
+            cover.remove(w)
+
+    branch(set())
+    return tuple(sorted(best))
+
+
+def _cover_style_graph(cover, outside, seed):
+    # Cover vertices 0..cover-1 on a path with random chords; each outside
+    # vertex hangs from one or two of them.
+    rng = random.Random(seed)
+    edges = [(a, a + 1, 1) for a in range(cover - 1)]
+    edges += [(a, b, 1) for a in range(cover) for b in range(a + 2, cover) if rng.randrange(4) == 0]
+    for v in range(cover, cover + outside):
+        edges += [(a, v, 1) for a in sorted(rng.sample(range(cover), rng.randint(1, 2)))]
+    return WeightedGraph(n=cover + outside, edges=tuple(edges))
+
+
+def test_resumed_cover_scan_matches_the_rescanning_reference():
+    graphs = seeded_corpus(60, 14, 1, base_seed=58)
+    graphs += [_cover_style_graph(c, 4 * c, 70 + c) for c in range(2, 12)]
+    for g in graphs:
+        assert compute_vertex_cover(g) == _rescanning_cover(g)
