@@ -31,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graph_core import (
     ParseError,
@@ -311,18 +311,19 @@ class _Layout:
 def _anchor_verifier_layout(
     sizes: Sequence[int],
     scale: int,
-    compatible: Callable[[int, int, int, int], bool],
+    matches: dict[tuple[int, int], list[tuple[int, int]]],
     weighted: bool,
 ) -> _Layout:
     """Lay out the choice-and-verifier encoding at scale N = ``scale``.
 
     Class i gets anchors a[i], b[i] and choices p[i,l], l = 1..sizes[i-1],
-    at lengths N+l from a[i] and 2N-l from b[i].  Every pair (i.l, j.o),
-    i < j, with ``compatible(i, l, j, o)`` gets a verifier u at lengths 5N-l,
-    4N+l, 5N-o and 4N+o from a[i], b[i], a[j] and b[j].  Each class pair
-    with a verifier gets a hub g at 3N-1 from its verifiers and a pendant g'
-    at 3N+1 from g, so every verifier is 6N from g' and two of them are
-    6N-2 apart.  A link is a unit path, or when ``weighted`` one edge of
+    at lengths N+l from a[i] and 2N-l from b[i].  ``matches[i, j]`` lists,
+    for every class pair i < j, its compatible choice pairs (l, o) in
+    lexicographic order; each gets a verifier u at lengths 5N-l, 4N+l, 5N-o
+    and 4N+o from a[i], b[i], a[j] and b[j].  Each class pair with a
+    verifier gets a hub g at 3N-1 from its verifiers and a pendant g' at
+    3N+1 from g, so every verifier is 6N from g' and two of them are 6N-2
+    apart.  A link is a unit path, or when ``weighted`` one edge of
     twice its length, except that the g-side edges weigh 6N-1 and 6N+1:
     verifiers stay 12N from g' and 12N-2 apart with integral weights.  The
     graph's size is checked from closed forms before its first vertex.
@@ -336,16 +337,6 @@ def _anchor_verifier_layout(
             b.path(u, v, length, label)
 
     k, n = len(sizes), scale
-    matches = {
-        (i, j): [
-            (l, o)
-            for l in range(1, sizes[i - 1] + 1)
-            for o in range(1, sizes[j - 1] + 1)
-            if compatible(i, l, j, o)
-        ]
-        for i in range(1, k + 1)
-        for j in range(i + 1, k + 1)
-    }
     # s choices, m verifiers and h verified pairs make 2s+5m+h links of total
     # length 3N*s + (21N-1)*m + (3N+1)*h between 2k+s+m+2h end vertices.
     s = sum(sizes)
@@ -368,7 +359,8 @@ def _anchor_verifier_layout(
     uv: dict[tuple[int, int, int, int], int] = {}
     hubs: list[int] = []
     pendants: list[int] = []
-    for (i, j), lo_pairs in matches.items():
+    for i, j in itertools.combinations(range(1, k + 1), 2):
+        lo_pairs = matches[i, j]
         pair_us = []
         for l, o in lo_pairs:
             u = b.vertex(f"u[{i}.{l},{j}.{o}]")
@@ -417,9 +409,16 @@ def _mcis_gadget(
     """gen_w1_vc (weighted) or gen_fvs_unweighted: N = n, verifiers on non-edges."""
     k, n = inst.num_classes, inst.class_size
     d = 12 * n if weighted else 6 * n
-    layout = _anchor_verifier_layout(
-        [n] * k, n, lambda i, l, j, o: not inst.has_edge(i, l, j, o), weighted
-    )
+    matches = {
+        (i, j): [
+            (l, o)
+            for l in range(1, n + 1)
+            for o in range(1, n + 1)
+            if not inst.has_edge(i, l, j, o)
+        ]
+        for i, j in itertools.combinations(range(1, k + 1), 2)
+    }
+    layout = _anchor_verifier_layout([n] * k, n, matches, weighted)
     if weighted:
         kind = "vertex-cover"
         certificate = vertex_set(layout.graph, layout.anchors + layout.hubs)
@@ -746,19 +745,22 @@ def gen_td_eth(
         return [tuple(sat[pos] for pos in positions) for sat in profiles[g - 1]]
 
     # Two partial assignments agree iff their restrictions to the variables
-    # their groups share are equal; the restrictions are computed once per
-    # group pair.
-    restricted = {}
+    # their groups share are equal, so each group pair is a hash join: the
+    # right group's choices grouped by restriction, probed in order of l.
+    matches = {}
     for i, j in itertools.combinations(range(1, r + 1), 2):
         common = sorted(set(group_vars[i - 1]) & set(group_vars[j - 1]))
-        restricted[i, j] = (restrict(i, common), restrict(j, common))
-
-    def consistent(i: int, l: int, j: int, o: int) -> bool:
-        left, right = restricted[i, j]
-        return left[l - 1] == right[o - 1]
+        by_restriction: dict[tuple[bool, ...], list[int]] = {}
+        for o, key in enumerate(restrict(j, common), start=1):
+            by_restriction.setdefault(key, []).append(o)
+        matches[i, j] = [
+            (l, o)
+            for l, key in enumerate(restrict(i, common), start=1)
+            for o in by_restriction.get(key, ())
+        ]
 
     layout = _anchor_verifier_layout(
-        [len(sats) for sats in profiles], cap, consistent, weighted=False
+        [len(sats) for sats in profiles], cap, matches, weighted=False
     )
     certificate = vertex_set(layout.graph, layout.anchors)
     _check_feedback_vertex_set(layout.graph, certificate)

@@ -1,11 +1,13 @@
 """Dynamic programming for d-scattered sets over nice tree decompositions.
 
 One engine, `dp_over_decomposition`, runs a sparse clearance DP bottom-up
-over a nice decomposition.  Every table is keyed by the bag's state tuple
-alone: per bag vertex, either "selected" or the exact (capped) distance to
-the nearest selection that has already been forgotten.  Sparse keys make it
-output-sensitive, and the clearance semantics compose without correction
-terms, which keeps counting exact.
+over a nice decomposition.  Every table is keyed by the bag's state alone:
+per bag vertex, either "selected" or the exact (capped) distance to the
+nearest selection that has already been forgotten.  A state is one int
+with a bit field per bag position, so the join's compatibility test and
+its fieldwise min are a few whole-int operations, not a loop over the bag.
+Sparse keys make it output-sensitive, and the clearance semantics compose
+without correction terms, which keeps counting exact.
 
 In counting mode an entry's value is one big integer that packs the counts
 of all selection sizes: the count of size m sits in bits [m*B, (m+1)*B).
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import ge, getitem
 
 from .decomp import (
     NiceDecomposition,
@@ -55,7 +56,8 @@ from .graph_core import all_pairs_distances  # noqa: F401
 # verify that trivial cases short-circuit without running it.
 ENGINE_RUNS = 0
 
-# State marker for a selected bag vertex in the clearance engine.
+# State of a selected bag vertex in the hook memos.  A packed key stores
+# each state plus one, so a selected field is 0.
 _SELECTED = -1
 
 
@@ -115,10 +117,9 @@ class _HookMemo:
     def __init__(self, dom) -> None:
         self.cap = cap = dom.cap
         add, join_ok = dom.add, dom.join_ok
-        # A selected position never lowers the reach of a new vertex, and an
-        # unreachable one leaves it at the cap.
-        self._unreachable = _Memo(lambda s: cap, {_SELECTED: cap})
-        self._rows = _Memo(lambda w: _Memo(lambda s: add(s, w), {_SELECTED: cap}))
+        # rows[w] maps a clearance s to add(s, w).  A selected position never
+        # lowers the reach of a new vertex, so it maps to the cap.
+        self.rows = _Memo(lambda w: _Memo(lambda s: add(s, w), {_SELECTED: cap}))
         self.from_distance = _Memo(dom.from_distance)
         self.admit_clearance = _Memo(dom.admit_clearance)
 
@@ -134,13 +135,9 @@ class _HookMemo:
                     lo = mid + 1
             return lo
 
-        # A selected position meets a selected one (masks match), and
-        # -1 >= -1 lets it through the same comparison.
+        # A selected position meets a selected one (masks match), and its
+        # threshold -1, packed as 0, lets it through the same comparison.
         self.threshold = _Memo(least_partner, {_SELECTED: _SELECTED})
-
-    def add_row(self, w: int) -> _Memo:
-        """Clearance s -> add(s, w), with selected and unreachable folded in."""
-        return self._unreachable if w >= INF else self._rows[w]
 
 
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
@@ -180,13 +177,39 @@ def dp_over_decomposition(
 ):
     """Run the scattered-set DP bottom-up over a nice decomposition.
 
-    Every table is keyed by the bag's state tuple: -1 marks a selected
-    vertex, any other value is the clearance (capped distance to the nearest
-    selection already forgotten), in the clearance domain's units.
+    Every table is keyed by the bag's state packed into one int.  Bag
+    position j owns the W-bit field at bits [j*W, (j+1)*W), which holds the
+    position's state plus one: 0 marks a selected vertex, and c + 1 a
+    clearance c, the capped distance to the nearest selection already
+    forgotten, in the clearance domain's units (0 <= c <= cap).  So
+    "selected" is below every clearance under min, and field value f reads
+    the hooks at state f - 1, where -1 is the hooks' selected marker.
+    W = bit length of (cap + 2), plus one: fields hold values up to cap + 1,
+    a least-partner threshold of cap + 2 means "no partner", and the top bit
+    of each field is a guard bit, 0 in every key.  A leaf's keys are cap + 1
+    and 0, and the root's key is 0.
+
+    For a bag of b positions let ONES have a 1 in each field and
+    H = ONES << (W - 1) be its guard bits.  For keys X and Y:
+    - ((X | H) - Y) & H sets field j's guard bit iff x_j >= y_j.  No borrow
+      crosses a field: field j computes 2^(W-1) + x_j - y_j, which lies in
+      [1, 2^W) because x_j and y_j are both below 2^(W-1).
+    - ((X | H) - ONES) & H (Y = ONES) sets the guard bits of the unselected
+      fields.  It is the join's mask bucket, and nsel = b - its popcount.
+    - K = ((((X | H) - Y) & H) >> (W - 1)) * (2^W - 1) fills each field
+      where x_j >= y_j with ones, and X ^ ((X ^ Y) & K) is the fieldwise
+      min(X, Y).
+    A join pair passes when every inner field is at least the outer entry's
+    least-partner field (the first identity equals H), and merges to the
+    fieldwise min.  Forget cuts its field out with a mask and a shift and,
+    if that field was 0, takes the fieldwise min against the packed fresh
+    clearances.  Introduce splices a field in the same way; only bag-mates
+    closer than d can lower the new vertex's reach, and the clash test
+    subtracts ONES over the clash fields alone.
 
     Max mode stores (best size, mask) per state, where bit v of the int mask
     is set when vertex v is in one best partial solution: a leaf gives
-    {(cap,): (0, 0), (sel,): (1, 1 << v)}, selecting v ORs in 1 << v, forget
+    {cap + 1: (0, 0), 0: (1, 1 << v)}, selecting v ORs in 1 << v, forget
     and an unselected introduce pass the child's pair on unchanged, and a
     join adds the sizes less the nsel shared selections and ORs the masks.
     Ties keep the first entry found.
@@ -194,8 +217,8 @@ def dp_over_decomposition(
     Counting mode stores one int P per state, the generating polynomial of
     its partial solutions evaluated at 2^B: the number of partial solutions
     of size m sits in bits [m*B, (m+1)*B), for m <= k_cap = min(k, n), with
-    B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {(cap,): 1,
-    (sel,): 1 << B}.  Introducing a selected vertex shifts P up one slot,
+    B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {cap + 1: 1,
+    0: 1 << B}.  Introducing a selected vertex shifts P up one slot,
     forget adds, join multiplies and shifts down by the nsel shared
     selections, and every step truncates above slot k_cap.
 
@@ -214,7 +237,7 @@ def dp_over_decomposition(
 
     The clearance hook is memoized per solve (`_HookMemo`), and each join
     pair is checked against per-position thresholds: the least partner
-    clearance that `join_ok` accepts.
+    clearance that `join_ok` accepts, packed once per outer entry.
 
     Each child table is freed as soon as its parent has consumed it, in
     both modes.  Distances are read only between bag-mates and only below
@@ -237,7 +260,19 @@ def dp_over_decomposition(
     slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
     trunc = (1 << (slot_bits * (k_cap + 1))) - 1
     admit_clearance = hooks.admit_clearance
-    threshold = hooks.threshold.__getitem__
+
+    # W of the docstring: every field value, up to the "no partner" cap + 2,
+    # sits below the field's guard bit.
+    width = (cap + 2).bit_length() + 1
+    guard = width - 1
+    field = (1 << width) - 1
+
+    def ones(b: int) -> int:
+        """ONES of the docstring: a 1 in each of b fields."""
+        return ((1 << (b * width)) - 1) // field
+
+    # Field value -> packed least partner, with 0 (selected) -> 0.
+    least_field = _Memo(lambda f: hooks.threshold[f - 1] + 1)
 
     tables: dict[int, dict] = {}
 
@@ -247,50 +282,64 @@ def dp_over_decomposition(
         if node.kind == "leaf":
             v = node.bag[0]
             if counting:
-                table[(cap,)] = 1
+                table[cap + 1] = 1
                 if k_cap >= 1:
-                    table[(_SELECTED,)] = 1 << slot_bits
+                    table[0] = 1 << slot_bits
             else:
-                table[(cap,)] = (0, 0)
-                table[(_SELECTED,)] = (1, 1 << v)
+                table[cap + 1] = (0, 0)
+                table[0] = (1, 1 << v)
         elif node.kind == "introduce":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
-            pos = node.bag.index(v)
+            at = node.bag.index(v) * width
+            below = (1 << at) - 1
             drow = near[v]
-            rows = [hooks.add_row(drow.get(u, INF)) for u in cbag]
-            # Positions where a selected vertex is too close to select v.
-            clash = [j for j, u in enumerate(cbag) if not dom.admit_distance(drow.get(u, INF))]
-            # Keys extend distinct child keys at one position, so none repeat.
-            for states, value in ctable.items():
-                reach = min(map(getitem, rows, states), default=cap)
-                head, tail = states[:pos], states[pos:]
-                table[head + (reach,) + tail] = value
+            # Only bag-mates closer than d can lower v's reach below the cap.
+            reads = [(j * width, hooks.rows[drow[u]]) for j, u in enumerate(cbag) if u in drow]
+            # Fields where a selected vertex is too close to select v.
+            clash = sum(
+                1 << (j * width)
+                for j, u in enumerate(cbag)
+                if not dom.admit_distance(drow.get(u, INF))
+            )
+            clash_guard = clash << guard
+            # Keys extend distinct child keys at one field, so none repeat.
+            for key, value in ctable.items():
+                reach = min([row[(key >> s & field) - 1] for s, row in reads], default=cap)
+                # The child's key with a 0 (v selected) field spliced in at v.
+                spliced = (key & below) | (key >> at << (at + width))
+                table[spliced | (reach + 1) << at] = value
                 if not admit_clearance[reach]:
                     continue
-                for j in clash:
-                    if states[j] == _SELECTED:
-                        break
+                if ((key | clash_guard) - clash) & clash_guard != clash_guard:
+                    continue
+                if counting:
+                    shifted = (value << slot_bits) & trunc
+                    if shifted:
+                        table[spliced] = shifted
                 else:
-                    if counting:
-                        shifted = (value << slot_bits) & trunc
-                        if shifted:
-                            table[head + (_SELECTED,) + tail] = shifted
-                    else:
-                        table[head + (_SELECTED,) + tail] = (value[0] + 1, value[1] | 1 << v)
+                    table[spliced] = (value[0] + 1, value[1] | 1 << v)
         elif node.kind == "forget":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
             pos = cbag.index(v)
+            at = pos * width
+            below = (1 << at) - 1
             zrow = near[v]
-            # The min keeps a selected position selected: -1 is below every clearance.
-            fresh = [hooks.from_distance[zrow.get(u, INF)] for j, u in enumerate(cbag) if j != pos]
-            for states, value in ctable.items():
-                rest = states[:pos] + states[pos + 1 :]
-                if states[pos] == _SELECTED:
-                    rest = tuple([s if s < f else f for s, f in zip(rest, fresh)])
+            guards = ones(len(node.bag)) << guard
+            fresh = sum(
+                (hooks.from_distance[zrow.get(u, INF)] + 1) << (j * width)
+                for j, u in enumerate(cbag[:pos] + cbag[pos + 1 :])
+            )
+            fresh_guarded = fresh | guards
+            for key, value in ctable.items():
+                rest = (key & below) | (key >> (at + width) << at)
+                if not key >> at & field:
+                    # Fieldwise min(rest, fresh); a selected field is 0 and stays.
+                    take = (((fresh_guarded - rest) & guards) >> guard) * field
+                    rest = fresh ^ ((fresh ^ rest) & take)
                 if counting:
                     table[rest] = table.get(rest, 0) + value
                 else:
@@ -304,21 +353,27 @@ def dp_over_decomposition(
             outer, inner = (tables[c] for c in node.children)
             if len(outer) > len(inner):
                 outer, inner = inner, outer
-            by_mask: dict[tuple[bool, ...], list] = {}
-            for istates, ivalue in inner.items():
-                mask = tuple([s == _SELECTED for s in istates])
-                by_mask.setdefault(mask, []).append((istates, ivalue))
-            for ostates, ovalue in outer.items():
-                bucket = by_mask.get(tuple([s == _SELECTED for s in ostates]))
+            b = len(node.bag)
+            unit = ones(b)
+            guards = unit << guard
+            shifts = range(0, b * width, width)
+            by_mask: dict[int, list] = {}
+            for ikey, ivalue in inner.items():
+                by_mask.setdefault(((ikey | guards) - unit) & guards, []).append((ikey, ivalue))
+            for okey, ovalue in outer.items():
+                mask = ((okey | guards) - unit) & guards
+                bucket = by_mask.get(mask)
                 if bucket is None:
                     continue
-                nsel = ostates.count(_SELECTED)
-                least = tuple(map(threshold, ostates))
+                nsel = b - mask.bit_count()
+                least = sum([least_field[okey >> s & field] << s for s in shifts])
                 shift = slot_bits * nsel
-                for istates, ivalue in bucket:
-                    if not all(map(ge, istates, least)):
+                for ikey, ivalue in bucket:
+                    iguarded = ikey | guards
+                    if (iguarded - least) & guards != guards:
                         continue
-                    merged = tuple([a if a < b else b for a, b in zip(ostates, istates)])
+                    take = (((iguarded - okey) & guards) >> guard) * field
+                    merged = ikey ^ ((ikey ^ okey) & take)
                     if counting:
                         product = ((ovalue * ivalue) >> shift) & trunc
                         if product:
@@ -337,10 +392,10 @@ def dp_over_decomposition(
 
     root_table = tables[nd.root]
     if counting:
-        packed = root_table.get((), 0)
+        packed = root_table.get(0, 0)
         slot = (1 << slot_bits) - 1
         return [(packed >> (m * slot_bits)) & slot for m in range(k_cap + 1)]
-    size, mask = root_table[()]
+    size, mask = root_table[0]
     return size, tuple(v for v, bit in enumerate(reversed(f"{mask:b}")) if bit == "1")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,15 +20,22 @@ from scatterset.decomp import (
     heuristic_decomposition,
     make_nice,
     parse_td,
+    postorder,
     validate_decomposition,
 )
-from scatterset.graph_core import WeightedGraph, is_scattered, scattered_violation
+from scatterset.graph_core import (
+    WeightedGraph,
+    all_pairs_distances,
+    is_scattered,
+    scattered_violation,
+)
 from scatterset.oracle import RandomSpec, brute_force_count, brute_force_max, gen_random_graph
-from scatterset.tw_approx import RoundedClearance
+from scatterset.tw_approx import RoundedClearance, approx_max_scattered, slack_threshold
 from scatterset.tw_exact import (
     ExactClearance,
     _HookMemo,
     count_scattered,
+    dp_over_decomposition,
     max_scattered,
     solve_via_treedepth,
 )
@@ -308,3 +316,146 @@ def test_treedepth_wrapper_requires_unit_weights():
     g = path_graph(3, weight=2)
     with pytest.raises(ValueError):
         solve_via_treedepth(g, 3)
+
+
+# -- packed state keys --------------------------------------------------------
+
+
+def _tuple_engine(g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, clearance=None):
+    """The clearance engine on tuple keys (-1 = selected): the packed engine's reference.
+
+    It visits nodes, fills tables and breaks ties in the engine's order, but
+    calls the domain's hooks directly on an all-pairs matrix and keeps each
+    count polynomial as a list of n + 1 counts.
+    """
+    dom = clearance if clearance is not None else ExactClearance(d)
+    cap, dist, sel, n = dom.cap, all_pairs_distances(g), -1, g.n
+    counting = mode == "count"
+    tables: dict[int, dict] = {}
+    for i in postorder([node.children for node in nd.nodes], nd.root):
+        node = nd.nodes[i]
+        table: dict = {}
+        if node.kind == "leaf":
+            v = node.bag[0]
+            table[(cap,)] = [1] + [0] * n if counting else (0, 0)
+            table[(sel,)] = [0, 1] + [0] * (n - 1) if counting else (1, 1 << v)
+        elif node.kind == "introduce":
+            cbag, v = nd.nodes[node.children[0]].bag, node.vertex
+            pos = node.bag.index(v)
+            for states, value in tables[node.children[0]].items():
+                pairs = list(zip(states, cbag))
+                reach = min([dom.add(s, dist[v][u]) for s, u in pairs if s != sel], default=cap)
+                table[states[:pos] + (reach,) + states[pos:]] = value
+                clash = any(s == sel and not dom.admit_distance(dist[v][u]) for s, u in pairs)
+                if dom.admit_clearance(reach) and not clash:
+                    chosen = [0] + value[:-1] if counting else (value[0] + 1, value[1] | 1 << v)
+                    table[states[:pos] + (sel,) + states[pos:]] = chosen
+        elif node.kind == "forget":
+            cbag, v = nd.nodes[node.children[0]].bag, node.vertex
+            pos = cbag.index(v)
+            others = cbag[:pos] + cbag[pos + 1 :]
+            for states, value in tables[node.children[0]].items():
+                rest = states[:pos] + states[pos + 1 :]
+                if states[pos] == sel:
+                    rest = tuple(
+                        s if s == sel else min(s, dom.from_distance(dist[v][u]))
+                        for s, u in zip(rest, others)
+                    )
+                if counting:
+                    old = table.get(rest, [0] * (n + 1))
+                    table[rest] = [a + b for a, b in zip(old, value)]
+                elif rest not in table or value[0] > table[rest][0]:
+                    table[rest] = value
+        else:
+            outer, inner = (tables[c] for c in node.children)
+            if len(outer) > len(inner):
+                outer, inner = inner, outer
+            for ostates, ovalue in outer.items():
+                for istates, ivalue in inner.items():
+                    if any(
+                        (a == sel) != (b == sel) or (a != sel and not dom.join_ok(a, b))
+                        for a, b in zip(ostates, istates)
+                    ):
+                        continue
+                    merged = tuple(map(min, ostates, istates))
+                    nsel = ostates.count(sel)
+                    if counting:
+                        product = [0] * (2 * n + 1)
+                        for a, x in enumerate(ovalue):
+                            for b, y in enumerate(ivalue):
+                                product[a + b] += x * y
+                        old = table.get(merged, [0] * (n + 1))
+                        table[merged] = [a + b for a, b in zip(old, product[nsel : nsel + n + 1])]
+                    else:
+                        size = ovalue[0] + ivalue[0] - nsel
+                        if merged not in table or size > table[merged][0]:
+                            table[merged] = (size, ovalue[1] | ivalue[1])
+        for c in node.children:
+            del tables[c]
+        tables[i] = table
+    root = tables[nd.root][()]
+    if counting:
+        return root
+    return root[0], tuple(v for v in range(n) if root[1] >> v & 1)
+
+
+# The field width W = bit_length(cap + 2) + 1 steps up where cap + 2 reaches
+# a power of two, so these d put cap + 2 at 7, 8, 9 and 15, 16, 17; 10**12
+# makes each field 41 bits wide.
+@pytest.mark.parametrize("d", [5, 6, 7, 13, 14, 15, 10**12])
+def test_packed_keys_match_brute_force_at_field_width_boundaries(d):
+    # Weights up to d / 3 spread the clearances over the whole 0..cap range.
+    for i, g in enumerate(seeded_corpus(16, 11, max(2, d // 3), base_seed=7100 + d % 97)):
+        counts = brute_force_count(g, d, g.n)
+        best = brute_force_max(g, d)[0]
+        for name, td in _decompositions(g):
+            nd = make_nice(td)
+            got = dp_over_decomposition(g, nd, d, mode="count")
+            size, witness = dp_over_decomposition(g, nd, d, mode="max")
+            assert got == counts == _tuple_engine(g, nd, d, "count"), (d, i, name)
+            assert size == best and scattered_violation(g, witness, d) is None, (d, i, name)
+            assert (size, witness) == _tuple_engine(g, nd, d, "max"), (d, i, name)
+
+
+# Doubling ladders whose slackened target exceeds 1 + the top power, so
+# clearance 0 has no accepted partner (threshold cap + 1, packed as cap + 2),
+# with cap + 2 at 7, 8 and 9.
+PARTNERLESS = [
+    RoundedClearance(40, Fraction(1), Fraction(1, 10)),
+    RoundedClearance(100, Fraction(1), Fraction(1, 10)),
+    RoundedClearance(140, Fraction(1), Fraction(1, 100)),
+]
+
+
+@pytest.mark.parametrize("dom", PARTNERLESS, ids=["cap-5", "cap-6", "cap-7"])
+def test_packed_keys_match_the_reference_with_a_partnerless_clearance(dom):
+    assert _HookMemo(dom).threshold[0] == dom.cap + 1
+    slack = slack_threshold(dom.d, dom.epsilon)
+    for i, g in enumerate(seeded_corpus(16, 11, dom.d // 3, base_seed=7200 + dom.cap)):
+        # Rounding only lowers clearances, so every set the rounded engine
+        # accepts is pairwise at least the slackened target apart.
+        slack_counts = brute_force_count(g, slack, g.n)
+        for name, td in _decompositions(g):
+            nd = make_nice(td)
+            counts = dp_over_decomposition(g, nd, dom.d, mode="count", clearance=dom)
+            size, witness = dp_over_decomposition(g, nd, dom.d, mode="max", clearance=dom)
+            assert counts == _tuple_engine(g, nd, dom.d, "count", dom), (dom.cap, i, name)
+            assert all(c <= b for c, b in zip(counts, slack_counts)), (dom.cap, i, name)
+            assert (size, witness) == _tuple_engine(g, nd, dom.d, "max", dom), (dom.cap, i, name)
+            assert size == len(witness) and scattered_violation(g, witness, slack) is None
+
+
+def test_engine_output_pinned():
+    # Sizes, witnesses and count vectors of the exact engine at six d, and
+    # the approximation at one epsilon, hashed.  The digest was taken from
+    # the tuple-keyed engine that packed keys replaced, so any change to an
+    # answer, a witness or a tie shows here.
+    digest = hashlib.sha256()
+    for i, g in enumerate(seeded_corpus(60, 16, 6, base_seed=1300)):
+        td = heuristic_decomposition(g)
+        nd = make_nice(td)
+        for d in (2, 3, 4, 7, 17, 10**12):
+            result = (i, d, max_scattered(g, nd, d), count_scattered(g, nd, d, g.n))
+            digest.update(repr(result).encode())
+        digest.update(repr((i, approx_max_scattered(g, td, 17, Fraction(1, 2)))).encode())
+    assert digest.hexdigest() == "89e250774bde2550212d5e40cf982a2fe88cbdc4bcbef28e4f8560eefe67b330"
