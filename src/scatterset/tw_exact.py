@@ -14,9 +14,9 @@ of all selection sizes: the count of size m sits in bits [m*B, (m+1)*B).
 Selecting a vertex shifts the packed polynomial up one slot, and a join
 multiplies two of them in a single integer product.  Slots are wide enough
 that no carry ever reaches a kept count; `dp_over_decomposition` gives the
-bound and its proof.  In maximizing mode the value is a pair (best size,
-mask): bit v of the int mask is set when vertex v is in one best partial
-solution for that state, so the root's mask is the witness.  Both modes
+bound and its proof.  In maximizing mode the value is an int mask alone:
+bit v is set when vertex v is in one best partial solution for that state,
+so the root's mask is the witness and its popcount the size.  Both modes
 free each child table once its parent has consumed it.
 
 `count_scattered` and `max_scattered` run the engine in those two modes;
@@ -55,11 +55,6 @@ from .graph_core import all_pairs_distances  # noqa: F401
 # Number of times the decomposition DP has actually executed; lets callers
 # verify that trivial cases short-circuit without running it.
 ENGINE_RUNS = 0
-
-# State of a selected bag vertex in the hook memos.  A packed key stores
-# each state plus one, so a selected field is 0.
-_SELECTED = -1
-
 
 # ---------------------------------------------------------------------------
 # Clearance engine
@@ -110,18 +105,22 @@ class _Memo(dict):
 class _HookMemo:
     """Per-solve memo of a clearance domain's hooks, filled lazily.
 
-    Only values the DP actually meets are computed, never a table over
-    0..cap: in the exact domain cap = d, which the gadgets make huge.
+    Keys and values are packed field values: 0 is "selected" and c + 1 the
+    clearance c.  Only values the DP actually meets are computed, never a
+    table over 0..cap: in the exact domain cap = d, which the gadgets make
+    huge.
     """
 
     def __init__(self, dom) -> None:
         self.cap = cap = dom.cap
         add, join_ok = dom.add, dom.join_ok
-        # rows[w] maps a clearance s to add(s, w).  A selected position never
-        # lowers the reach of a new vertex, so it maps to the cap.
-        self.rows = _Memo(lambda w: _Memo(lambda s: add(s, w), {_SELECTED: cap}))
-        self.from_distance = _Memo(dom.from_distance)
-        self.admit_clearance = _Memo(dom.admit_clearance)
+        # rows[w][f] is the field of add(f - 1, w).  A selected position never
+        # lowers the reach of a new vertex, so it maps to the cap's field.
+        self.rows = _Memo(lambda w: _Memo(lambda f: add(f - 1, w) + 1, {0: cap + 1}))
+        # fresh[dist] is the field of the clearance at distance dist.
+        self.fresh = _Memo(lambda dist: dom.from_distance(dist) + 1)
+        # admit[f]: a new vertex whose reach has field f may be selected.
+        self.admit = _Memo(lambda f: dom.admit_clearance(f - 1))
 
         def least_partner(a: int) -> int:
             # join_ok(a, b) is monotone in b, so binary search for the least
@@ -135,9 +134,10 @@ class _HookMemo:
                     lo = mid + 1
             return lo
 
-        # A selected position meets a selected one (masks match), and its
-        # threshold -1, packed as 0, lets it through the same comparison.
-        self.threshold = _Memo(least_partner, {_SELECTED: _SELECTED})
+        # least[f] is the field of the least partner of clearance f - 1, so
+        # cap + 2 means none.  A selected position meets a selected one (the
+        # join buckets by selection), and its 0 lets it through the same test.
+        self.least = _Memo(lambda f: least_partner(f - 1) + 1, {0: 0})
 
 
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
@@ -182,12 +182,12 @@ def dp_over_decomposition(
     position's state plus one: 0 marks a selected vertex, and c + 1 a
     clearance c, the capped distance to the nearest selection already
     forgotten, in the clearance domain's units (0 <= c <= cap).  So
-    "selected" is below every clearance under min, and field value f reads
-    the hooks at state f - 1, where -1 is the hooks' selected marker.
-    W = bit length of (cap + 2), plus one: fields hold values up to cap + 1,
-    a least-partner threshold of cap + 2 means "no partner", and the top bit
-    of each field is a guard bit, 0 in every key.  A leaf's keys are cap + 1
-    and 0, and the root's key is 0.
+    "selected" is below every clearance under min; the hook memos
+    (`_HookMemo`) take and return field values too.  W = bit length of
+    (cap + 2), plus one: fields hold values up to cap + 1, a least-partner
+    threshold of cap + 2 means "no partner", and the top bit of each field
+    is a guard bit, 0 in every key.  A leaf's keys are cap + 1 and 0, and
+    the root's key is 0.
 
     For a bag of b positions let ONES have a 1 in each field and
     H = ONES << (W - 1) be its guard bits.  For keys X and Y:
@@ -207,12 +207,12 @@ def dp_over_decomposition(
     closer than d can lower the new vertex's reach, and the clash test
     subtracts ONES over the clash fields alone.
 
-    Max mode stores (best size, mask) per state, where bit v of the int mask
-    is set when vertex v is in one best partial solution: a leaf gives
-    {cap + 1: (0, 0), 0: (1, 1 << v)}, selecting v ORs in 1 << v, forget
-    and an unselected introduce pass the child's pair on unchanged, and a
-    join adds the sizes less the nsel shared selections and ORs the masks.
-    Ties keep the first entry found.
+    Max mode stores one int mask per state, where bit v is set when vertex
+    v is in one best partial solution; the solution's size is the mask's
+    popcount.  A leaf gives {cap + 1: 0, 0: 1 << v}, selecting v ORs in
+    1 << v, forget and an unselected introduce pass the child's mask on
+    unchanged, and a join ORs the two masks.  Forget and join keep the mask
+    with more bits, and ties keep the first entry found.
 
     Counting mode stores one int P per state, the generating polynomial of
     its partial solutions evaluated at 2^B: the number of partial solutions
@@ -259,7 +259,7 @@ def dp_over_decomposition(
     # B of the docstring; C(n, m) is unimodal in m with its peak at n // 2.
     slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
     trunc = (1 << (slot_bits * (k_cap + 1))) - 1
-    admit_clearance = hooks.admit_clearance
+    admit = hooks.admit
 
     # W of the docstring: every field value, up to the "no partner" cap + 2,
     # sits below the field's guard bit.
@@ -271,9 +271,7 @@ def dp_over_decomposition(
         """ONES of the docstring: a 1 in each of b fields."""
         return ((1 << (b * width)) - 1) // field
 
-    # Field value -> packed least partner, with 0 (selected) -> 0.
-    least_field = _Memo(lambda f: hooks.threshold[f - 1] + 1)
-
+    least = hooks.least
     tables: dict[int, dict] = {}
 
     def _node_table(i: int) -> dict:
@@ -286,8 +284,8 @@ def dp_over_decomposition(
                 if k_cap >= 1:
                     table[0] = 1 << slot_bits
             else:
-                table[cap + 1] = (0, 0)
-                table[0] = (1, 1 << v)
+                table[cap + 1] = 0
+                table[0] = 1 << v
         elif node.kind == "introduce":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
@@ -306,11 +304,11 @@ def dp_over_decomposition(
             clash_guard = clash << guard
             # Keys extend distinct child keys at one field, so none repeat.
             for key, value in ctable.items():
-                reach = min([row[(key >> s & field) - 1] for s, row in reads], default=cap)
+                reach = min([row[key >> s & field] for s, row in reads], default=cap + 1)
                 # The child's key with a 0 (v selected) field spliced in at v.
                 spliced = (key & below) | (key >> at << (at + width))
-                table[spliced | (reach + 1) << at] = value
-                if not admit_clearance[reach]:
+                table[spliced | reach << at] = value
+                if not admit[reach]:
                     continue
                 if ((key | clash_guard) - clash) & clash_guard != clash_guard:
                     continue
@@ -319,7 +317,7 @@ def dp_over_decomposition(
                     if shifted:
                         table[spliced] = shifted
                 else:
-                    table[spliced] = (value[0] + 1, value[1] | 1 << v)
+                    table[spliced] = value | 1 << v
         elif node.kind == "forget":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
@@ -330,7 +328,7 @@ def dp_over_decomposition(
             zrow = near[v]
             guards = ones(len(node.bag)) << guard
             fresh = sum(
-                (hooks.from_distance[zrow.get(u, INF)] + 1) << (j * width)
+                hooks.fresh[zrow.get(u, INF)] << (j * width)
                 for j, u in enumerate(cbag[:pos] + cbag[pos + 1 :])
             )
             fresh_guarded = fresh | guards
@@ -344,7 +342,7 @@ def dp_over_decomposition(
                     table[rest] = table.get(rest, 0) + value
                 else:
                     old = table.get(rest)
-                    if old is None or value[0] > old[0]:
+                    if old is None or value.bit_count() > old.bit_count():
                         table[rest] = value
         else:  # join
             # Bucket the larger child table by selection mask and walk the
@@ -365,12 +363,12 @@ def dp_over_decomposition(
                 bucket = by_mask.get(mask)
                 if bucket is None:
                     continue
-                nsel = b - mask.bit_count()
-                least = sum([least_field[okey >> s & field] << s for s in shifts])
-                shift = slot_bits * nsel
+                # nsel, the shared selections, times the slot width.
+                shift = slot_bits * (b - mask.bit_count())
+                olimit = sum([least[okey >> s & field] << s for s in shifts])
                 for ikey, ivalue in bucket:
                     iguarded = ikey | guards
-                    if (iguarded - least) & guards != guards:
+                    if (iguarded - olimit) & guards != guards:
                         continue
                     take = (((iguarded - okey) & guards) >> guard) * field
                     merged = ikey ^ ((ikey ^ okey) & take)
@@ -379,10 +377,10 @@ def dp_over_decomposition(
                         if product:
                             table[merged] = table.get(merged, 0) + product
                     else:
-                        size = ovalue[0] + ivalue[0] - nsel
+                        union = ovalue | ivalue
                         old = table.get(merged)
-                        if old is None or size > old[0]:
-                            table[merged] = (size, ovalue[1] | ivalue[1])
+                        if old is None or union.bit_count() > old.bit_count():
+                            table[merged] = union
         for c in node.children:
             del tables[c]
         return table
@@ -395,8 +393,8 @@ def dp_over_decomposition(
         packed = root_table.get(0, 0)
         slot = (1 << slot_bits) - 1
         return [(packed >> (m * slot_bits)) & slot for m in range(k_cap + 1)]
-    size, mask = root_table[0]
-    return size, tuple(v for v, bit in enumerate(reversed(f"{mask:b}")) if bit == "1")
+    mask = root_table[0]
+    return mask.bit_count(), tuple(v for v, bit in enumerate(reversed(f"{mask:b}")) if bit == "1")
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +416,7 @@ def max_scattered(g: WeightedGraph, nd: NiceDecomposition, d: int) -> tuple[int,
     The witness is read off the root entry's vertex bitmask and is not
     re-checked here; the CLI re-validates every witness it prints.
     """
-    size, witness = dp_over_decomposition(g, nd, d, mode="max")
-    return size, witness
-
-
-def _solve_component(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
-    nd = make_nice(heuristic_decomposition(g))
-    return max_scattered(g, nd, d)
+    return dp_over_decomposition(g, nd, d, mode="max")
 
 
 def solve_via_treedepth(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
@@ -450,7 +442,7 @@ def solve_via_treedepth(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
             total += 1
             chosen.append(old_ids[0])
             continue
-        size, witness = _solve_component(sub, d)
+        size, witness = max_scattered(sub, make_nice(heuristic_decomposition(sub)), d)
         total += size
         chosen.extend(old_ids[v] for v in witness)
     return total, tuple(sorted(chosen))

@@ -161,8 +161,9 @@ def solve_packing(
     is 8 + p - c >= 5, so none borrows, and its high bit is set iff p >= c;
     spreading those bits over their fields gives the mask K of the per-field
     max (P & K) | (C & ~K).  Codes must lie in 0..3 and the budget in 0..7.
-    The profile dict keeps insertion order, so ties break as with tuples:
-    larger count, then the lexicographically smaller chosen tuple.
+    Each profile maps to the chosen origins alone, ascending because the
+    sets are visited in sorted order; ties keep the longer tuple, then the
+    lexicographically smaller one.
     """
     global LAST_PROFILE_COUNT
     if not 0 <= budget <= 7 or any(not 0 <= c <= 3 for _, row in sets for c in row):
@@ -171,35 +172,32 @@ def solve_packing(
     ones = (16**universe - 1) // 15  # 1 in every 4-bit field
     high = 8 * ones
     slack = (7 - budget) * ones
-    profiles: dict[int, tuple[int, tuple[int, ...]]] = {0: (0, ())}
+    profiles: dict[int, tuple[int, ...]] = {0: ()}
     for origin, codes in sorted(sets):
         row = 0
         for code in reversed(codes):
             row = row << 4 | code
         limit = row + slack
-        additions: dict[int, tuple[int, tuple[int, ...]]] = {}
-        for profile, (count, chosen) in profiles.items():
+        additions: dict[int, tuple[int, ...]] = {}
+        for profile, chosen in profiles.items():
             if (profile + limit) & high:
                 continue
             keep = ((((profile | high) - row) & high) >> 3) * 15
             new_profile = (profile & keep) | (row & ~keep)
-            candidate = (count + 1, chosen + (origin,))
+            candidate = chosen + (origin,)
             incumbent = additions.get(new_profile)
             if incumbent is None:
                 incumbent = profiles.get(new_profile)
             if (
                 incumbent is None
-                or candidate[0] > incumbent[0]
-                or (candidate[0] == incumbent[0] and candidate[1] < incumbent[1])
+                or len(candidate) > len(incumbent)
+                or (len(candidate) == len(incumbent) and candidate < incumbent)
             ):
                 additions[new_profile] = candidate
         profiles.update(additions)
     LAST_PROFILE_COUNT = len(profiles)
-    best_count, best_chosen = 0, ()
-    for count, chosen in profiles.values():
-        if count > best_count or (count == best_count and chosen < best_chosen):
-            best_count, best_chosen = count, chosen
-    return best_count, tuple(sorted(best_chosen))
+    best = min(profiles.values(), key=lambda chosen: (-len(chosen), chosen))
+    return len(best), best
 
 
 def max_scattered_vc(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:

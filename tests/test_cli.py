@@ -281,6 +281,23 @@ def test_gen_w1vc_writes_all_artifacts(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_gen_reports_a_witness_its_generator_rejects_as_internal_error(
+    capsys, tmp_path, monkeypatch
+):
+    # The generator's own re-check is the only one, so breaking it must
+    # still fail the run before any file is written.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(gadgets, "is_scattered", lambda *args: False)
+    Path("in.mcis").write_text(YES_MCIS)
+    Path("a.txt").write_text("1 1\n")
+    code, out, err = run_cli(
+        capsys, "gen", "w1vc", "--mcis", "in.mcis", "--assignment", "a.txt"
+    )
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert not Path("w1vc.dss").exists()
+
+
 def test_gen_rejected_assignment_fails(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("in.mcis").write_text(YES_MCIS)
@@ -624,11 +641,16 @@ def test_json_reports_share_one_schema(capsys, p5, tmp_path, monkeypatch):
     claim.write_text("v0 v3\n")
     td_file = tmp_path / "p5.td"
     run_cli(capsys, "decompose", "--graph", p5, "--out", str(td_file))
+    Path("in.mcis").write_text(YES_MCIS)
+    Path("f.cnf").write_text("p cnf 2 2\n1 2 0\n-1 2 0\n")
     invocations = [
         ("solve", "--graph", p5, "--d", "3", "--json"),
         ("solve", "--graph", p5, "--d", "3", "--algo", "approx", "--epsilon", "1", "--json"),
         ("count", "--graph", p5, "--d", "3", "--k", "2", "--json"),
         ("gen", "random", "--n", "4", "--p", "1/2", "--json"),
+        ("gen", "fvs", "--mcis", "in.mcis", "--json"),
+        ("gen", "seth", "--cnf", "f.cnf", "--d", "4", "--epsilon", "1", "--json"),
+        ("gen", "tdeth", "--cnf", "f.cnf", "--json"),
         ("decompose", "--graph", p5, "--json"),
         ("validate", "--graph", p5, "--td", str(td_file), "--json"),
         ("validate", "--graph", p5, "--set", str(claim), "--d", "3", "--json"),

@@ -60,11 +60,12 @@ def test_exact_clearance_domain():
     ids=["exact-2", "exact-7", "rounded-100"],
 )
 def test_join_threshold_is_least_accepted_partner(dom):
+    # The memo speaks field units: clearance a is field a + 1.
     hooks = _HookMemo(dom)
     for a in range(dom.cap + 1):
         accepted = [b for b in range(dom.cap + 1) if dom.join_ok(a, b)]
-        assert hooks.threshold[a] == (accepted[0] if accepted else dom.cap + 1)
-        assert accepted == list(range(hooks.threshold[a], dom.cap + 1))
+        assert hooks.least[a + 1] - 1 == (accepted[0] if accepted else dom.cap + 1)
+        assert accepted == list(range(hooks.least[a + 1] - 1, dom.cap + 1))
 
 
 def _first(nd: NiceDecomposition, kind: str) -> int:
@@ -429,7 +430,7 @@ PARTNERLESS = [
 
 @pytest.mark.parametrize("dom", PARTNERLESS, ids=["cap-5", "cap-6", "cap-7"])
 def test_packed_keys_match_the_reference_with_a_partnerless_clearance(dom):
-    assert _HookMemo(dom).threshold[0] == dom.cap + 1
+    assert _HookMemo(dom).least[1] - 1 == dom.cap + 1  # clearance 0 is field 1
     slack = slack_threshold(dom.d, dom.epsilon)
     for i, g in enumerate(seeded_corpus(16, 11, dom.d // 3, base_seed=7200 + dom.cap)):
         # Rounding only lowers clearances, so every set the rounded engine
@@ -443,6 +444,33 @@ def test_packed_keys_match_the_reference_with_a_partnerless_clearance(dom):
             assert all(c <= b for c, b in zip(counts, slack_counts)), (dom.cap, i, name)
             assert (size, witness) == _tuple_engine(g, nd, dom.d, "max", dom), (dom.cap, i, name)
             assert size == len(witness) and scattered_violation(g, witness, slack) is None
+
+
+def _banded_graph(n: int, seed: int) -> WeightedGraph:
+    # Each vertex links to one or two of the four before it, so the
+    # heuristic's width stays at most 4.
+    rng = random.Random(seed)
+    edges = set()
+    for v in range(1, n):
+        for u in rng.sample(range(max(0, v - 4), v), min(v, rng.randint(1, 2))):
+            edges.add((u, v, rng.randint(1, 3)))
+    return WeightedGraph(n=n, edges=tuple(sorted(edges)))
+
+
+def test_witness_masks_past_one_machine_word_match_the_reference():
+    # n >= 65 puts witness bits past bit 63, so the max-mode mask spans
+    # more than one word.  The reference's all-pairs tables stay cheap at
+    # width <= 5 only.
+    for seed in range(4):
+        g = _banded_graph(66 + 3 * seed, 9000 + seed)
+        td = heuristic_decomposition(g)
+        assert td.width <= 5
+        nd = make_nice(td)
+        for d in (2, 3, 5, 8):
+            size, witness = dp_over_decomposition(g, nd, d, mode="max")
+            assert (size, witness) == _tuple_engine(g, nd, d, "max"), (seed, d)
+            assert size == len(witness) and max(witness) >= 64, (seed, d)
+            assert scattered_violation(g, witness, d) is None, (seed, d)
 
 
 def test_engine_output_pinned():
