@@ -431,6 +431,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    if args.td and args.d is not None:
+        raise UsageError("--d applies only to --set")
     g = _load_graph(args.graph)
     report = RunReport(command="validate", solver="td" if args.td else "set")
     started = time.perf_counter()

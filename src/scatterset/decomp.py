@@ -370,8 +370,6 @@ def _compress(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
     while changed:
         changed = False
         for u in sorted(alive):
-            if u not in alive:
-                continue
             for v in sorted(adj[u]):
                 if bags[u] <= bags[v] or bags[v] <= bags[u]:
                     # merge u into v (keep the superset bag on v)

@@ -552,7 +552,6 @@ def gen_seth(
         p += 1
         if p > 24:
             raise ValueError("epsilon is too small for this d: path count p > 24")
-    assert Fraction(d) ** p >= 2 * shortfall**p
     gamma = _floor_pow_log2(d, p)
     t = -(-n // gamma)
     codes = d**p

@@ -2,8 +2,9 @@
 
 Vertices are integers 0..n-1.  Edge weights are strictly positive integers;
 unit weights model the unweighted case.  Distances between vertices in
-different components are represented by the sentinel ``INF``, which compares
-larger than any realizable path length.
+different components are ``INF = math.inf``, a true infinity: it compares
+larger than every int, however large d or a path length grows, and
+int/float comparisons are exact.
 
 The solvers read radius-limited distances (`distances_within`): a d-scattered
 set only asks whether a distance is below d.  The all-pairs matrix
@@ -17,14 +18,12 @@ line raises `ParseError` with its line number.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Sequence
 
-INF = 10**18
-
-# Parsing rejects graphs whose total edge weight could collide with INF.
-_MAX_TOTAL_WEIGHT = INF // 4
+INF = math.inf
 
 VertexSet = tuple[int, ...]
 
@@ -67,7 +66,6 @@ class WeightedGraph:
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         seen: set[tuple[int, int]] = set()
-        total = 0
         for u, v, w in self.edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
@@ -79,9 +77,6 @@ class WeightedGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
-            total += w
-        if total > _MAX_TOTAL_WEIGHT:
-            raise ValueError("total edge weight too large for exact distances")
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:

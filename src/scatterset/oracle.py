@@ -12,12 +12,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .gadgets import _check_size
-from .graph_core import (
-    INF,
-    VertexSet,
-    WeightedGraph,
-    all_pairs_distances,
-)
+from .graph_core import VertexSet, WeightedGraph, all_pairs_distances
 
 import random
 

@@ -25,13 +25,12 @@ from .graph_core import (
     VertexSet,
     WeightedGraph,
     distances_within,
-    is_scattered,
     uncovered_edge,
 )
 
-# Unused here, but bench/tracing.py wraps this module-level name and the
+# Unused here, but bench/tracing.py wraps these module-level names and the
 # benchmark's tests require every name it wraps to exist.
-from .graph_core import all_pairs_distances  # noqa: F401
+from .graph_core import all_pairs_distances, is_scattered  # noqa: F401
 
 # Distinct code profiles materialized by the most recent solve_packing
 # run; lets tests confirm the 3^|C| / 4^|C| state bound.
@@ -201,14 +200,15 @@ def solve_packing(
 
 
 def max_scattered_vc(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
-    """Maximum d-scattered set via the cover reduction (unit weights, d >= 3)."""
+    """Maximum d-scattered set via the cover reduction (unit weights, d >= 3).
+
+    The witness is not re-checked here; the CLI re-validates every witness
+    it prints.
+    """
     if not g.has_unit_weights():
         raise ValueError("max_scattered_vc expects unit weights")
     if d < 3:
         raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
     cover = compute_vertex_cover(g)
     reps = neighborhood_classes(g, cover)
-    size, witness = solve_packing(*reduce_to_packing(g, cover, reps, d))
-    if not is_scattered(g, witness, d):
-        raise AssertionError("packing produced an invalid witness")
-    return size, witness
+    return solve_packing(*reduce_to_packing(g, cover, reps, d))

@@ -172,6 +172,35 @@ def test_solve_refuses_flags_it_would_ignore(capsys, p5, flags):
     assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
+def test_validate_refuses_d_with_td(capsys, p5):
+    code, out, err = run_cli(
+        capsys, "validate", "--graph", p5, "--td", "/nonexistent.td", "--d", "1", "--json"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [10**18 + 1, 10**20])
+def test_unreachable_vertices_stay_apart_at_any_d(capsys, tmp_path, d):
+    # Two isolated vertices are infinitely far apart, so both fit however
+    # large d is; the one-bag file makes them bag-mates in the DP.
+    graph = tmp_path / "two.dss"
+    graph.write_text("p dss 2 0\n")
+    td_file = tmp_path / "one.td"
+    td_file.write_text("s td 1 2 2\nb 1 1 2\n")
+    common = ("--graph", str(graph), "--d", str(d))
+    for extra in (
+        ("--algo", "tw", "--td", str(td_file)),
+        ("--algo", "approx", "--epsilon", "1", "--td", str(td_file)),
+        ("--algo", "brute"),
+        ("--algo", "vc"),
+    ):
+        code, out, err = run_cli(capsys, "solve", *common, *extra)
+        assert (code, err) == (0, "") and "size: 2\n" in out, extra
+    code, out, err = run_cli(capsys, "count", *common, "--k", "2", "--td", str(td_file))
+    assert (code, err) == (0, "") and "counts: 1 2 1\n" in out
+
+
 def test_repeated_bag_vertex_is_refused_by_every_command(capsys, tmp_path):
     graph = tmp_path / "k2.dss"
     graph.write_text("p dss 2 1\ne 1 2\n")
@@ -618,11 +647,37 @@ def test_repeated_witness_vertex_is_internal_error(capsys, p5, monkeypatch):
     ids=["approx", "vc"],
 )
 def test_solver_self_check_prints_one_internal_error(capsys, p5, monkeypatch, module, name, extra):
-    # v0 and v1 are adjacent, so the solver's own re-check must fail.
+    # v0 and v1 are adjacent, so the CLI's re-check of the answer must fail.
     monkeypatch.setattr(module, name, lambda *args, **kwargs: (2, (0, 1)))
     code, out, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", *extra)
     assert (code, out) == (4, "")
     assert err.startswith("internal error:") and err.count("internal error") == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--algo", "tw"],
+        ["--algo", "approx", "--epsilon", "1/2"],
+        ["--algo", "vc"],
+        ["--algo", "brute"],
+    ],
+    ids=["tw", "approx", "vc", "brute"],
+)
+def test_each_solve_answer_is_rechecked_once(capsys, p5, monkeypatch, extra):
+    calls = []
+    check = graph_core.scattered_violation
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(graph_core, "scattered_violation", counted)
+    # A solver that imported the name itself would re-check through it.
+    for module in (tw_approx, vc_fpt):
+        monkeypatch.setattr(module, "scattered_violation", counted, raising=False)
+    code, _, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", *extra)
+    assert (code, err, len(calls)) == (0, "", 1)
 
 
 def test_unexpected_exception_is_one_line_internal_error(capsys, p5, monkeypatch):

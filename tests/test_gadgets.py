@@ -126,6 +126,11 @@ def test_parse_mcis():
     assert not inst.has_edge(1, 1, 2, 1)
 
 
+def test_parse_mcis_puts_the_lower_class_first():
+    inst = parse_mcis("p mcis 2 2\ne 2.1 1.2\n")
+    assert inst.edges == frozenset({((1, 2), (2, 1))})
+
+
 MCIS_MALFORMED = [
     ("e 1.1 2.1\n", 1),  # edge before header
     ("p mcis 2 2\ne 1.1 1.2\n", 2),  # intra-class edge
