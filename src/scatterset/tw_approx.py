@@ -7,11 +7,13 @@ set at least as large as the true d-optimum whose members are pairwise at
 distance >= d/(1+epsilon).  The module does not re-check that bound; the
 CLI re-checks every witness it prints, at `slack_threshold`.
 
-All arithmetic is exact rational: rounding floors are found by comparisons
-against precomputed powers, never by floating-point logarithms.  delta
-starts at epsilon/depth and is halved until (1+delta)^depth <= 1+epsilon
-holds exactly, so the per-level rounding losses provably compound to at
-most (1+epsilon).
+All arithmetic is exact and in integers: with delta = a/b, the ladder
+stores (1+delta)^l scaled by b^cap, which is the integer (a+b)^l * b^(cap-l),
+and every target is scaled the same way and rounded up.  Rounding floors are
+found by bisecting those integers, never by floating-point logarithms.
+delta starts at epsilon/depth and is halved until (1+delta)^depth <=
+1+epsilon holds exactly, so the per-level rounding losses provably compound
+to at most (1+epsilon).
 """
 
 from __future__ import annotations
@@ -44,42 +46,82 @@ class RoundedClearance:
     Index l stands for the exact value (1+delta)^l; the cap is the largest
     power not exceeding d.  Every admission check compares against the
     slackened target d/(1+epsilon), exactly.
+
+    With delta = a/b in lowest terms, `_ladder[l]` is (1+delta)^l * b^cap =
+    (a+b)^l * b^(cap-l), an integer, and `_unit` = b^cap stands for 1.  An
+    integer x passes a test "value >= t" iff x >= ceil(t * b^cap), so each
+    hook compares ints only.
     """
 
     def __init__(self, d: int, delta: Fraction, epsilon: Fraction) -> None:
         self.d = d
         self.delta = Fraction(delta)
         self.epsilon = Fraction(epsilon)
-        self.target = Fraction(d) / (1 + self.epsilon)
+        a, b = self.delta.numerator, self.delta.denominator
+        # (a+b)^l <= d * b^l is the exact test "(1+delta)^l <= d"; at the
+        # end, unit = b^cap.
+        top, unit, cap = 1, 1, 0
+        while top * (a + b) <= d * unit * b:
+            top, unit, cap = top * (a + b), unit * b, cap + 1
+        # Going up one rung trades one factor b for one factor a+b.
+        ladder = [unit]
+        for _ in range(cap):
+            ladder.append(ladder[-1] // b * (a + b))
+        self._ladder = ladder
+        self._unit = unit
+        self._threshold = slack_threshold(d, self.epsilon)
+        # ceil(target * b^cap) for target = d / (1+epsilon) = d*q / (p+q).
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        self._scaled_target = -(-d * q * unit // (p + q))
+
+    @property
+    def powers(self) -> list[Fraction]:
+        """The ladder as exact values: powers[l] == (1+delta)^l."""
         base = 1 + self.delta
         powers = [Fraction(1)]
-        while powers[-1] * base <= d:
+        for _ in range(self.cap):
             powers.append(powers[-1] * base)
-        self.powers = powers
+        return powers
 
     @property
     def cap(self) -> int:
-        return len(self.powers) - 1
+        return len(self._ladder) - 1
 
     def from_distance(self, dist: int) -> int:
         if dist >= self.d:
             return self.cap
-        return bisect_right(self.powers, dist) - 1
+        return bisect_right(self._ladder, dist * self._unit) - 1
 
     def add(self, idx: int, w: int) -> int:
-        total = self.powers[idx] + w
-        if total > self.powers[-1]:
+        ladder = self._ladder
+        total = ladder[idx] + w * self._unit
+        if total > ladder[-1]:
             return self.cap
-        return bisect_right(self.powers, total) - 1
+        return bisect_right(ladder, total, idx) - 1
 
     def admit_distance(self, dist: int) -> bool:
-        return dist >= self.target
+        return dist >= self._threshold
 
     def admit_clearance(self, idx: int) -> bool:
-        return self.powers[idx] >= self.target
+        return self._ladder[idx] >= self._scaled_target
 
     def join_ok(self, i: int, j: int) -> bool:
-        return self.powers[i] + self.powers[j] >= self.target
+        return self._ladder[i] + self._ladder[j] >= self._scaled_target
+
+
+def _delta_for(epsilon: Fraction, depth: int) -> Fraction:
+    """Largest epsilon/(depth * 2^k) with (1+delta)^depth <= 1+epsilon.
+
+    With delta = a/b in lowest terms and epsilon = p/q, the test is
+    (a+b)^depth * q <= (p+q) * b^depth, in integers.  Halving keeps a/b in
+    lowest terms: an even a is halved, else b is doubled.
+    """
+    p, q = epsilon.numerator, epsilon.denominator
+    start = epsilon / depth
+    a, b = start.numerator, start.denominator
+    while (a + b) ** depth * q > (p + q) * b**depth:
+        a, b = (a // 2, b) if a % 2 == 0 else (a, 2 * b)
+    return Fraction(a, b)
 
 
 def approx_max_scattered(
@@ -101,8 +143,5 @@ def approx_max_scattered(
         raise ValueError("d must be >= 2")
     nd = make_nice(balance(td, g))
     depth = max(1, max_introduce_depth(nd))
-    delta = epsilon / depth
-    while (1 + delta) ** depth > 1 + epsilon:
-        delta /= 2
-    clearance = RoundedClearance(d, delta, epsilon)
+    clearance = RoundedClearance(d, _delta_for(epsilon, depth), epsilon)
     return dp_over_decomposition(g, nd, d, mode="max", clearance=clearance)

@@ -205,7 +205,9 @@ def dp_over_decomposition(
     if that field was 0, takes the fieldwise min against the packed fresh
     clearances.  Introduce splices a field in the same way; only bag-mates
     closer than d can lower the new vertex's reach, and the clash test
-    subtracts ONES over the clash fields alone.
+    subtracts ONES over the clash fields alone.  The clash fields are among
+    those bag-mates' fields, so the reach and the verdict on selecting the
+    new vertex are memoized per introduce node by that part of the key.
 
     Max mode stores one int mask per state, where bit v is set when vertex
     v is in one best partial solution; the solution's size is the mask's
@@ -293,24 +295,35 @@ def dp_over_decomposition(
             at = node.bag.index(v) * width
             below = (1 << at) - 1
             drow = near[v]
-            # Only bag-mates closer than d can lower v's reach below the cap.
-            reads = [(j * width, hooks.rows[drow[u]]) for j, u in enumerate(cbag) if u in drow]
-            # Fields where a selected vertex is too close to select v.
-            clash = sum(
-                1 << (j * width)
-                for j, u in enumerate(cbag)
-                if not dom.admit_distance(drow.get(u, INF))
-            )
+            # Only bag-mates closer than d can lower v's reach below the cap,
+            # and only they can be too close to a selected vertex: every
+            # distance of d or more is admitted, so the clash fields (where a
+            # selected vertex forbids selecting v) are among the read fields.
+            reads = []
+            read_mask = clash = 0
+            for j, u in enumerate(cbag):
+                if u in drow:
+                    reads.append((j * width, hooks.rows[drow[u]]))
+                    read_mask |= field << (j * width)
+                    if not dom.admit_distance(drow[u]):
+                        clash |= 1 << (j * width)
             clash_guard = clash << guard
+            # The read fields alone decide v's reach and whether v may be
+            # selected, so both are memoized by that part of the key.
+            verdicts: dict[int, tuple[int, bool]] = {}
             # Keys extend distinct child keys at one field, so none repeat.
             for key, value in ctable.items():
-                reach = min([row[key >> s & field] for s, row in reads], default=cap + 1)
+                part = key & read_mask
+                verdict = verdicts.get(part)
+                if verdict is None:
+                    reach = min([row[part >> s & field] for s, row in reads], default=cap + 1)
+                    free = ((part | clash_guard) - clash) & clash_guard == clash_guard
+                    verdict = verdicts[part] = (reach, free and admit[reach])
+                reach, selectable = verdict
                 # The child's key with a 0 (v selected) field spliced in at v.
                 spliced = (key & below) | (key >> at << (at + width))
                 table[spliced | reach << at] = value
-                if not admit[reach]:
-                    continue
-                if ((key | clash_guard) - clash) & clash_guard != clash_guard:
+                if not selectable:
                     continue
                 if counting:
                     shifted = (value << slot_bits) & trunc

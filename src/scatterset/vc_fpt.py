@@ -10,7 +10,9 @@ two candidates may coexist iff their codes sum to at most the budget (2 or
 3) on every element.  A forward DP over code profiles solves the packing in
 O*(3^|C|) for even d and O*(4^|C|) for odd d.  Each code row and each
 profile is one int of 4-bit fields, field i for element i, so the DP tests
-and merges a row against a profile with a few whole-int operations.
+and merges a row against a profile with a few whole-int operations.  Each
+profile maps to a bitmask over the sorted candidates, so recording a choice
+is one OR; the witness's origins are read off the winning mask at the end.
 
 The cover comes from a bounded branching search; each branch resumes its
 scan for an uncovered edge just past the edge its parent branched on.
@@ -159,44 +161,62 @@ def solve_packing(
     exceeds 3 + 3 + 7 < 16, so none carries.  Each field of (P | HIGH) - C
     is 8 + p - c >= 5, so none borrows, and its high bit is set iff p >= c;
     spreading those bits over their fields gives the mask K of the per-field
-    max (P & K) | (C & ~K).  Codes must lie in 0..3 and the budget in 0..7.
-    Each profile maps to the chosen origins alone, ascending because the
-    sets are visited in sorted order; ties keep the longer tuple, then the
-    lexicographically smaller one.
+    max (P & K) | (C & ~K).  Codes must lie in 0..3, the budget in 0..7,
+    and each origin may appear once.
+
+    Each profile maps to the chosen sets as a bitmask, bit i for the i-th
+    set in sorted order; the origin tuple is built once, from the winner.
+    Ties keep the larger subfamily, then the one whose ascending origin
+    tuple is lexicographically smaller.  Origins ascend with the bits, so
+    for two masks with as many bits that is the one holding the lowest bit
+    where they differ.
     """
     global LAST_PROFILE_COUNT
     if not 0 <= budget <= 7 or any(not 0 <= c <= 3 for _, row in sets for c in row):
         raise ValueError("packing expects codes in 0..3 and a budget in 0..7")
-    universe = len(sets[0][1]) if sets else 0
+    ordered = sorted(sets)
+    if len({origin for origin, _ in ordered}) != len(ordered):
+        raise ValueError("packing expects each origin at most once")
+    universe = len(ordered[0][1]) if ordered else 0
     ones = (16**universe - 1) // 15  # 1 in every 4-bit field
     high = 8 * ones
     slack = (7 - budget) * ones
-    profiles: dict[int, tuple[int, ...]] = {0: ()}
-    for origin, codes in sorted(sets):
+    profiles: dict[int, int] = {0: 0}
+    for i, (_, codes) in enumerate(ordered):
+        bit = 1 << i
         row = 0
         for code in reversed(codes):
             row = row << 4 | code
         limit = row + slack
-        additions: dict[int, tuple[int, ...]] = {}
+        additions: dict[int, int] = {}
         for profile, chosen in profiles.items():
             if (profile + limit) & high:
                 continue
             keep = ((((profile | high) - row) & high) >> 3) * 15
             new_profile = (profile & keep) | (row & ~keep)
-            candidate = chosen + (origin,)
+            candidate = chosen | bit
             incumbent = additions.get(new_profile)
             if incumbent is None:
                 incumbent = profiles.get(new_profile)
-            if (
-                incumbent is None
-                or len(candidate) > len(incumbent)
-                or (len(candidate) == len(incumbent) and candidate < incumbent)
-            ):
+            if incumbent is None or _better(candidate, incumbent):
                 additions[new_profile] = candidate
         profiles.update(additions)
     LAST_PROFILE_COUNT = len(profiles)
-    best = min(profiles.values(), key=lambda chosen: (-len(chosen), chosen))
-    return len(best), best
+    best = 0
+    for chosen in profiles.values():
+        if _better(chosen, best):
+            best = chosen
+    witness = tuple(origin for i, (origin, _) in enumerate(ordered) if best >> i & 1)
+    return len(witness), witness
+
+
+def _better(candidate: int, incumbent: int) -> bool:
+    """More bits, or as many and the lowest differing bit is the candidate's."""
+    more = candidate.bit_count() - incumbent.bit_count()
+    if more:
+        return more > 0
+    differ = candidate ^ incumbent
+    return bool(candidate & differ & -differ)
 
 
 def max_scattered_vc(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from scatterset.graph_core import INF, all_pairs_distances, scattered_violation
 from scatterset.oracle import brute_force_max
 from scatterset.tw_approx import (
     RoundedClearance,
+    _delta_for,
     approx_max_scattered,
     slack_threshold,
 )
@@ -114,3 +117,124 @@ def test_tiny_epsilon_recovers_exact_optimum():
         # rounded solver must match the exact optimum exactly.
         size, _ = approx_max_scattered(g, td, d, Fraction(1, 50 * d))
         assert size == brute_force_max(g, d)[0]
+
+
+# -- the integer ladder against the Fraction ladder it replaced ---------------
+
+
+class _FractionClearance:
+    """Reference: the rounded domain on a ladder of `Fraction` powers.
+
+    The integer ladder of `RoundedClearance` replaced it; every hook must
+    give the same answer.
+    """
+
+    def __init__(self, d, delta, epsilon):
+        self.d = d
+        self.target = Fraction(d) / (1 + epsilon)
+        base = 1 + delta
+        powers = [Fraction(1)]
+        while powers[-1] * base <= d:
+            powers.append(powers[-1] * base)
+        self.powers = powers
+
+    @property
+    def cap(self):
+        return len(self.powers) - 1
+
+    def from_distance(self, dist):
+        if dist >= self.d:
+            return self.cap
+        return bisect_right(self.powers, dist) - 1
+
+    def add(self, idx, w):
+        total = self.powers[idx] + w
+        if total > self.powers[-1]:
+            return self.cap
+        return bisect_right(self.powers, total) - 1
+
+    def admit_distance(self, dist):
+        return dist >= self.target
+
+    def admit_clearance(self, idx):
+        return self.powers[idx] >= self.target
+
+    def join_ok(self, i, j):
+        return self.powers[i] + self.powers[j] >= self.target
+
+
+def _ladder_grid():
+    # Small d, two seeded d, and 10**12 (cap 5,540 at delta = 1/200).
+    rng = random.Random(1604)
+    ds = [2, 3, 4, 7, 17, 100] + [rng.randrange(10**k, 10 ** (k + 2)) for k in (3, 6)]
+    for d in ds + [10**12]:
+        for delta in (Fraction(1), Fraction(1, 4), Fraction(1, 200)):
+            yield d, delta
+
+
+def _least_passing(test, hi):
+    # Least x in [0, hi] with test(x), or hi + 1; test must be monotone.
+    lo = 0
+    hi += 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_integer_ladder_matches_the_fraction_reference():
+    rng = random.Random(1605)
+    for d, delta in _ladder_grid():
+        ref = _FractionClearance(d, delta, Fraction(1))
+        cap = ref.cap
+        # A Fraction add costs milliseconds on the longest ladders, so past
+        # 300 rungs a seeded sample stands in for every index; both ends
+        # and both sides of each target boundary are always checked.
+        sample = range(cap + 1) if cap <= 300 else rng.sample(range(cap + 1), 8)
+        for epsilon in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
+            case = (d, delta, epsilon)
+            got = RoundedClearance(d, delta, epsilon)
+            # The ladder does not depend on epsilon, so one reference ladder
+            # serves every epsilon.
+            ref.target = Fraction(d) / (1 + epsilon)
+            assert got.cap == cap, case
+            assert [got.admit_clearance(i) for i in range(cap + 1)] == [
+                ref.admit_clearance(i) for i in range(cap + 1)
+            ], case
+            # The target boundary: the least index whose power reaches it.
+            flip = _least_passing(ref.admit_clearance, cap)
+            indices = sorted({0, 1, cap - 1, cap, flip - 1, flip} & set(range(cap + 1)) | set(sample))
+            for i in indices:
+                # join_ok is monotone in its second index for both: agreeing
+                # at the integer ladder's least partner and just below it,
+                # and at both ends, is agreeing everywhere.
+                partner = _least_passing(lambda j: got.join_ok(i, j), cap)
+                for j in {0, partner - 1, partner, cap} & set(range(cap + 1)):
+                    assert got.join_ok(i, j) == ref.join_ok(i, j), (case, i, j)
+            threshold = slack_threshold(d, epsilon)
+            for dist in {0, 1, threshold - 1, threshold, threshold + 1, d - 1, d, d + 1}:
+                assert got.from_distance(dist) == ref.from_distance(dist), (case, dist)
+                assert got.admit_distance(dist) == ref.admit_distance(dist), (case, dist)
+        # The epsilon-free hooks, once per ladder.
+        assert got.powers == ref.powers, (d, delta)
+        for i in sorted({0, 1, cap - 1, cap} & set(range(cap + 1)) | set(sample)):
+            for w in range(4):
+                assert got.add(i, w) == ref.add(i, w), (d, delta, i, w)
+            # Distances on both sides of the rung's value, where the floor
+            # steps.
+            below = ref.powers[i].numerator // ref.powers[i].denominator
+            for dist in (below - 1, below, below + 1):
+                assert got.from_distance(dist) == ref.from_distance(dist), (d, delta, dist)
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 10)])
+@pytest.mark.parametrize("depth", [1, 2, 3, 7, 40])
+def test_delta_search_matches_fraction_halving(epsilon, depth):
+    # The integer search must pick the delta that halving a Fraction picks.
+    expected = epsilon / depth
+    while (1 + expected) ** depth > 1 + epsilon:
+        expected /= 2
+    assert _delta_for(epsilon, depth) == expected

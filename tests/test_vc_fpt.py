@@ -200,6 +200,34 @@ def _packing_instances():
                 (origin, tuple(code if e == field else 0 for e in range(17)))
                 for origin, code in enumerate(rows)
             ] + [(len(rows), (top,) * 17)]
+    # Tie-heavy rows: the elements split into disjoint groups, and each row
+    # puts one code on every element of one group (or on none), so supports
+    # are identical or disjoint and many subfamilies of the best size reach
+    # the same profile.  Origins are scattered and given out of order.
+    for budget in (2, 3):
+        for universe in (1, 4, 9, 17):
+            for _ in range(6):
+                elements = rng.sample(range(universe), universe)
+                cuts = sorted(rng.sample(range(1, universe), min(universe - 1, rng.randint(0, 3))))
+                groups = [elements[a:b] for a, b in zip([0] + cuts, cuts + [universe])]
+                sets = []
+                for origin in rng.sample(range(60), rng.randint(8, 14)):
+                    group = rng.choice(groups + [[]])
+                    # Mostly the full budget, so a group takes one row.
+                    code = budget if rng.random() < 0.75 else rng.randint(1, budget - 1)
+                    sets.append((origin, tuple(code if e in group else 0 for e in range(universe))))
+                yield budget, sets
+    # On those rows the first subfamily to reach a profile was the
+    # lexicographically smallest in every instance tried, so the tie
+    # comparison decided nothing.  Rows on partly overlapping supports of
+    # six elements let a later subfamily of the same size win, and it does
+    # in 6 of these 24 instances.
+    for budget in (2, 3):
+        for _ in range(12):
+            yield budget, [
+                (origin, tuple(rng.choice((0, rng.randint(1, budget))) for _ in range(6)))
+                for origin in rng.sample(range(60), rng.randint(8, 14))
+            ]
 
 
 def test_packed_profiles_match_the_tuple_reference():
@@ -225,6 +253,13 @@ def test_packed_profiles_match_the_tuple_reference_on_reductions():
 def test_packing_refuses_codes_or_budgets_its_fields_cannot_hold(budget, sets):
     with pytest.raises(ValueError, match="codes in 0..3"):
         solve_packing(budget, sets)
+
+
+def test_packing_refuses_a_repeated_origin():
+    # The witness is read off a bitmask over the sorted rows, one bit per
+    # origin, so an origin listed twice has no single bit.
+    with pytest.raises(ValueError, match="each origin at most once"):
+        solve_packing(2, [(4, (1,)), (4, (0,))])
 
 
 def _rescanning_cover(g):
