@@ -237,9 +237,18 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 
     Each original bag appears, as a set, as some nice node's bag.  Every
     chain is one `lift`, which forgets then introduces one vertex at a time
-    in sorted order: from a leaf's lowest vertex up to its bag, from a child
-    bag to its parent's, and from the root bag down to the empty bag.
-    Multi-child nodes become cascades of join nodes.
+    in sorted order: from a leaf's lowest vertex up to its bag, from an only
+    child's bag to its parent's, and from the root bag down to the empty bag.
+
+    A node u with several children joins them on what they share with it.
+    Each child c is lifted to S_c = bag_c ∩ bag_u, which only forgets; the
+    children are then joined smallest S_c first (ties in child order) over
+    the running union, each side introducing only what the other brings;
+    the rest of bag_u is introduced once, above the last join.  Lifting
+    every child to bag_u would introduce a vertex no child holds once per
+    child, and double each child table for it.  Every path still introduces
+    |bag_u ∖ bag_c| vertices between c and u, so `max_introduce_depth` is
+    the same as with full lifts, and a nice input maps onto itself.
     """
     children = _children(td)
     if not any(td.bags):
@@ -252,12 +261,12 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         nodes.append(NiceNode(kind, tuple(sorted(bag)), kids, vertex))
         return len(nodes) - 1
 
-    def lift(top: int, from_bag: tuple[int, ...], to_bag: tuple[int, ...]) -> int:
-        cur = set(from_bag)
-        for v in sorted(set(from_bag) - set(to_bag)):
+    def lift(top: int, from_bag: Iterable[int], to_bag: Iterable[int]) -> int:
+        cur, target = set(from_bag), set(to_bag)
+        for v in sorted(cur - target):
             cur.remove(v)
             top = emit("forget", cur, (top,), v)
-        for v in sorted(set(to_bag) - set(from_bag)):
+        for v in sorted(target - cur):
             cur.add(v)
             top = emit("introduce", cur, (top,), v)
         return top
@@ -273,11 +282,18 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
                 first = (min(bag_u),)
                 top_of[u] = lift(emit("leaf", first, ()), first, bag_u)
             continue
-        lifted = [lift(top_of[c], td.bags[c], bag_u) for c in kids]
-        acc = lifted[0]
-        for other in lifted[1:]:
-            acc = emit("join", set(bag_u), (acc, other))
-        top_of[u] = acc
+        if len(kids) == 1:
+            top_of[u] = lift(top_of[kids[0]], td.bags[kids[0]], bag_u)
+            continue
+        shared = {c: set(td.bags[c]).intersection(bag_u) for c in kids}
+        first, *rest = sorted(kids, key=lambda c: len(shared[c]))
+        acc, acc_bag = lift(top_of[first], td.bags[first], shared[first]), shared[first]
+        for c in rest:
+            bag = acc_bag | shared[c]
+            # Child c forgets down to shared[c], then introduces what acc brings.
+            acc = emit("join", bag, (lift(acc, acc_bag, bag), lift(top_of[c], td.bags[c], bag)))
+            acc_bag = bag
+        top_of[u] = lift(acc, acc_bag, bag_u)
     root = lift(top_of[td.root], td.bags[td.root], ())
     return NiceDecomposition(nodes=tuple(nodes), root=root)
 

@@ -15,7 +15,9 @@ profile maps to a bitmask over the sorted candidates, so recording a choice
 is one OR; the witness's origins are read off the winning mask at the end.
 
 The cover comes from a bounded branching search; each branch resumes its
-scan for an uncovered edge just past the edge its parent branched on.
+scan for an uncovered edge just past the edge its parent branched on, and
+is cut once a matching among its uncovered edges shows it cannot beat the
+incumbent.
 """
 
 from __future__ import annotations
@@ -55,7 +57,11 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
     only strictly smaller covers replace the incumbent, which keeps the
     result deterministic.  A greedy maximal matching M, taken in edge order,
     bounds the search: it is refused when |M| exceeds `_MAX_MATCHING`, and
-    no branch grows past 2|M| vertices, which cuts no minimum cover.
+    no branch grows past 2|M| vertices, which cuts no minimum cover.  Each
+    branch also matches its uncovered edges greedily, from the one it
+    branches on, and returns once the matching has len(best) - len(cover)
+    edges: each needs a cover vertex of its own, so the branch can at best
+    tie the incumbent, and ties never replace it.
     """
     if not g.has_unit_weights():
         raise ValueError("vertex cover solving expects unit weights")
@@ -85,6 +91,13 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
         else:
             best = set(cover)
             return
+        room = len(best) - len(cover)
+        matched: set[int] = set()
+        for a, b, _ in edges[i:]:
+            if a not in cover and b not in cover and a not in matched and b not in matched:
+                matched.update((a, b))
+                if len(matched) >= 2 * room:
+                    return
         first, second = (u, v) if (-degree[u], u) <= (-degree[v], v) else (v, u)
         for w in (first, second):
             cover.add(w)

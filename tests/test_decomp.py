@@ -20,6 +20,7 @@ from scatterset.decomp import (
     max_introduce_depth,
     nice_to_tree,
     parse_td,
+    postorder,
     validate_decomposition,
     validate_nice,
 )
@@ -281,10 +282,66 @@ def _pruned_trees(count: int):
 
 
 def test_make_nice_pinned_on_pruned_trees():
-    # Subtrees of empty bags are dropped; the digest was taken from the
-    # fixed-point pruning loop this single post-order replaced.
+    # Subtrees of empty bags are dropped; any change to the nice form, its
+    # node ids included, shows here.
     parts = [repr(make_nice(td)) for td in _pruned_trees(400)]
-    assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == "82c946dc9c5ea932e9f3f541f24e753da9d3278b2a392d753ebe1847dc81125e"
+    assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == "2b469a98b9e53c0668bafcab264321d505ae8d7d1a4bf81abb5babcfa107ce1d"
+
+
+def _heuristic_and_balanced(count: int, base_seed: int):
+    for g in seeded_corpus(count, 14, 4, base_seed=base_seed):
+        td = heuristic_decomposition(g)
+        yield g, td
+        yield g, balance(td, g)
+
+
+def _canonical(nd) -> tuple:
+    """The nice tree from its root as nested (kind, bag, vertex, sorted child forms)."""
+    forms: dict[int, tuple] = {}
+    for i in postorder([node.children for node in nd.nodes], nd.root):
+        node = nd.nodes[i]
+        forms[i] = (node.kind, node.bag, node.vertex, tuple(sorted(forms[c] for c in node.children)))
+    return forms[nd.root]
+
+
+def test_make_nice_maps_a_nice_input_onto_itself():
+    # The benchmark's pinned nice .td files rely on this: their DP work is
+    # fixed by the file, not by how `make_nice` joins children.
+    checked = 0
+    for g, td in _heuristic_and_balanced(60, 5600):
+        nd = make_nice(td)
+        assert nd.width == td.width
+        _assert_valid(g, nice_to_tree(nd))
+        again = make_nice(nice_to_tree(nd))
+        assert validate_nice(again) is None
+        assert _canonical(again) == _canonical(nd)
+        checked += 1
+    assert checked == 120
+
+
+def test_introduce_depth_in_closed_form():
+    # A path of the nice form introduces a leaf bag's vertices but its first,
+    # then what each parent bag adds to its child's.  The approximation's
+    # delta is read off this depth, so any nice form must keep it.
+    checked = 0
+    for g, td in _heuristic_and_balanced(60, 5700):
+        assert all(td.bags)
+        children = [[] for _ in td.bags]
+        for a, b in td.tree_edges:
+            children[a].append(b)
+            children[b].append(a)
+        best = 0
+        stack = [(td.root, -1, 0)]
+        while stack:
+            u, parent, added = stack.pop()
+            kids = [c for c in children[u] if c != parent]
+            if not kids:
+                best = max(best, len(set(td.bags[u])) - 1 + added)
+            for c in kids:
+                stack.append((c, u, added + len(set(td.bags[u]) - set(td.bags[c]))))
+        assert max_introduce_depth(make_nice(td)) == best
+        checked += 1
+    assert checked == 120
 
 
 def test_depth_measures():

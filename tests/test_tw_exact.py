@@ -175,6 +175,28 @@ def test_count_carry_free_through_joins():
     assert count_scattered(g, nd, 3, 41) == [1, 41] + [0] * 40
 
 
+@pytest.mark.parametrize(
+    "root_bag,edges,join_bag",
+    [
+        # No child shares a vertex with the root: they join over the empty bag.
+        ((0,), ((1, 2, 2), (3, 4, 1)), ()),
+        # Each child shares one vertex; the root's vertex 0 comes above the join.
+        ((0, 1, 3), ((0, 1, 1), (0, 3, 2), (1, 2, 2), (3, 4, 1)), (1, 3)),
+    ],
+)
+def test_children_join_on_what_they_share_with_their_parent(root_bag, edges, join_bag):
+    g = WeightedGraph(n=5, edges=edges)
+    td = TreeDecomposition(bags=(root_bag, (1, 2), (3, 4)), tree_edges=((0, 1), (0, 2)))
+    assert validate_decomposition(g, td) is None
+    nd = make_nice(td)
+    assert [node.bag for node in nd.nodes if node.kind == "join"] == [join_bag]
+    for d in (2, 3, 5):
+        assert count_scattered(g, nd, d, g.n) == brute_force_count(g, d, g.n), d
+        size, witness = max_scattered(g, nd, d)
+        assert size == brute_force_max(g, d)[0] and len(witness) == size, d
+        assert scattered_violation(g, witness, d) is None, d
+
+
 def _decompositions(g: WeightedGraph):
     td = heuristic_decomposition(g)
     yield "heuristic", td
@@ -475,9 +497,10 @@ def test_witness_masks_past_one_machine_word_match_the_reference():
 
 def test_engine_output_pinned():
     # Sizes, witnesses and count vectors of the exact engine at six d, and
-    # the approximation at one epsilon, hashed.  The digest was taken from
-    # the tuple-keyed engine that packed keys replaced, so any change to an
-    # answer, a witness or a tie shows here.
+    # the approximation at one epsilon, hashed, so any change to an answer,
+    # a witness or a tie shows here.  A new nice form may move witnesses
+    # among equally large sets; `test_engine_sizes_and_counts_pinned` then
+    # shows that nothing else moved.
     digest = hashlib.sha256()
     for i, g in enumerate(seeded_corpus(60, 16, 6, base_seed=1300)):
         td = heuristic_decomposition(g)
@@ -486,4 +509,20 @@ def test_engine_output_pinned():
             result = (i, d, max_scattered(g, nd, d), count_scattered(g, nd, d, g.n))
             digest.update(repr(result).encode())
         digest.update(repr((i, approx_max_scattered(g, td, 17, Fraction(1, 2)))).encode())
-    assert digest.hexdigest() == "89e250774bde2550212d5e40cf982a2fe88cbdc4bcbef28e4f8560eefe67b330"
+    assert digest.hexdigest() == "c44b5156654c6c03db5fb2cf1c278a81dfe9bfbf008be2b001739742d6f640b4"
+
+
+def test_engine_sizes_and_counts_pinned():
+    # The corpus of `test_engine_output_pinned` without witnesses: the exact
+    # engine's sizes and count vectors at six d and the approximation's
+    # size.  A change of decomposition may move a witness among equally
+    # large ones, but never these.
+    digest = hashlib.sha256()
+    for i, g in enumerate(seeded_corpus(60, 16, 6, base_seed=1300)):
+        td = heuristic_decomposition(g)
+        nd = make_nice(td)
+        for d in (2, 3, 4, 7, 17, 10**12):
+            size, _ = max_scattered(g, nd, d)
+            digest.update(repr((i, d, size, count_scattered(g, nd, d, g.n))).encode())
+        digest.update(repr((i, approx_max_scattered(g, td, 17, Fraction(1, 2))[0])).encode())
+    assert digest.hexdigest() == "192fb95364937b0351aa1e39ab1d25f52484c0c8b8b970edbf09f13b11e2099e"
