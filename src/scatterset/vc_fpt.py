@@ -14,6 +14,14 @@ and merges a row against a profile with a few whole-int operations.  Each
 profile maps to a bitmask over the sorted candidates, so recording a choice
 is one OR; the witness's origins are read off the winning mask at the end.
 
+The DP places rows one cover vertex at a time: the vertex with the fewest
+unplaced rows that touch it (a nonzero code) first, all of those rows at
+once, and rows with no nonzero code last.  Once no unplaced row touches a
+vertex, its field can decide nothing more, so it is cleared in every
+profile and profiles that then coincide keep the better mask.  The masks
+keep their bits over the sorted candidates and the tie rule is a total
+order on them, so the witness is the one the unforgetting DP finds.
+
 The cover comes from a bounded branching search; each branch resumes its
 scan for an uncovered edge just past the edge its parent branched on, and
 is cut once a matching among its uncovered edges shows it cannot beat the
@@ -36,15 +44,23 @@ from .graph_core import (
 # benchmark's tests require every name it wraps to exist.
 from .graph_core import all_pairs_distances, is_scattered  # noqa: F401
 
-# Distinct code profiles materialized by the most recent solve_packing
-# run; lets tests confirm the 3^|C| / 4^|C| state bound.
+# Peak live profiles of the most recent solve_packing run: the most the
+# profile dict held at once, before a forgetting step merged it.
 LAST_PROFILE_COUNT = 0
 
 
 # Largest greedy matching the cover search accepts.  A matching of m edges
 # bounds the minimum cover size tau by m <= tau <= 2m, so a larger one means
-# a cover, and a packing over 3^tau profiles, far past desk scale.
+# a cover past 40 vertices, whose packing may meet up to 3^tau or 4^tau
+# profiles, far past desk scale.
 _MAX_MATCHING = 20
+
+# Most live profiles the packing holds before it refuses.  tracemalloc puts
+# a packing's peak at 150-200 bytes per peak live profile (195 on a cover
+# of 20 with 200 outside vertices at d = 3, 139,627 profiles), so the
+# bound is about 190 MiB.  It is checked once per placed row, and a row at
+# most doubles the dict, so a refused packing has held at most twice that.
+_MAX_PROFILES = 1_000_000
 
 
 def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
@@ -177,12 +193,22 @@ def solve_packing(
     max (P & K) | (C & ~K).  Codes must lie in 0..3, the budget in 0..7,
     and each origin may appear once.
 
+    Rows are placed one element at a time (see `_placement`), and once no
+    unplaced row has a nonzero code on an element, its field is cleared in
+    every profile and profiles that then collide are merged.  A cleared
+    field is 0 in every later row, so it decides neither a fit nor a max:
+    two profiles that differ only there have the same extensions S, and
+    since S shares no bit with either mask, the better of M1 | S and
+    M2 | S is the better of M1 and M2.  More than `_MAX_PROFILES` live
+    profiles refuse the packing with ValueError.
+
     Each profile maps to the chosen sets as a bitmask, bit i for the i-th
     set in sorted order; the origin tuple is built once, from the winner.
     Ties keep the larger subfamily, then the one whose ascending origin
     tuple is lexicographically smaller.  Origins ascend with the bits, so
     for two masks with as many bits that is the one holding the lowest bit
-    where they differ.
+    where they differ.  That order is total, so neither the placement
+    order nor the merges change the winner.
     """
     global LAST_PROFILE_COUNT
     if not 0 <= budget <= 7 or any(not 0 <= c <= 3 for _, row in sets for c in row):
@@ -194,33 +220,81 @@ def solve_packing(
     ones = (16**universe - 1) // 15  # 1 in every 4-bit field
     high = 8 * ones
     slack = (7 - budget) * ones
-    profiles: dict[int, int] = {0: 0}
-    for i, (_, codes) in enumerate(ordered):
-        bit = 1 << i
+    rows = []
+    for _, codes in ordered:
         row = 0
         for code in reversed(codes):
             row = row << 4 | code
-        limit = row + slack
-        additions: dict[int, int] = {}
+        rows.append(row)
+    profiles: dict[int, int] = {0: 0}
+    peak = 1
+    for group, live in _placement([codes for _, codes in ordered]):
+        for i in group:
+            bit = 1 << i
+            row = rows[i]
+            limit = row + slack
+            additions: dict[int, int] = {}
+            for profile, chosen in profiles.items():
+                if (profile + limit) & high:
+                    continue
+                keep = ((((profile | high) - row) & high) >> 3) * 15
+                new_profile = (profile & keep) | (row & ~keep)
+                candidate = chosen | bit
+                incumbent = additions.get(new_profile)
+                if incumbent is None:
+                    incumbent = profiles.get(new_profile)
+                if incumbent is None or _better(candidate, incumbent):
+                    additions[new_profile] = candidate
+            profiles.update(additions)
+            if len(profiles) > _MAX_PROFILES:
+                raise ValueError(
+                    f"vc packing refused: {len(profiles)} live profiles over a cover of "
+                    f"{universe} vertices, more than {_MAX_PROFILES}"
+                )
+        peak = max(peak, len(profiles))
+        merged: dict[int, int] = {}
         for profile, chosen in profiles.items():
-            if (profile + limit) & high:
-                continue
-            keep = ((((profile | high) - row) & high) >> 3) * 15
-            new_profile = (profile & keep) | (row & ~keep)
-            candidate = chosen | bit
-            incumbent = additions.get(new_profile)
-            if incumbent is None:
-                incumbent = profiles.get(new_profile)
-            if incumbent is None or _better(candidate, incumbent):
-                additions[new_profile] = candidate
-        profiles.update(additions)
-    LAST_PROFILE_COUNT = len(profiles)
+            profile &= live
+            incumbent = merged.get(profile)
+            if incumbent is None or _better(chosen, incumbent):
+                merged[profile] = chosen
+        profiles = merged
+    LAST_PROFILE_COUNT = peak
     best = 0
     for chosen in profiles.values():
         if _better(chosen, best):
             best = chosen
     witness = tuple(origin for i, (origin, _) in enumerate(ordered) if best >> i & 1)
     return len(witness), witness
+
+
+def _placement(rows: Sequence[tuple[int, ...]]) -> list[tuple[list[int], int]]:
+    """Row indices in groups, in placement order, each with the fields live after it.
+
+    An element is live while an unplaced row has a nonzero code on it.  Each
+    group holds the unplaced rows of the live element with the fewest of
+    them (ties: lowest element), in index order; rows with no nonzero code
+    form the last group.  The live mask has 15 in each field whose element
+    is still live once the group is placed.
+    """
+    universe = len(rows[0]) if rows else 0
+    touching = [[i for i, codes in enumerate(rows) if codes[e]] for e in range(universe)]
+    left = [len(indices) for indices in touching]
+    placed = [False] * len(rows)
+    groups: list[tuple[list[int], int]] = []
+    while any(left):
+        element = min((e for e in range(universe) if left[e]), key=lambda e: (left[e], e))
+        group = [i for i in touching[element] if not placed[i]]
+        for i in group:
+            placed[i] = True
+            for e, code in enumerate(rows[i]):
+                if code:
+                    left[e] -= 1
+        groups.append((group, sum(15 << 4 * e for e in range(universe) if left[e])))
+    rest = [i for i in range(len(rows)) if not placed[i]]
+    if rest:
+        groups.append((rest, 0))
+    return groups
 
 
 def _better(candidate: int, incumbent: int) -> bool:

@@ -97,6 +97,19 @@ def test_solve_vc_refuses_a_cover_search_past_its_limit(capsys, tmp_path, monkey
     ]
 
 
+def test_solve_vc_refuses_a_packing_past_its_profile_bound(capsys, tmp_path, monkeypatch):
+    # The 9-cycle has a cover of 5 vertices; at d = 3 its packing peaks at
+    # 21 live profiles, and the fourth already passes a bound of 3.
+    graph = tmp_path / "c9.dss"
+    graph.write_text(format_dss(cycle_graph(9)))
+    monkeypatch.setattr(vc_fpt, "_MAX_PROFILES", 3)
+    code, out, err = run_cli(capsys, "solve", "--graph", str(graph), "--d", "3", "--algo", "vc")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "error: vc packing refused: 4 live profiles over a cover of 5 vertices, more than 3"
+    ]
+
+
 def test_solve_approx_requires_epsilon(capsys, p5):
     code, _, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--algo", "approx")
     assert code == 2
