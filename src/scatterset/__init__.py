@@ -55,7 +55,6 @@ from .oracle import (
     brute_force_count,
     brute_force_max,
     gen_random_graph,
-    independent_set_counts,
 )
 from .tw_approx import approx_max_scattered
 from .tw_exact import (
@@ -99,7 +98,6 @@ __all__ = [
     "gen_td_eth",
     "gen_w1_vc",
     "heuristic_decomposition",
-    "independent_set_counts",
     "induced_subgraph",
     "is_scattered",
     "make_nice",

@@ -19,6 +19,7 @@ reported on one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -470,7 +471,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report.validation["ok"] else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument grammar, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="scatterset",
         description="Solvers, counters, and instance tooling for d-scattered sets.",

@@ -6,9 +6,10 @@ different components are ``INF = math.inf``, a true infinity: it compares
 larger than every int, however large d or a path length grows, and
 int/float comparisons are exact.
 
-The solvers read radius-limited distances (`distances_within`): a d-scattered
-set only asks whether a distance is below d.  The all-pairs matrix
-(`all_pairs_distances`) serves the brute-force oracle alone.
+The solvers and the brute-force oracle read radius-limited distances
+(`distances_within`): a d-scattered set only asks whether a distance is
+below d.  The all-pairs matrix (`all_pairs_distances`) serves only the
+tests' references and the benchmark tracer's wrap targets.
 
 Every input file the package reads shares one line grammar, owned here:
 `records` skips blank and comment lines, `ints` converts fields, and a bad

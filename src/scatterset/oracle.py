@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .gadgets import _check_size
-from .graph_core import VertexSet, WeightedGraph, all_pairs_distances
+from .graph_core import VertexSet, WeightedGraph, distances_within
 
 import random
 
@@ -58,15 +57,11 @@ def gen_random_graph(spec: RandomSpec) -> WeightedGraph:
 
 
 def _conflict_masks(g: WeightedGraph, d: int) -> list[int]:
-    dist = all_pairs_distances(g)
-    masks = [0] * g.n
+    """Per vertex, the mask of the other vertices closer than d (radius-d searches)."""
+    masks = []
     for u in range(g.n):
-        row = dist[u]
-        m = 0
-        for v in range(g.n):
-            if v != u and row[v] < d:
-                m |= 1 << v
-        masks[u] = m
+        near = distances_within(g, u, range(g.n), d)
+        masks.append(sum(1 << v for v in near if v != u))
     return masks
 
 
@@ -117,23 +112,4 @@ def brute_force_count(g: WeightedGraph, d: int, k: int) -> list[int]:
                 search(v + 1, size + 1, avail & ~conflicts[v])
 
     search(0, 0, (1 << g.n) - 1)
-    return counts
-
-
-def independent_set_counts(g: WeightedGraph, k: int) -> list[int]:
-    """Per-size independent-set counts by direct subset enumeration.
-
-    Deliberately shares no logic with brute_force_count: subsets are checked
-    against the raw edge list, with no distance computation at all.
-    """
-    if g.n > 16:
-        raise ValueError("subset enumeration limited to n <= 16")
-    counts = [0] * (k + 1)
-    pair_masks = [(1 << u) | (1 << v) for u, v, _ in g.edges]
-    for mask in range(1 << g.n):
-        size = bin(mask).count("1")
-        if size > k:
-            continue
-        if all((mask & pm) != pm for pm in pair_masks):
-            counts[size] += 1
     return counts

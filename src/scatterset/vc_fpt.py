@@ -22,10 +22,16 @@ profile and profiles that then coincide keep the better mask.  The masks
 keep their bits over the sorted candidates and the tie rule is a total
 order on them, so the witness is the one the unforgetting DP finds.
 
+The codes come from one radius-limited search per cover vertex, which
+reads that vertex's column of every row, since distances are symmetric.
+
 The cover comes from a bounded branching search; each branch resumes its
 scan for an uncovered edge just past the edge its parent branched on, and
-is cut once a matching among its uncovered edges shows it cannot beat the
-incumbent.
+is cut once a greedy matching among its uncovered edges shows it cannot
+beat the incumbent.  One matching routine serves the search's bound, over
+the edges in file order, and the cut, over the edges sorted by the smaller
+degree of their ends, so the cut's cost does not depend on the file's edge
+order.
 """
 
 from __future__ import annotations
@@ -63,6 +69,23 @@ _MAX_MATCHING = 20
 _MAX_PROFILES = 1_000_000
 
 
+def _greedy_matching(edges: Sequence[tuple[int, int, int]], cover: set[int], room: float) -> int:
+    """Edges in a greedy matching of `edges` with no end in `cover`, at most `room`.
+
+    The edges are taken in the given order; the scan stops once `room`
+    edges are matched.
+    """
+    matched = set(cover)
+    size = 0
+    for u, v, _ in edges:
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            size += 1
+            if size >= room:
+                break
+    return size
+
+
 def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
     """Minimum vertex cover by branching on the first uncovered edge.
 
@@ -74,25 +97,26 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
     result deterministic.  A greedy maximal matching M, taken in edge order,
     bounds the search: it is refused when |M| exceeds `_MAX_MATCHING`, and
     no branch grows past 2|M| vertices, which cuts no minimum cover.  Each
-    branch also matches its uncovered edges greedily, from the one it
-    branches on, and returns once the matching has len(best) - len(cover)
-    edges: each needs a cover vertex of its own, so the branch can at best
-    tie the incumbent, and ties never replace it.
+    branch also matches its uncovered edges greedily and returns once the
+    matching has len(best) - len(cover) edges: each needs a cover vertex of
+    its own, so the branch can at best tie the incumbent, and ties never
+    replace it.  That matching takes the edges sorted once, stably, by the
+    smaller degree of their two ends, so edges at a leaf come first and the
+    cut does not depend on the order of `g.edges`; the cover it returns
+    never depends on the cut.
     """
     if not g.has_unit_weights():
         raise ValueError("vertex cover solving expects unit weights")
-    matched: set[int] = set()
-    for u, v, _ in g.edges:
-        if u not in matched and v not in matched:
-            matched.update((u, v))
-    max_cover = len(matched)  # 2|M|
-    if max_cover > 2 * _MAX_MATCHING:
+    edges = g.edges
+    size = _greedy_matching(edges, set(), INF)
+    if size > _MAX_MATCHING:
         raise ValueError(
-            f"vertex cover search refused: a greedy matching has {max_cover // 2} "
+            f"vertex cover search refused: a greedy matching has {size} "
             f"edges, more than {_MAX_MATCHING}"
         )
+    max_cover = 2 * size
     degree = [g.degree(v) for v in range(g.n)]
-    edges = g.edges
+    by_degree = sorted(edges, key=lambda e: min(degree[e[0]], degree[e[1]]))
     best: set[int] = {v for v in range(g.n) if degree[v] > 0}
 
     def branch(cover: set[int], start: int) -> None:
@@ -108,12 +132,8 @@ def compute_vertex_cover(g: WeightedGraph) -> VertexSet:
             best = set(cover)
             return
         room = len(best) - len(cover)
-        matched: set[int] = set()
-        for a, b, _ in edges[i:]:
-            if a not in cover and b not in cover and a not in matched and b not in matched:
-                matched.update((a, b))
-                if len(matched) >= 2 * room:
-                    return
+        if _greedy_matching(by_degree, cover, room) >= room:
+            return
         first, second = (u, v) if (-degree[u], u) <= (-degree[v], v) else (v, u)
         for w in (first, second):
             cover.add(w)
@@ -158,19 +178,23 @@ def reduce_to_packing(
     One entry per candidate origin vertex, in increasing origin order.
     Even d uses codes {0, 1, 2} against budget 2 (halves); odd d uses
     {0, 1, 2, 3} against budget 3 (thirds).  A code is 0 at every distance
-    of (d+1)//2 + 1 or more, so each origin's search stops at that radius.
+    of (d+1)//2 + 1 or more, so each cover vertex's search stops at that
+    radius; it runs once per cover vertex, with the origins as targets.
     """
     if d < 3:
         raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
     if not g.has_unit_weights():
         raise ValueError("packing reduction expects unit weights")
     elements = tuple(sorted(cover))
-    targets = set(elements)
+    origins = set(elements) | set(reps)
     radius = (d + 1) // 2 + 1
-    sets = []
-    for origin in sorted(targets | set(reps)):
-        near = distances_within(g, origin, targets, radius)
-        sets.append((origin, tuple(_code(near.get(u, INF), d) for u in elements)))
+    # Distances are symmetric, so one search from each cover vertex gives
+    # that vertex's column of every origin's row.
+    columns = [distances_within(g, u, origins, radius) for u in elements]
+    sets = [
+        (origin, tuple(_code(column.get(origin, INF), d) for column in columns))
+        for origin in sorted(origins)
+    ]
     return 2 + d % 2, sets
 
 

@@ -53,6 +53,25 @@ def max_finite_distance(g: WeightedGraph) -> int:
     return max((x for s in range(g.n) for x in dijkstra_from(g, s) if x < INF), default=0)
 
 
+def independent_set_counts(g: WeightedGraph, k: int) -> list[int]:
+    """Per-size independent-set counts by direct subset enumeration.
+
+    Deliberately shares no logic with brute_force_count: subsets are checked
+    against the raw edge list, with no distance computation at all.
+    """
+    if g.n > 16:
+        raise ValueError("subset enumeration limited to n <= 16")
+    counts = [0] * (k + 1)
+    pair_masks = [(1 << u) | (1 << v) for u, v, _ in g.edges]
+    for mask in range(1 << g.n):
+        size = bin(mask).count("1")
+        if size > k:
+            continue
+        if all((mask & pm) != pm for pm in pair_masks):
+            counts[size] += 1
+    return counts
+
+
 def seeded_corpus(
     count: int, max_n: int, max_weight: int, base_seed: int = 0
 ) -> list[WeightedGraph]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import scatterset.tw_exact as tw_mod
-from conftest import diameter, max_finite_distance, seeded_corpus
+from conftest import diameter, independent_set_counts, max_finite_distance, seeded_corpus
 from scatterset.decomp import (
     TreeDecomposition,
     balance,
@@ -41,7 +41,6 @@ from scatterset.graph_core import (
 from scatterset.oracle import (
     brute_force_count,
     brute_force_max,
-    independent_set_counts,
 )
 from scatterset.tw_approx import approx_max_scattered
 from scatterset.tw_exact import (

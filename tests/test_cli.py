@@ -636,6 +636,44 @@ def test_decimal_epsilon_rejected(capsys, p5):
     assert "rational" in err
 
 
+def test_zero_denominator_epsilon_rejected(capsys, p5):
+    code, out, err = run_cli(
+        capsys, "solve", "--graph", p5, "--d", "3", "--algo", "approx",
+        "--epsilon", "1/0",
+    )
+    assert (code, out) == (2, "")
+    assert "rational denominator must be nonzero" in err
+
+
+def test_gen_refuses_a_bad_boolean_assignment_token(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("f.cnf").write_text("p cnf 2 1\n1 2 0\n")
+    Path("bad.txt").write_text("c note\n1 maybe\n")
+    code, out, err = run_cli(
+        capsys, "gen", "seth", "--cnf", "f.cnf", "--d", "4", "--epsilon", "1",
+        "--assignment", "bad.txt",
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: line 2: bad boolean token 'maybe' in assignment file\n"
+
+
+def test_cached_parser_leaks_no_state(capsys, p5):
+    # The grammar is built once per process; each call parses afresh.
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run_cli(
+        capsys, "solve", "--graph", p5, "--d", "3", "--algo", "vc", "--k", "3", "--json"
+    )
+    assert code == 0 and json.loads(out)["result"]["target_met"] is False
+    code, out, _ = run_cli(capsys, "count", "--graph", p5, "--d", "3", "--k", "2", "--json")
+    assert code == 0 and json.loads(out)["solver"] == "tw"
+    args = cli.build_parser().parse_args(["count", "--graph", p5, "--d", "3", "--k", "2"])
+    assert "algo" not in vars(args) and args.td is None
+    code, out, _ = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["solver"] == "tw"
+    assert report["parameters"]["k"] is None and report["result"]["target_met"] is None
+
+
 def test_bogus_witness_is_internal_error(capsys, p5, monkeypatch):
     monkeypatch.setattr(cli, "brute_force_max", lambda g, d: (2, (0, 1)))
     code, _, err = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--algo", "brute")

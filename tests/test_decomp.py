@@ -195,6 +195,24 @@ def test_validator_catches_broken_tree():
     assert violation is not None and violation.kind == "structure"
 
 
+@pytest.mark.parametrize(
+    "td,message",
+    [
+        (TreeDecomposition(bags=(), tree_edges=()), "decomposition has no nodes"),
+        (TreeDecomposition(bags=((0, 1),), tree_edges=(), root=1), "root 1 out of range"),
+        (
+            TreeDecomposition(bags=((0, 1), (1,)), tree_edges=((1, 1),)),
+            "bad tree edge (1,1)",
+        ),
+    ],
+    ids=["no-bags", "root-out-of-range", "self-edge"],
+)
+def test_validator_refuses_malformed_trees(td, message):
+    violation = validate_decomposition(path_graph(2), td)
+    assert violation is not None
+    assert (violation.kind, violation.message) == ("structure", message)
+
+
 def test_make_nice_validates_and_preserves_width():
     for g in (path_graph(6), cycle_graph(5), complete_graph(4)):
         td = heuristic_decomposition(g)

@@ -173,6 +173,8 @@ def test_parse_graph_accepts_comments_and_blank_lines():
         ("p dss 3 9\ne 1 2 1\n", None),  # edge count mismatch
         ("p dss 2 0\ncfoo\n", 2),  # only a first field 'c' makes a comment
         ("p dss 2 0\ncomment-less line\n", 2),
+        ("p dss 0 0\n", 1),  # no vertices
+        ("p dss 3 -1\n", 1),  # negative edge count
     ],
 )
 def test_parse_graph_rejects_malformed_input(text, line_no):

@@ -7,14 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, independent_set_counts, path_graph
 from scatterset.graph_core import all_pairs_distances, is_scattered
 from scatterset.oracle import (
     RandomSpec,
     brute_force_count,
     brute_force_max,
     gen_random_graph,
-    independent_set_counts,
 )
 
 

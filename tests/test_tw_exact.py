@@ -109,6 +109,12 @@ def test_engine_refuses_each_broken_nice_rule(rule):
     assert message.startswith("invalid nice decomposition: ") and message.endswith(rule)
 
 
+def test_engine_refuses_an_unknown_mode():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        dp_over_decomposition(g, nice_for(g), 2, mode="bogus")
+
+
 def test_huge_d_builds_no_table_over_the_cap():
     # cap = d = 10**15: the hook memo only holds values the DP meets.
     g = path_graph(6)

@@ -16,7 +16,13 @@ from conftest import (
     seeded_corpus,
     star_graph,
 )
-from scatterset.graph_core import WeightedGraph, is_scattered, uncovered_edge
+from scatterset.graph_core import (
+    INF,
+    WeightedGraph,
+    distances_within,
+    is_scattered,
+    uncovered_edge,
+)
 from scatterset.oracle import brute_force_max
 from scatterset.vc_fpt import (
     compute_vertex_cover,
@@ -342,3 +348,65 @@ def test_resumed_cover_scan_matches_the_rescanning_reference():
     graphs += [_cover_style_graph(c, 4 * c, 70 + c) for c in range(2, 12)]
     for g in graphs:
         assert compute_vertex_cover(g) == _rescanning_cover(g)
+
+
+def _relabelled(g, seed):
+    # The same graph with its vertices permuted and its edge lines shuffled.
+    rng = random.Random(seed)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v], w) for u, v, w in g.edges]
+    rng.shuffle(edges)
+    return WeightedGraph(n=g.n, edges=tuple(edges))
+
+
+@pytest.mark.parametrize("cover", [16, 18])
+def test_cover_search_cost_does_not_depend_on_edge_order(monkeypatch, cover):
+    # The base labelling lists the cover's own edges first; a cut that
+    # matched in that order would pair cover vertices with each other and
+    # search thousands of branches.
+    calls = 0
+    matching = vc._greedy_matching
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return matching(*args)
+
+    monkeypatch.setattr(vc, "_greedy_matching", counted)
+    base = _cover_style_graph(cover, 4 * cover, 100 + cover)
+    for g in (base, _relabelled(base, 1), _relabelled(base, 2)):
+        calls = 0
+        found = compute_vertex_cover(g)
+        assert calls <= 4 * len(found)
+        assert found == _rescanning_cover(g)
+
+
+def _per_origin_reduction(g, cover, reps, d):
+    # Reference: one bounded search from every origin to the cover vertices.
+    elements = tuple(sorted(cover))
+    targets = set(elements)
+    radius = (d + 1) // 2 + 1
+    sets = []
+    for origin in sorted(targets | set(reps)):
+        near = distances_within(g, origin, targets, radius)
+        sets.append((origin, tuple(vc._code(near.get(u, INF), d) for u in elements)))
+    return 2 + d % 2, sets
+
+
+def test_reduction_rows_match_one_search_per_origin():
+    # Two paths and an isolated vertex put some origins out of every cover
+    # vertex's reach; the edgeless graph has an empty cover.
+    apart = WeightedGraph(
+        n=12, edges=tuple((a, a + 1, 1) for a in (0, 1, 2, 3, 5, 6, 7, 8, 9))
+    )
+    graphs = seeded_corpus(40, 14, 1, base_seed=4321) + [
+        apart,
+        WeightedGraph(n=3, edges=()),
+        _cover_style_graph(6, 20, 5),
+    ]
+    for g in graphs:
+        cover = compute_vertex_cover(g)
+        reps = neighborhood_classes(g, cover)
+        for d in range(3, 8):
+            assert reduce_to_packing(g, cover, reps, d) == _per_origin_reduction(g, cover, reps, d)
