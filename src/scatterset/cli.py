@@ -261,6 +261,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         td = _pick_decomposition(args, g)
         nd = make_nice(td)
         size, witness = max_scattered(g, nd, d)
+        report.result["width"] = nd.width
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
 
     if args.algo == "approx":
@@ -286,6 +287,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     td = _pick_decomposition(args, g)
     nd = make_nice(td)
     counts = count_scattered(g, nd, args.d, args.k)
+    report.result["width"] = nd.width
     report.timings_ms["total"] = round((time.perf_counter() - started) * 1000, 3)
     if counts[0] != 1:
         raise AssertionError("count of size-0 sets must be 1")

@@ -2,12 +2,15 @@
 
 One engine, `dp_over_decomposition`, runs a sparse clearance DP bottom-up
 over a nice decomposition.  Every table is keyed by the bag's state alone:
-per bag vertex, either "selected" or the exact (capped) distance to the
-nearest selection that has already been forgotten.  A state is one int
-with a bit field per bag position, so the join's compatibility test and
-its fieldwise min are a few whole-int operations, not a loop over the bag.
-Sparse keys make it output-sensitive, and the clearance semantics compose
-without correction terms, which keeps counting exact.
+per bag vertex, either "selected" or the exact distance to the nearest
+selection that has already been forgotten, capped at a fold point above
+which no later test tells clearances apart.  In a unit-weight graph that
+leaves d states per bag vertex (selected, and clearances 1..d-1), as in the
+paper's O*(d^tw) bound.  A state is one int with a bit field per bag
+position, so the join's compatibility test and its fieldwise min are a few
+whole-int operations, not a loop over the bag.  Sparse keys make it
+output-sensitive, and the clearance semantics compose without correction
+terms, which keeps counting exact.
 
 In counting mode an entry's value is one big integer that packs the counts
 of all selection sizes: the count of size m sits in bits [m*B, (m+1)*B).
@@ -102,6 +105,18 @@ class _Memo(dict):
         return value
 
 
+def _least(test, hi: int) -> int:
+    """Least t in 0..hi - 1 that passes the monotone `test`; hi if none does."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if test(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 class _HookMemo:
     """Per-solve memo of a clearance domain's hooks, filled lazily.
 
@@ -109,35 +124,37 @@ class _HookMemo:
     clearance c.  Only values the DP actually meets are computed, never a
     table over 0..cap: in the exact domain cap = d, which the gadgets make
     huge.
+
+    `top` is the fold point for a graph whose lightest edge weighs `w`
+    (None: no edges): the least t that passes admit_clearance(add(t, w))
+    and join_ok(t, min(t, lo)), where lo = from_distance(w), or cap if none
+    does.  No later test tells a clearance above `top` from `top` itself
+    (`dp_over_decomposition` gives the proof), so the engine stores
+    min(c, top).  In the exact domain top = max(d - w, ceil(d / 2)).
     """
 
-    def __init__(self, dom) -> None:
+    def __init__(self, dom, w: int | None = None) -> None:
         self.cap = cap = dom.cap
         add, join_ok = dom.add, dom.join_ok
+        self.top = cap
+        if w is not None:
+            lo = dom.from_distance(w)
+            # Both tests are monotone in t, so their conjunction is too.
+            self.top = _least(
+                lambda t: dom.admit_clearance(add(t, w)) and join_ok(t, min(t, lo)), cap
+            )
         # rows[w][f] is the field of add(f - 1, w).  A selected position never
         # lowers the reach of a new vertex, so it maps to the cap's field.
         self.rows = _Memo(lambda w: _Memo(lambda f: add(f - 1, w) + 1, {0: cap + 1}))
-        # fresh[dist] is the field of the clearance at distance dist.
-        self.fresh = _Memo(lambda dist: dom.from_distance(dist) + 1)
+        # fresh[dist] is the folded field of the clearance at distance dist.
+        self.fresh = _Memo(lambda dist: min(dom.from_distance(dist), self.top) + 1)
         # admit[f]: a new vertex whose reach has field f may be selected.
         self.admit = _Memo(lambda f: dom.admit_clearance(f - 1))
-
-        def least_partner(a: int) -> int:
-            # join_ok(a, b) is monotone in b, so binary search for the least
-            # b that passes; cap + 1 means that none does.
-            lo, hi = 0, cap + 1
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if join_ok(a, mid):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            return lo
-
-        # least[f] is the field of the least partner of clearance f - 1, so
-        # cap + 2 means none.  A selected position meets a selected one (the
-        # join buckets by selection), and its 0 lets it through the same test.
-        self.least = _Memo(lambda f: least_partner(f - 1) + 1, {0: 0})
+        # least[f] is the field of the least partner of clearance f - 1
+        # (join_ok is monotone in the partner), so cap + 2 means none.  A
+        # selected position meets a selected one (the join buckets by
+        # selection), and its 0 lets it through the same test.
+        self.least = _Memo(lambda f: _least(lambda b: join_ok(f - 1, b), cap + 1) + 1, {0: 0})
 
 
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
@@ -180,14 +197,36 @@ def dp_over_decomposition(
     Every table is keyed by the bag's state packed into one int.  Bag
     position j owns the W-bit field at bits [j*W, (j+1)*W), which holds the
     position's state plus one: 0 marks a selected vertex, and c + 1 a
-    clearance c, the capped distance to the nearest selection already
-    forgotten, in the clearance domain's units (0 <= c <= cap).  So
-    "selected" is below every clearance under min; the hook memos
-    (`_HookMemo`) take and return field values too.  W = bit length of
-    (cap + 2), plus one: fields hold values up to cap + 1, a least-partner
+    clearance c, the distance to the nearest selection already forgotten,
+    in the clearance domain's units and folded at `top` (0 <= c <= top <=
+    cap), so field values run 0..top + 1.  "Selected" is below every
+    clearance under min; the hook memos (`_HookMemo`) take and return field
+    values too.  W = bit length of (cap + 2), plus one: a least-partner
     threshold of cap + 2 means "no partner", and the top bit of each field
-    is a guard bit, 0 in every key.  A leaf's keys are cap + 1 and 0, and
+    is a guard bit, 0 in every key.  A leaf's keys are top + 1 and 0, and
     the root's key is 0.
+
+    Why the fold changes no verdict.  Let w be the lightest edge weight and
+    lo = from_distance(w).  An unselected bag vertex is at distance >= w
+    from every selection, and add(c, w') >= from_distance(w') for every
+    clearance c, so every unselected clearance is at least lo.  `top` is the
+    least t with admit_clearance(add(t, w)) and join_ok(t, min(t, lo)).
+    Take a clearance c >= top and its folded value top:
+    - an introduce reads it as add(c, dist) with dist >= w.  Both add(c,
+      dist) and add(top, dist) are at least add(top, w), which is admitted,
+      and at least top, so the reach's admission and its folded value
+      min(reach, top) are the same either way;
+    - a join meets it with a partner b >= lo.  Both join_ok(c, b) and
+      join_ok(top, min(b, top)) pass, since top and min(b, top) >= min(top,
+      lo) do; and min(c, b) folds to min(min(c, top), min(b, top)), as
+      forget's min against the fresh clearances does.
+    Every hook is monotone, so each admission and join verdict, and with
+    them every count and maximum size, is unchanged.  The introduce admits
+    the new vertex on its reach before folding it: at d = 3 in a unit graph
+    a reach of 3 is admitted, but its folded value 2 would not be.  The
+    exact domain folds at max(d - w, ceil(d / 2)), d - 1 for unit weights;
+    a rounded domain whose clearance 0 has no partner keeps top = cap, as
+    does a graph without edges.
 
     For a bag of b positions let ONES have a 1 in each field and
     H = ONES << (W - 1) be its guard bits.  For keys X and Y:
@@ -211,7 +250,7 @@ def dp_over_decomposition(
 
     Max mode stores one int mask per state, where bit v is set when vertex
     v is in one best partial solution; the solution's size is the mask's
-    popcount.  A leaf gives {cap + 1: 0, 0: 1 << v}, selecting v ORs in
+    popcount.  A leaf gives {top + 1: 0, 0: 1 << v}, selecting v ORs in
     1 << v, forget and an unselected introduce pass the child's mask on
     unchanged, and a join ORs the two masks.  Forget and join keep the mask
     with more bits, and ties keep the first entry found.
@@ -219,10 +258,11 @@ def dp_over_decomposition(
     Counting mode stores one int P per state, the generating polynomial of
     its partial solutions evaluated at 2^B: the number of partial solutions
     of size m sits in bits [m*B, (m+1)*B), for m <= k_cap = min(k, n), with
-    B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {cap + 1: 1,
-    0: 1 << B}.  Introducing a selected vertex shifts P up one slot,
-    forget adds, join multiplies and shifts down by the nsel shared
-    selections, and every step truncates above slot k_cap.
+    B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {top + 1: 1,
+    0: 1 << B}.  Introducing a selected vertex shifts P up one slot, forget
+    adds, join multiplies and shifts down by the nsel shared selections, and
+    every step truncates above slot k_cap.  Only counting mode builds B and
+    the truncation mask, which has about n^2 bits when k is None.
 
     Why no carry corrupts a kept count: a state's partial solutions are
     distinct vertex sets, so its coefficient of degree m is at most
@@ -254,13 +294,17 @@ def dp_over_decomposition(
     dom = clearance if clearance is not None else ExactClearance(d)
     ENGINE_RUNS += 1
     near = _bag_distances(g, nd, d)
-    hooks = _HookMemo(dom)
+    hooks = _HookMemo(dom, min((w for _, _, w in g.edges), default=None))
     cap = hooks.cap
+    # The fold point's field: no stored clearance field exceeds it.
+    top_field = hooks.top + 1
     counting = mode == "count"
-    k_cap = g.n if k is None else min(k, g.n)
-    # B of the docstring; C(n, m) is unimodal in m with its peak at n // 2.
-    slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
-    trunc = (1 << (slot_bits * (k_cap + 1))) - 1
+    if counting:
+        k_cap = g.n if k is None else min(k, g.n)
+        # B of the docstring; C(n, m) is unimodal in m with its peak at n // 2.
+        # Max mode builds neither: with k = None the mask has about n^2 bits.
+        slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
+        trunc = (1 << (slot_bits * (k_cap + 1))) - 1
     admit = hooks.admit
 
     # W of the docstring: every field value, up to the "no partner" cap + 2,
@@ -282,11 +326,11 @@ def dp_over_decomposition(
         if node.kind == "leaf":
             v = node.bag[0]
             if counting:
-                table[cap + 1] = 1
+                table[top_field] = 1
                 if k_cap >= 1:
                     table[0] = 1 << slot_bits
             else:
-                table[cap + 1] = 0
+                table[top_field] = 0
                 table[0] = 1 << v
         elif node.kind == "introduce":
             ctable = tables[node.children[0]]
@@ -318,7 +362,8 @@ def dp_over_decomposition(
                 if verdict is None:
                     reach = min([row[part >> s & field] for s, row in reads], default=cap + 1)
                     free = ((part | clash_guard) - clash) & clash_guard == clash_guard
-                    verdict = verdicts[part] = (reach, free and admit[reach])
+                    # Admit on the reach itself, then store it folded.
+                    verdict = verdicts[part] = (min(reach, top_field), free and admit[reach])
                 reach, selectable = verdict
                 # The child's key with a 0 (v selected) field spliced in at v.
                 spliced = (key & below) | (key >> at << (at + width))
@@ -376,8 +421,9 @@ def dp_over_decomposition(
                 bucket = by_mask.get(mask)
                 if bucket is None:
                     continue
-                # nsel, the shared selections, times the slot width.
-                shift = slot_bits * (b - mask.bit_count())
+                if counting:
+                    # nsel, the shared selections, times the slot width.
+                    shift = slot_bits * (b - mask.bit_count())
                 olimit = sum([least[okey >> s & field] << s for s in shifts])
                 for ikey, ivalue in bucket:
                     iguarded = ikey | guards

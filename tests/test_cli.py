@@ -20,6 +20,7 @@ import scatterset.vc_fpt as vc_fpt
 from conftest import cycle_graph, path_graph
 from scatterset.cli import main
 from scatterset.graph_core import format_dss, parse_graph
+from scatterset.oracle import RandomSpec, gen_random_graph
 
 YES_MCIS = "p mcis 2 2\ne 1.1 2.2\n"
 
@@ -129,6 +130,24 @@ def test_solve_with_supplied_decomposition(capsys, p5, tmp_path):
     assert code == 0
     code, out, _ = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--td", str(td_file))
     assert code == 0 and "size: 2" in out
+
+
+def test_tw_solve_and_count_report_the_width_they_ran_on(capsys, tmp_path):
+    g = gen_random_graph(RandomSpec(n=14, edge_probability=Fraction(2, 5), max_weight=2, seed=8))
+    graph = tmp_path / "g.dss"
+    graph.write_text(format_dss(g))
+    td_file = tmp_path / "g.td"
+    code, out, _ = run_cli(
+        capsys, "decompose", "--graph", str(graph), "--out", str(td_file), "--json"
+    )
+    assert code == 0
+    width = json.loads(out)["result"]["width"]
+    assert width >= 3
+    for extra in ((), ("--td", str(td_file))):
+        for command in (("solve", "--algo", "tw"), ("count", "--k", "3")):
+            argv = (*command, "--graph", str(graph), "--d", "3", *extra, "--json")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["result"]["width"] == width, argv
 
 
 # Decompositions of P5 that parse but break one property each, with the

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -307,6 +308,21 @@ def test_max_witness_on_long_path():
     assert scattered_violation(g, witness, 3) is None
 
 
+def test_max_mode_builds_no_counting_constants():
+    # Counting's slot mask has about n^2 bits when k is n; max mode must not
+    # build it.  The engine peaks near 13 MiB here, and near 110 MiB with it.
+    g = path_graph(20_000)
+    nd = nice_for(g)
+    tracemalloc.start()
+    try:
+        size, _ = max_scattered(g, nd, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == 6_667
+    assert peak < 32 * 2**20, peak
+
+
 def test_max_witness_on_forest_with_isolated_vertices():
     # P30 on 0..29, a 10-leaf star centred at 30, isolated 41..69, P20 on
     # 70..89 and isolated 90..99.  At d=3 each path gives ceil(len/3), the
@@ -350,15 +366,36 @@ def test_treedepth_wrapper_requires_unit_weights():
 # -- packed state keys --------------------------------------------------------
 
 
-def _tuple_engine(g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, clearance=None):
+def _fold_point(g: WeightedGraph, dom) -> int:
+    """The engine's fold point, found without `_HookMemo`: a closed form or a scan."""
+    w = min((w for _, _, w in g.edges), default=None)
+    if w is None:
+        return dom.cap
+    if isinstance(dom, ExactClearance):
+        return max(dom.d - w, -(-dom.d // 2))
+    lo = dom.from_distance(w)
+    passes = (
+        t
+        for t in range(dom.cap)
+        if dom.admit_clearance(dom.add(t, w)) and dom.join_ok(t, min(t, lo))
+    )
+    return next(passes, dom.cap)
+
+
+def _tuple_engine(
+    g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, clearance=None, fold=False
+):
     """The clearance engine on tuple keys (-1 = selected): the packed engine's reference.
 
     It visits nodes, fills tables and breaks ties in the engine's order, but
     calls the domain's hooks directly on an all-pairs matrix and keeps each
-    count polynomial as a list of n + 1 counts.
+    count polynomial as a list of n + 1 counts.  With `fold`, it stores each
+    clearance capped at the fold point (`_fold_point`), as the engine does;
+    without, it keeps every clearance up to the domain's cap.
     """
     dom = clearance if clearance is not None else ExactClearance(d)
     cap, dist, sel, n = dom.cap, all_pairs_distances(g), -1, g.n
+    top = _fold_point(g, dom) if fold else cap
     counting = mode == "count"
     tables: dict[int, dict] = {}
     for i in postorder([node.children for node in nd.nodes], nd.root):
@@ -366,7 +403,7 @@ def _tuple_engine(g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, cl
         table: dict = {}
         if node.kind == "leaf":
             v = node.bag[0]
-            table[(cap,)] = [1] + [0] * n if counting else (0, 0)
+            table[(top,)] = [1] + [0] * n if counting else (0, 0)
             table[(sel,)] = [0, 1] + [0] * (n - 1) if counting else (1, 1 << v)
         elif node.kind == "introduce":
             cbag, v = nd.nodes[node.children[0]].bag, node.vertex
@@ -374,7 +411,7 @@ def _tuple_engine(g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, cl
             for states, value in tables[node.children[0]].items():
                 pairs = list(zip(states, cbag))
                 reach = min([dom.add(s, dist[v][u]) for s, u in pairs if s != sel], default=cap)
-                table[states[:pos] + (reach,) + states[pos:]] = value
+                table[states[:pos] + (min(reach, top),) + states[pos:]] = value
                 clash = any(s == sel and not dom.admit_distance(dist[v][u]) for s, u in pairs)
                 if dom.admit_clearance(reach) and not clash:
                     chosen = [0] + value[:-1] if counting else (value[0] + 1, value[1] | 1 << v)
@@ -387,7 +424,7 @@ def _tuple_engine(g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, cl
                 rest = states[:pos] + states[pos + 1 :]
                 if states[pos] == sel:
                     rest = tuple(
-                        s if s == sel else min(s, dom.from_distance(dist[v][u]))
+                        s if s == sel else min(s, dom.from_distance(dist[v][u]), top)
                         for s, u in zip(rest, others)
                     )
                 if counting:
@@ -442,8 +479,10 @@ def test_packed_keys_match_brute_force_at_field_width_boundaries(d):
             got = dp_over_decomposition(g, nd, d, mode="count")
             size, witness = dp_over_decomposition(g, nd, d, mode="max")
             assert got == counts == _tuple_engine(g, nd, d, "count"), (d, i, name)
+            assert got == _tuple_engine(g, nd, d, "count", fold=True), (d, i, name)
             assert size == best and scattered_violation(g, witness, d) is None, (d, i, name)
-            assert (size, witness) == _tuple_engine(g, nd, d, "max"), (d, i, name)
+            assert size == _tuple_engine(g, nd, d, "max")[0], (d, i, name)
+            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True), (d, i, name)
 
 
 # Doubling ladders whose slackened target exceeds 1 + the top power, so
@@ -474,6 +513,54 @@ def test_packed_keys_match_the_reference_with_a_partnerless_clearance(dom):
             assert size == len(witness) and scattered_violation(g, witness, slack) is None
 
 
+@pytest.mark.parametrize("d", [*range(2, 41), 10**12])
+def test_exact_fold_point_closed_form(d):
+    for w in range(1, d + 3) if d <= 40 else [1]:
+        assert _HookMemo(ExactClearance(d), w).top == max(d - w, -(-d // 2)), (d, w)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [*PARTNERLESS, ExactClearance(2), ExactClearance(9)],
+    ids=["cap-5", "cap-6", "cap-7", "exact-2", "exact-9"],
+)
+def test_fold_point_stays_at_the_cap_without_a_partner_or_an_edge(dom):
+    assert _HookMemo(dom, None).top == dom.cap
+    if isinstance(dom, RoundedClearance):
+        # On a doubling ladder two clearances below the cap sum to at most the
+        # top power, short of the target, so no t below the cap passes.
+        for w in range(1, dom.d + 1):
+            assert _HookMemo(dom, w).top == dom.cap, w
+
+
+def _heavy_graph(rng: random.Random, lo: int, hi: int) -> WeightedGraph:
+    """Random graph on at most 11 vertices with every weight in lo..hi."""
+    n = rng.randint(2, 11)
+    p = rng.uniform(0.2, 0.9)
+    edges = tuple(
+        (u, v, rng.randint(lo, hi)) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    )
+    return WeightedGraph(n=n, edges=edges)
+
+
+@pytest.mark.parametrize("lo,hi,ds", [(3, 5, range(4, 8)), (4, 9, range(4, 13))])
+def test_fold_below_twice_the_lightest_edge_matches_brute_force(lo, hi, ds):
+    # With d < 2w the fold point is ceil(d / 2), not d - w.
+    rng = random.Random(7300 + lo)
+    for d in ds:
+        for i in range(6):
+            g = _heavy_graph(rng, lo, hi)
+            w = min((w for _, _, w in g.edges), default=None)
+            if w is not None and d < 2 * w:
+                assert _HookMemo(ExactClearance(d), w).top == -(-d // 2), (d, i)
+            nd = nice_for(g)
+            assert count_scattered(g, nd, d, g.n) == brute_force_count(g, d, g.n), (d, i)
+            size, witness = max_scattered(g, nd, d)
+            assert size == brute_force_max(g, d)[0], (d, i)
+            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True), (d, i)
+            assert scattered_violation(g, witness, d) is None, (d, i)
+
+
 def _banded_graph(n: int, seed: int) -> WeightedGraph:
     # Each vertex links to one or two of the four before it, so the
     # heuristic's width stays at most 4.
@@ -496,7 +583,8 @@ def test_witness_masks_past_one_machine_word_match_the_reference():
         nd = make_nice(td)
         for d in (2, 3, 5, 8):
             size, witness = dp_over_decomposition(g, nd, d, mode="max")
-            assert (size, witness) == _tuple_engine(g, nd, d, "max"), (seed, d)
+            assert size == _tuple_engine(g, nd, d, "max")[0], (seed, d)
+            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True), (seed, d)
             assert size == len(witness) and max(witness) >= 64, (seed, d)
             assert scattered_violation(g, witness, d) is None, (seed, d)
 
@@ -504,9 +592,9 @@ def test_witness_masks_past_one_machine_word_match_the_reference():
 def test_engine_output_pinned():
     # Sizes, witnesses and count vectors of the exact engine at six d, and
     # the approximation at one epsilon, hashed, so any change to an answer,
-    # a witness or a tie shows here.  A new nice form may move witnesses
-    # among equally large sets; `test_engine_sizes_and_counts_pinned` then
-    # shows that nothing else moved.
+    # a witness or a tie shows here.  A new nice form or fold point may move
+    # witnesses among equally large sets; `test_engine_sizes_and_counts_pinned`
+    # then shows that nothing else moved.
     digest = hashlib.sha256()
     for i, g in enumerate(seeded_corpus(60, 16, 6, base_seed=1300)):
         td = heuristic_decomposition(g)
@@ -515,7 +603,7 @@ def test_engine_output_pinned():
             result = (i, d, max_scattered(g, nd, d), count_scattered(g, nd, d, g.n))
             digest.update(repr(result).encode())
         digest.update(repr((i, approx_max_scattered(g, td, 17, Fraction(1, 2)))).encode())
-    assert digest.hexdigest() == "c44b5156654c6c03db5fb2cf1c278a81dfe9bfbf008be2b001739742d6f640b4"
+    assert digest.hexdigest() == "4bec59b98a2701b83cb5d0bb0c241884ca0632625e196dace53f0a2fd6c06960"
 
 
 def test_engine_sizes_and_counts_pinned():
