@@ -12,8 +12,8 @@ Reports print as key/value text or, with --json, as stable-schema JSON
 arguments such as --epsilon use num/den syntax; decimal floats are rejected.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error, 3 precondition
-error, 4 internal error (a failed invariant or any unexpected exception,
-reported on one line).
+error, 4 internal error (a failed invariant, any unexpected exception, or a
+stdout closed before the report was written, reported on one line).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -399,7 +400,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         nd = make_nice(td)
         problem = validate_nice(nd)
         if problem is not None:
-            raise AssertionError(f"nice-form validation failed: {problem}")
+            raise AssertionError(f"nice-form validation failed: {problem.message}")
         td = nice_to_tree(nd)
         report.solver += "+nice"
         report.validation["checks"].append("nice-form validated")
@@ -579,10 +580,27 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A closed stdout fails here, not in the flush at exit.
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head -c 1` does.  Point its
+        # descriptor at devnull, so that the flush at exit writes nowhere
+        # instead of failing again and printing a second error.
+        try:
+            stdout_fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            pass  # a stream without a descriptor is not flushed to one at exit
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout_fd)
+            os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return EXIT_INTERNAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

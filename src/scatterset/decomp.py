@@ -9,6 +9,7 @@ answer from a single root entry.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,7 +31,7 @@ class TreeDecomposition:
 class Violation:
     """First failed decomposition property, with witnesses."""
 
-    kind: str  # "structure" | "vertex-coverage" | "edge-coverage" | "connectivity"
+    kind: str  # "nice" | "structure" | "vertex-coverage" | "edge-coverage" | "connectivity"
     message: str
     witness: tuple[int, ...] = ()
 
@@ -56,8 +57,9 @@ class NiceDecomposition:
 def _parents(td: TreeDecomposition) -> list[int] | Violation:
     """Each node's parent (-1 at the root), or the first structure violation.
 
-    This one rooting pass is the only code that reads the tree's shape: the
-    validator, `make_nice` and `decomposition_depth` all start from it.
+    This one rooting pass is the only code that reads a plain tree's shape:
+    the validator, `make_nice` and `decomposition_depth` all start from it.
+    `validate_nice` reads a nice form's shape from its child lists.
     """
     n = len(td.bags)
     if n == 0:
@@ -163,11 +165,16 @@ def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
     neighborhood; each bag attaches to the bag of its earliest-eliminated
     surviving neighbor, which yields a valid decomposition.
 
-    Fill counts are kept incrementally.  Eliminating v removes it from its
-    neighbours' sets and joins them into a clique, which changes the fill of
-    N(v) and N(N(v)) only: a fill edge (a, b) matters to x exactly when both
-    a and b are x's neighbours.  Those fills are recomputed and pushed onto
-    a lazy (fill, id) heap, whose stale entries are skipped when popped.
+    Fill counts are kept exact by deltas.  Eliminating v with neighbour set
+    nb removes v from its neighbours' sets and joins nb into a clique.
+    - fill(v) = 0: nb is already a clique, so each u in nb only loses v and
+      the deg(u) - |nb| pairs of v with u's neighbours outside nb (deg taken
+      before the removal).  No other vertex's neighbourhood changes.
+    - fill(v) > 0: a vertex x outside nb + v keeps its neighbours, and
+      loses one fill for each fill edge (a, b) with both a and b adjacent to
+      x.  The members of nb are recomputed.
+    Changed fills are pushed onto a lazy (fill, id) heap, whose stale
+    entries are skipped when popped.
     """
     n = g.n
     work: list[set[int]] = [set() for _ in range(n)]
@@ -178,7 +185,6 @@ def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     eliminated = [False] * n
-    order: list[int] = []
     position = [0] * n
     elim_bags: list[tuple[int, ...]] = []
     for step in range(n):
@@ -186,30 +192,46 @@ def heuristic_decomposition(g: WeightedGraph) -> TreeDecomposition:
             f, best_v = heapq.heappop(heap)
             if not eliminated[best_v] and f == fill[best_v]:
                 break
+        eliminated[best_v] = True
+        position[best_v] = step
         nb = work[best_v]
+        elim_bags.append(tuple(sorted([best_v, *nb])))
+        if f == 0:
+            size = len(nb)
+            for u in nb:
+                nu = work[u]
+                if len(nu) > size:
+                    fill[u] -= len(nu) - size
+                    heapq.heappush(heap, (fill[u], u))
+                nu.discard(best_v)
+            continue
+        members = sorted(nb)
+        changed: set[int] = set()
+        for i, a in enumerate(members):
+            na = work[a]
+            for b in members[i + 1 :]:
+                if b not in na:
+                    for x in na & work[b]:
+                        if x != best_v and x not in nb:
+                            fill[x] -= 1
+                            changed.add(x)
         for u in nb:
             nu = work[u]
             nu |= nb
             nu.discard(u)
             nu.discard(best_v)
-        eliminated[best_v] = True
-        order.append(best_v)
-        position[best_v] = step
-        elim_bags.append(tuple(sorted([best_v, *nb])))
-        touched = set(nb)
+        for x in changed:
+            heapq.heappush(heap, (fill[x], x))
         for u in nb:
-            touched |= work[u]
-        for u in touched:
             f = _fill(work, u)
             if f != fill[u]:
                 fill[u] = f
                 heapq.heappush(heap, (f, u))
     edges: list[tuple[int, int]] = []
-    for step, v in enumerate(order):
-        later = [u for u in elim_bags[step] if u != v]
+    for step, bag in enumerate(elim_bags):
+        later = [position[u] for u in bag if position[u] > step]
         if later:
-            parent = min(later, key=lambda u: position[u])
-            edges.append((step, position[parent]))
+            edges.append((step, min(later)))
         elif step + 1 < n:
             # isolated remainder: chain to the next eliminated node
             edges.append((step, step + 1))
@@ -311,33 +333,102 @@ def nice_to_tree(nd: NiceDecomposition) -> TreeDecomposition:
     )
 
 
-def validate_nice(nd: NiceDecomposition) -> str | None:
-    """Structural nice-form checks; returns a message or None."""
-    for i, node in enumerate(nd.nodes):
-        kids = node.children
-        if node.kind == "leaf":
-            if kids or len(node.bag) != 1:
-                return f"node {i}: leaf must have no children and a size-1 bag"
-        elif node.kind in ("introduce", "forget"):
+def _adds(big: tuple[int, ...], small: tuple[int, ...], v: int | None) -> bool:
+    """Whether set(big) is set(small) plus v, with v not in small."""
+    if v is None or v in small:
+        return False
+    # Sorted bags, as every nice form here has, match as tuples; any other
+    # order falls back to the set comparison.
+    k = bisect_left(small, v)
+    return big == small[:k] + (v,) + small[k:] or set(big) == set(small) | {v}
+
+
+def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Violation | None:
+    """First broken nice-form rule; given g, then the first broken decomposition property.
+
+    A broken nice rule (a node's kind, children or bag, or a root bag that
+    is not empty) is a Violation of kind "nice".  With g, the rest is what
+    `validate_decomposition(g, nice_to_tree(nd))` reports, with the same
+    message, in its order: tree shape, range, coverage, edges in `g.edges`
+    order, connectivity.  The same pass over the nodes gathers it from two
+    facts about a nice tree whose root bag is empty:
+    - vertex v's bags are the subtrees below its forget nodes, since the
+      top of each group is the child of a forget-v node.  So v is in some
+      bag iff it is forgotten, and its bags are connected iff it is
+      forgotten exactly once;
+    - an edge uv lies in a bag iff v is in the child bag of a forget-u node
+      or u in the child bag of a forget-v node: walking up from a bag that
+      holds both, the first of them to leave leaves at its forget node.
+    Both read the tree as rooted at `nd.root`, which holds when every child
+    precedes its parent and has one parent, as in every nice form that
+    `make_nice` builds.  Any other shape is checked as a plain tree.
+    """
+    nodes = nd.nodes
+    has_parent = bytearray(len(nodes))
+    rooted = True  # every child precedes its parent and has no other parent
+    tree_edges = 0
+    entered: list[int] = []  # leaf and introduce vertices: every bag vertex enters at one
+    forgot: dict[int, tuple[int, ...] | set[int]] = {}  # v -> its forget nodes' child bags
+    twice: set[int] = set()  # vertices forgotten more than once
+    for i, node in enumerate(nodes):
+        kids, kind, bag = node.children, node.kind, node.bag
+        if kind == "leaf":
+            if kids or len(bag) != 1:
+                return Violation("nice", f"node {i}: leaf must have no children and a size-1 bag")
+            entered.append(bag[0])
+        elif kind == "introduce" or kind == "forget":
             if len(kids) != 1:
-                return f"node {i}: {node.kind} needs exactly one child"
-            child = set(nd.nodes[kids[0]].bag)
-            own = set(node.bag)
-            if node.kind == "introduce":
-                if node.vertex is None or own != child | {node.vertex} or node.vertex in child:
-                    return f"node {i}: introduce bag mismatch"
+                return Violation("nice", f"node {i}: {kind} needs exactly one child")
+            v, child = node.vertex, nodes[kids[0]].bag
+            if kind == "introduce":
+                if not _adds(bag, child, v):
+                    return Violation("nice", f"node {i}: introduce bag mismatch")
+                entered.append(v)
             else:
-                if node.vertex is None or child != own | {node.vertex} or node.vertex in own:
-                    return f"node {i}: forget bag mismatch"
-        elif node.kind == "join":
+                if not _adds(child, bag, v):
+                    return Violation("nice", f"node {i}: forget bag mismatch")
+                if v in forgot:
+                    twice.add(v)
+                    forgot[v] = set(forgot[v]).union(child)
+                else:
+                    forgot[v] = child
+        elif kind == "join":
             if len(kids) != 2:
-                return f"node {i}: join needs two children"
-            if any(nd.nodes[c].bag != node.bag for c in kids):
-                return f"node {i}: join children bags differ from own bag"
+                return Violation("nice", f"node {i}: join needs two children")
+            if any(nodes[c].bag != bag for c in kids):
+                return Violation("nice", f"node {i}: join children bags differ from own bag")
         else:
-            return f"node {i}: unknown kind {node.kind!r}"
-    if nd.nodes[nd.root].bag != ():
-        return "root bag is not empty"
+            return Violation("nice", f"node {i}: unknown kind {kind!r}")
+        tree_edges += len(kids)
+        for c in kids:
+            if 0 <= c < i and not has_parent[c]:
+                has_parent[c] = 1
+            else:
+                rooted = False
+    if nodes[nd.root].bag != ():
+        return Violation("nice", "root bag is not empty")
+    if g is None:
+        return None
+    # n - 1 edges to distinct earlier children, none of them the root: each
+    # node but the root has one parent, so following parents ends there.
+    if not (rooted and tree_edges == len(nodes) - 1 and 0 <= nd.root < len(nodes)
+            and not has_parent[nd.root]):
+        return validate_decomposition(g, nice_to_tree(nd))
+    n = g.n
+    if entered and (min(entered) < 0 or max(entered) >= n):
+        v = next(v for node in nodes for v in node.bag if not 0 <= v < n)
+        return Violation("structure", f"bag vertex {v} out of range", (v,))
+    if len(forgot) < n:
+        v = next(v for v in range(n) if v not in forgot)
+        return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
+    for u, v, _ in g.edges:
+        if v not in forgot[u] and u not in forgot[v]:
+            return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
+    if twice:
+        v = min(twice)
+        return Violation(
+            "connectivity", f"bags containing vertex {v} are not connected in the tree", (v,)
+        )
     return None
 
 

@@ -180,9 +180,10 @@ def distances_within(
     """Exact distances from `source` to the targets closer than `radius`.
 
     A target at distance >= radius has no entry.  The search stops as soon
-    as every target is settled or the frontier reaches the radius, so its
-    cost is bounded by the ball it explores, never by n.  `targets` is only
-    tested for membership and counted: pass a set without repeats.
+    as the last target is settled, before its edges are relaxed, or once
+    the frontier reaches the radius, so its cost is bounded by the ball it
+    explores, never by n.  `targets` is only tested for membership and
+    counted: pass a set without repeats.
     """
     found: dict[int, int] = {}
     left = len(targets)
@@ -198,6 +199,8 @@ def distances_within(
         if u in targets:
             found[u] = du
             left -= 1
+            if not left:
+                break
         for v, w in adj[u]:
             nd = du + w
             if nd < radius and nd < dist.get(v, radius):

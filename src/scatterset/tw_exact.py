@@ -37,9 +37,7 @@ from .decomp import (
     NiceDecomposition,
     heuristic_decomposition,
     make_nice,
-    nice_to_tree,
     postorder,
-    validate_decomposition,
     validate_nice,
 )
 from .graph_core import (
@@ -51,8 +49,9 @@ from .graph_core import (
     induced_subgraph,
 )
 
-# Unused here, but bench/tracing.py wraps this module-level name and the
+# Unused here, but bench/tracing.py wraps these module-level names and the
 # benchmark's tests require every name it wraps to exist.
+from .decomp import nice_to_tree, validate_decomposition  # noqa: F401
 from .graph_core import all_pairs_distances  # noqa: F401
 
 # Number of times the decomposition DP has actually executed; lets callers
@@ -173,14 +172,18 @@ def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int,
 
 
 def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:
+    """Refuse d < 2 and a broken nice form.
+
+    `validate_nice` given g checks the nice rules and the decomposition
+    properties in one pass over the nodes.  It views the nice form as a
+    plain tree only when its shape is one `make_nice` never builds.
+    """
     if d < 2:
         raise ValueError("d must be >= 2")
-    msg = validate_nice(nd)
-    if msg is not None:
-        raise ValueError(f"invalid nice decomposition: {msg}")
-    bad = validate_decomposition(g, nice_to_tree(nd))
+    bad = validate_nice(nd, g)
     if bad is not None:
-        raise ValueError(f"invalid decomposition: {bad.message}")
+        what = "nice decomposition" if bad.kind == "nice" else "decomposition"
+        raise ValueError(f"invalid {what}: {bad.message}")
 
 
 def dp_over_decomposition(

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,6 +50,35 @@ def c5(tmp_path) -> str:
     target = tmp_path / "c5.dss"
     target.write_text(format_dss(cycle_graph(5)))
     return str(target)
+
+
+class _ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone: every write raises, as on a closed pipe."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_4_with_one_line(monkeypatch, capsys, p5):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(["solve", "--graph", p5, "--d", "3", "--json"])
+    monkeypatch.undo()
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err == "error: stdout was closed before the report was written\n"
+    # A real pipe whose read end is closed: the flush at interpreter exit
+    # must not add a second line, and the exit code stays 4.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "scatterset.cli", "solve", "--graph", p5, "--d", "3", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (4, err)
 
 
 # -- solve --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -11,6 +12,8 @@ import pytest
 
 from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
 from scatterset.decomp import (
+    NiceDecomposition,
+    NiceNode,
     TreeDecomposition,
     balance,
     decomposition_depth,
@@ -112,13 +115,30 @@ def _banded(n: int, band: int, seed: int) -> WeightedGraph:
     return WeightedGraph(n=n, edges=tuple(edges))
 
 
+def _cover_shape(cover: int, outside: int, seed: int) -> WeightedGraph:
+    """Cover vertices on a path with chords; each outside vertex hangs from one or two."""
+    rng = random.Random(seed)
+    edges = [(a, a + 1, 1) for a in range(cover - 1)]
+    edges += [(a, b, 1) for a in range(cover) for b in range(a + 2, cover) if rng.randrange(4) == 0]
+    for v in range(cover, cover + outside):
+        edges += [(a, v, 1) for a in sorted(rng.sample(range(cover), rng.randint(1, 2)))]
+    return WeightedGraph(n=cover + outside, edges=tuple(edges))
+
+
 def _min_fill_corpus():
     rng = random.Random(6100)
     for i in range(40):
         p = Fraction(rng.randint(1, 8), 20)
         yield f"random{i}", gen_random_graph(RandomSpec(rng.randint(1, 60), p, 1, 6100 + i))
+    # Dense graphs: most eliminations add fill edges, which lower the fill
+    # of every vertex adjacent to both ends.
+    for i in range(30):
+        p = Fraction(rng.randint(10, 19), 20)
+        yield f"dense{i}", gen_random_graph(RandomSpec(rng.randint(2, 30), p, 1, 6200 + i))
     yield "band400", _banded(400, 4, 1)
     yield "band1000", _banded(1000, 4, 2)
+    for cover in (6, 9, 12):
+        yield f"cover{cover}", _cover_shape(cover, 12 * cover, cover)
     yield "seth", gen_seth(parse_cnf("p cnf 1 1\n1 0\n"), 4, Fraction(1)).graph
 
 
@@ -211,6 +231,147 @@ def test_validator_refuses_malformed_trees(td, message):
     violation = validate_decomposition(path_graph(2), td)
     assert violation is not None
     assert (violation.kind, violation.message) == ("structure", message)
+
+
+def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
+    """The engine's input check before the one-pass checker, as (kind, message, witness).
+
+    The nice rules node by node, then `validate_decomposition` on the nice
+    form viewed as a plain tree.
+    """
+    nodes = nd.nodes
+    for i, node in enumerate(nodes):
+        kids = node.children
+        if node.kind == "leaf":
+            if kids or len(node.bag) != 1:
+                return ("nice", f"node {i}: leaf must have no children and a size-1 bag", ())
+        elif node.kind in ("introduce", "forget"):
+            if len(kids) != 1:
+                return ("nice", f"node {i}: {node.kind} needs exactly one child", ())
+            child, own = set(nodes[kids[0]].bag), set(node.bag)
+            if node.kind == "introduce":
+                if node.vertex is None or own != child | {node.vertex} or node.vertex in child:
+                    return ("nice", f"node {i}: introduce bag mismatch", ())
+            elif node.vertex is None or child != own | {node.vertex} or node.vertex in own:
+                return ("nice", f"node {i}: forget bag mismatch", ())
+        elif node.kind == "join":
+            if len(kids) != 2:
+                return ("nice", f"node {i}: join needs two children", ())
+            if any(nodes[c].bag != node.bag for c in kids):
+                return ("nice", f"node {i}: join children bags differ from own bag", ())
+        else:
+            return ("nice", f"node {i}: unknown kind {node.kind!r}", ())
+    if nodes[nd.root].bag != ():
+        return ("nice", "root bag is not empty", ())
+    bad = validate_decomposition(g, nice_to_tree(nd))
+    return None if bad is None else (bad.kind, bad.message, bad.witness)
+
+
+def _splice(nd: NiceDecomposition, at: int, chain) -> NiceDecomposition:
+    """`nd` with (kind, bag, vertex) nodes put between node `at` and its parent.
+
+    The first is `at`'s new parent and each next one the parent of the one
+    before.  They take the ids after `at` and later ids move up, so every
+    child still precedes its parent.
+    """
+    k = len(chain)
+
+    def moved(c: int) -> int:
+        return c + k if c > at else c
+
+    nodes = []
+    for i, node in enumerate(nd.nodes):
+        kids = tuple(at + k if c == at else moved(c) for c in node.children)
+        nodes.append(dataclasses.replace(node, children=kids))
+        if i == at:
+            nodes += [NiceNode(kind, bag, (at + j,), v) for j, (kind, bag, v) in enumerate(chain)]
+    return NiceDecomposition(tuple(nodes), moved(nd.root))
+
+
+def _with_bag(nd: NiceDecomposition, i: int, bag) -> NiceDecomposition:
+    nodes = list(nd.nodes)
+    nodes[i] = dataclasses.replace(nodes[i], bag=tuple(sorted(bag)))
+    return NiceDecomposition(tuple(nodes), nd.root)
+
+
+# Mutations that keep every child before its parent, and each node's one
+# parent, leave the one pass to answer without the plain-tree fallback.
+ROOTED_MUTATIONS = ("dropped", "added", "forgotten-twice", "out-of-range", "uncovered-edge", "uncovered-vertex")
+
+
+def _broken_nice_forms(seed: int):
+    """(mutation, graph, nice form) triples, each nice form broken once."""
+    rng = random.Random(seed)
+    for i, g in enumerate(seeded_corpus(40, 12, 3, base_seed=seed)):
+        td = heuristic_decomposition(g)
+        nd = make_nice(balance(td, g) if i % 2 else td)
+        nodes = nd.nodes
+        inner = [j for j in range(len(nodes)) if j != nd.root]
+        filled = [j for j in range(len(nodes)) if nodes[j].bag]
+        j = rng.choice(filled)
+        yield "dropped", g, _with_bag(nd, j, set(nodes[j].bag) - {rng.choice(nodes[j].bag)})
+        j = rng.randrange(len(nodes))
+        extra = [v for v in range(g.n) if v not in nodes[j].bag]
+        if extra:
+            yield "added", g, _with_bag(nd, j, {*nodes[j].bag, rng.choice(extra)})
+        forgets = [j for j in inner if nodes[j].kind == "forget"]
+        if forgets:
+            j = rng.choice(forgets)
+            v, bag = nodes[j].vertex, nodes[j].bag
+            chain = [("introduce", tuple(sorted(bag + (v,))), v), ("forget", bag, v)]
+            yield "forgotten-twice", g, _splice(nd, j, chain)
+        j = rng.choice(inner)
+        x, bag = rng.choice([-1, g.n, g.n + 2]), nodes[j].bag
+        chain = [("introduce", tuple(sorted(bag + (x,))), x), ("forget", bag, x)]
+        yield "out-of-range", g, _splice(nd, j, chain)
+        joins = [j for j in range(len(nodes)) if nodes[j].kind == "join"]
+        if joins:
+            j = rng.choice(joins)
+            kids = list(nodes[j].children)
+            side = rng.randrange(2)
+            kids[side] = rng.choice([c for c in range(len(nodes)) if c not in (j, kids[side])])
+            shared = list(nodes)
+            shared[j] = dataclasses.replace(nodes[j], children=tuple(kids))
+            yield "shared-child", g, NiceDecomposition(tuple(shared), nd.root)
+        orphan = NiceNode("leaf", (rng.randrange(g.n),), ())
+        yield "orphaned", g, NiceDecomposition(nodes + (orphan,), nd.root)
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        missing = sorted(set(pairs) - {(min(u, v), max(u, v)) for u, v, _ in g.edges})
+        if missing:
+            u, v = rng.choice(missing)
+            edges = list(g.edges)
+            edges.insert(rng.randint(0, len(edges)), (u, v, 1))
+            yield "uncovered-edge", WeightedGraph(n=g.n, edges=tuple(edges)), nd
+        yield "uncovered-vertex", WeightedGraph(n=g.n + 1, edges=g.edges), nd
+
+
+def test_one_pass_nice_check_matches_the_three_calls(monkeypatch):
+    # Same first violation, kind, message and witness as the nice rules
+    # followed by `validate_decomposition` on the plain tree.
+    import scatterset.decomp as decomp
+
+    fallbacks = []
+
+    def counted(g, td):
+        fallbacks.append(td)
+        return validate_decomposition(g, td)
+
+    monkeypatch.setattr(decomp, "validate_decomposition", counted)
+    seen: dict[str, set] = {}
+    for mutation, g, nd in _broken_nice_forms(9100):
+        del fallbacks[:]
+        bad = validate_nice(nd, g)
+        got = None if bad is None else (bad.kind, bad.message, bad.witness)
+        assert got == _three_call_check(g, nd), mutation
+        seen.setdefault(mutation, set()).add(None if got is None else got[0])
+        if mutation in ROOTED_MUTATIONS:
+            assert not fallbacks, mutation
+    assert seen["forgotten-twice"] >= {"connectivity"}
+    assert seen["out-of-range"] == {"structure"}
+    assert seen["uncovered-edge"] >= {"edge-coverage"}
+    assert seen["uncovered-vertex"] == {"vertex-coverage"}
+    assert seen["dropped"] >= {"nice"} and seen["added"] >= {"nice"}
+    assert seen["shared-child"] == {"structure", "nice"} and seen["orphaned"] == {"structure"}
 
 
 def test_make_nice_validates_and_preserves_width():

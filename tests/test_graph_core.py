@@ -93,6 +93,26 @@ def test_distances_within_stops_at_the_radius_and_the_last_target():
     assert distances_within(g, 0, {0}, 0) == {}
 
 
+def test_distances_within_relaxes_no_edge_of_the_last_target(monkeypatch):
+    # From a leaf of a star the hub is the only target: once it is settled
+    # the search ends, so none of the hub's edges to the other leaves pushes.
+    import heapq
+    import types
+
+    import scatterset.graph_core as graph_core
+
+    pushed = []
+
+    def push(heap, item):
+        pushed.append(item[1])
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(graph_core, "heapq", types.SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    g = star_graph(5)
+    assert distances_within(g, 1, {0}, 10) == {0: 1}
+    assert pushed == [0]
+
+
 def test_disconnected_distance_is_inf():
     g = WeightedGraph(n=3, edges=((0, 1, 1),))
     assert dijkstra_from(g, 0)[2] == INF
