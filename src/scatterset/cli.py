@@ -293,6 +293,11 @@ def cmd_count(args: argparse.Namespace) -> int:
     if counts[0] != 1:
         raise AssertionError("count of size-0 sets must be 1")
     report.validation["checks"].append("size-0 count is 1")
+    # Every single vertex is scattered, so this check needs no search.
+    if args.k >= 1:
+        if counts[1] != g.n:
+            raise AssertionError(f"count of size-1 sets must be n = {g.n}, got {counts[1]}")
+        report.validation["checks"].append("size-1 count is n")
     report.result["counts"] = [str(c) for c in counts]
     _emit(report, args)
     return EXIT_OK

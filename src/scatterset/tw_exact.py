@@ -19,8 +19,13 @@ multiplies two of them in a single integer product.  Slots are wide enough
 that no carry ever reaches a kept count; `dp_over_decomposition` gives the
 bound and its proof.  In maximizing mode the value is an int mask alone:
 bit v is set when vertex v is in one best partial solution for that state,
-so the root's mask is the witness and its popcount the size.  Both modes
-free each child table once its parent has consumed it.
+so the root's mask is the witness and its popcount the size.  Each forget
+table in maximizing mode keeps only its undominated entries: an entry goes
+when another has the same selections, at least its clearance at every bag
+position and at least its size.  Every later step is monotone in each
+clearance, so no maximum changes (`dp_over_decomposition` gives the
+proof); counting never prunes.  Both modes free each child table once its
+parent has consumed it.
 
 `count_scattered` and `max_scattered` run the engine in those two modes;
 `solve_via_treedepth` adds a per-component diameter shortcut.  The
@@ -186,6 +191,46 @@ def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:
         raise ValueError(f"invalid {what}: {bad.message}")
 
 
+def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
+    """Delete every max-mode entry that another entry of `table` dominates.
+
+    Keys are packed as in `dp_over_decomposition`, with ONES = `unit` and
+    H = `guards`.  X dominates Y when both have the same selection set
+    (the join's bucket ((key | H) - ONES) & H), X >= Y in every field
+    (((X | H) - Y) & H == H) and X's mask has at least as many bits as Y's.
+    Distinct keys make this a strict partial order, and a dominator ranks
+    before what it dominates by (popcount, key), descending: its key is
+    larger, its fields being at least Y's.  So each dominated key meets an
+    undominated dominator earlier in that order, and exactly the dominated
+    entries go.  Deleting in place keeps the survivors' insertion order.
+    """
+    if len(table) < 2:
+        return
+    buckets: dict[int, list[int]] = {}
+    for key in table:
+        buckets.setdefault(((key | guards) - unit) & guards, []).append(key)
+    if len(buckets) == len(table):
+        return
+    for bucket in buckets.values():
+        if len(bucket) == 2:
+            # Distinct keys cover each other in at most one direction, and
+            # only then is a popcount worth its O(n) cost.
+            x, y = bucket
+            if ((x | guards) - y) & guards != guards:
+                x, y = y, x
+                if ((x | guards) - y) & guards != guards:
+                    continue
+            if table[x].bit_count() >= table[y].bit_count():
+                del table[y]
+        elif len(bucket) > 2:
+            front: list[int] = []
+            for key in sorted(bucket, key=lambda key: (table[key].bit_count(), key), reverse=True):
+                if any((kept - key) & guards == guards for kept in front):
+                    del table[key]
+                else:
+                    front.append(key | guards)
+
+
 def dp_over_decomposition(
     g: WeightedGraph,
     nd: NiceDecomposition,
@@ -257,6 +302,29 @@ def dp_over_decomposition(
     1 << v, forget and an unselected introduce pass the child's mask on
     unchanged, and a join ORs the two masks.  Forget and join keep the mask
     with more bits, and ties keep the first entry found.
+
+    Why max mode may drop dominated entries.  Entry X dominates entry Y of
+    the same table when both have the same selection set, X's clearance is
+    at least Y's at every bag position, and X's mask has at least as many
+    bits.  Every later step is monotone in each clearance field, in both
+    domains:
+    - the introduce's reach min(add(c, dist)), its admission, and the fold
+      min(., top);
+    - the forget's fieldwise min against the fresh clearances;
+    - the join's least-partner test and its fieldwise-min merge.
+    So every extension that Y's state admits, X's state admits too, into a
+    state at least as large in every field, with at least as many selected
+    vertices.  No maximum changes; a witness may, but only to another set
+    of the same size.  Each max-mode forget table therefore drops its
+    dominated entries (`_drop_dominated`), and the survivors keep their
+    order, so ties still keep the first entry found among them.  A pruned
+    table holds no dominated pair, and neither does an introduce's output
+    of one: an output entry dominates another only if the child entries
+    they extend did (both sizes grow by one when both select the new
+    vertex, and neither does otherwise), so introduce needs no filter.
+    Join outputs are not filtered: measured on the benchmark's graphs, the
+    filter there cost more than it saved.  Counting mode never prunes:
+    every partial solution counts.
 
     Counting mode stores one int P per state, the generating polynomial of
     its partial solutions evaluated at 2^B: the number of partial solutions
@@ -387,7 +455,8 @@ def dp_over_decomposition(
             at = pos * width
             below = (1 << at) - 1
             zrow = near[v]
-            guards = ones(len(node.bag)) << guard
+            unit = ones(len(node.bag))
+            guards = unit << guard
             fresh = sum(
                 hooks.fresh[zrow.get(u, INF)] << (j * width)
                 for j, u in enumerate(cbag[:pos] + cbag[pos + 1 :])
@@ -405,6 +474,8 @@ def dp_over_decomposition(
                     old = table.get(rest)
                     if old is None or value.bit_count() > old.bit_count():
                         table[rest] = value
+            if not counting:
+                _drop_dominated(table, unit, guards)
         else:  # join
             # Bucket the larger child table by selection mask and walk the
             # smaller one, so the per-entry thresholds are built for fewer

@@ -291,6 +291,23 @@ def test_count_cycle_pinned(capsys, c5):
     assert "counts: 1 5 5" in out
 
 
+@pytest.mark.parametrize(
+    "k,checks",
+    [(0, ["size-0 count is 1"]), (2, ["size-0 count is 1", "size-1 count is n"])],
+)
+def test_count_lists_the_closed_form_checks_k_allows(capsys, p5, k, checks):
+    code, out, _ = run_cli(capsys, "count", "--graph", p5, "--d", "3", "--k", str(k), "--json")
+    assert code == 0 and json.loads(out)["validation"]["checks"] == checks
+
+
+def test_wrong_size_1_count_is_internal_error(capsys, p5, monkeypatch):
+    # P5 has 5 scattered singletons; a count of 6 must not be printed.
+    monkeypatch.setattr(cli, "count_scattered", lambda g, nd, d, k: [1, 6, 3])
+    code, out, err = run_cli(capsys, "count", "--graph", p5, "--d", "3", "--k", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
 def test_solvers_build_no_all_pairs_matrix(capsys, tmp_path, monkeypatch):
     # Only the brute-force oracle may build the n x n matrix.
     def refuse(g):

@@ -24,6 +24,7 @@ from scatterset.decomp import (
     postorder,
     validate_decomposition,
 )
+from scatterset.gadgets import gen_fvs_unweighted, gen_seth, parse_cnf, parse_mcis
 from scatterset.graph_core import (
     WeightedGraph,
     all_pairs_distances,
@@ -382,8 +383,29 @@ def _fold_point(g: WeightedGraph, dom) -> int:
     return next(passes, dom.cap)
 
 
+def _dominated(key: tuple, table: dict) -> bool:
+    """Whether another entry of `table` dominates `key`'s.
+
+    It does when it selects the same positions, has at least `key`'s
+    clearance at every other position, and has at least its size.
+    """
+    size = table[key][0]
+    return any(
+        other != key
+        and value[0] >= size
+        and all((a == -1) == (b == -1) and a >= b for a, b in zip(other, key))
+        for other, value in table.items()
+    )
+
+
 def _tuple_engine(
-    g: WeightedGraph, nd: NiceDecomposition, d: int, mode: str, clearance=None, fold=False
+    g: WeightedGraph,
+    nd: NiceDecomposition,
+    d: int,
+    mode: str,
+    clearance=None,
+    fold=False,
+    prune=False,
 ):
     """The clearance engine on tuple keys (-1 = selected): the packed engine's reference.
 
@@ -391,7 +413,9 @@ def _tuple_engine(
     calls the domain's hooks directly on an all-pairs matrix and keeps each
     count polynomial as a list of n + 1 counts.  With `fold`, it stores each
     clearance capped at the fold point (`_fold_point`), as the engine does;
-    without, it keeps every clearance up to the domain's cap.
+    without, it keeps every clearance up to the domain's cap.  With `prune`
+    in max mode, each forget table drops every entry that another entry
+    dominates (`_dominated`), as the engine does; without, it keeps them all.
     """
     dom = clearance if clearance is not None else ExactClearance(d)
     cap, dist, sel, n = dom.cap, all_pairs_distances(g), -1, g.n
@@ -432,6 +456,8 @@ def _tuple_engine(
                     table[rest] = [a + b for a, b in zip(old, value)]
                 elif rest not in table or value[0] > table[rest][0]:
                     table[rest] = value
+            if prune and not counting:
+                table = {key: value for key, value in table.items() if not _dominated(key, table)}
         else:
             outer, inner = (tables[c] for c in node.children)
             if len(outer) > len(inner):
@@ -482,7 +508,8 @@ def test_packed_keys_match_brute_force_at_field_width_boundaries(d):
             assert got == _tuple_engine(g, nd, d, "count", fold=True), (d, i, name)
             assert size == best and scattered_violation(g, witness, d) is None, (d, i, name)
             assert size == _tuple_engine(g, nd, d, "max")[0], (d, i, name)
-            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True), (d, i, name)
+            pruned = _tuple_engine(g, nd, d, "max", fold=True, prune=True)
+            assert (size, witness) == pruned, (d, i, name)
 
 
 # Doubling ladders whose slackened target exceeds 1 + the top power, so
@@ -557,7 +584,7 @@ def test_fold_below_twice_the_lightest_edge_matches_brute_force(lo, hi, ds):
             assert count_scattered(g, nd, d, g.n) == brute_force_count(g, d, g.n), (d, i)
             size, witness = max_scattered(g, nd, d)
             assert size == brute_force_max(g, d)[0], (d, i)
-            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True), (d, i)
+            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True, prune=True), (d, i)
             assert scattered_violation(g, witness, d) is None, (d, i)
 
 
@@ -584,9 +611,99 @@ def test_witness_masks_past_one_machine_word_match_the_reference():
         for d in (2, 3, 5, 8):
             size, witness = dp_over_decomposition(g, nd, d, mode="max")
             assert size == _tuple_engine(g, nd, d, "max")[0], (seed, d)
-            assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True), (seed, d)
+            pruned = _tuple_engine(g, nd, d, "max", fold=True, prune=True)
+            assert (size, witness) == pruned, (seed, d)
             assert size == len(witness) and max(witness) >= 64, (seed, d)
             assert scattered_violation(g, witness, d) is None, (seed, d)
+
+
+# -- dominance pruning --------------------------------------------------------
+
+# Hand-built tables use 4-bit fields (3 value bits and a guard bit) over a
+# bag of two positions; field 0 is "selected", field c + 1 the clearance c.
+_W = 4
+_UNIT = 1 | 1 << _W
+_GUARDS = _UNIT << (_W - 1)
+
+
+def _key(*fields: int) -> int:
+    return sum(f << (j * _W) for j, f in enumerate(fields))
+
+
+def _pruned(entries: list[tuple[tuple[int, ...], int]]) -> list[tuple[tuple[int, ...], int]]:
+    table = {_key(*fields): mask for fields, mask in entries}
+    tw._drop_dominated(table, _UNIT, _GUARDS)
+    by_key = {_key(*fields): fields for fields, _ in entries}
+    return [(by_key[key], mask) for key, mask in table.items()]
+
+
+@pytest.mark.parametrize(
+    "entries,survivors",
+    [
+        ([], []),
+        ([((3, 2), 0b1)], [0]),
+        # A strict dominator of equal size, in both orders of a two-entry bucket.
+        ([((3, 2), 0b011), ((2, 2), 0b101)], [0]),
+        ([((2, 2), 0b101), ((3, 2), 0b011)], [1]),
+        # Equal sizes, neither key covering the other: both stay.
+        ([((3, 1), 0b1), ((1, 3), 0b10)], [0, 1]),
+        # A larger key with a smaller size, in both orders: both stay.
+        ([((3, 3), 0b1), ((2, 2), 0b11)], [0, 1]),
+        ([((2, 2), 0b11), ((3, 3), 0b1)], [0, 1]),
+        # Different selection sets are never compared, though (1, 3) covers
+        # (0, 3) field by field with more bits.
+        ([((0, 3), 0b1), ((1, 3), 0b11)], [0, 1]),
+        # In one bucket (3, 3) dominates (2, 2), both dominate (1, 1), and
+        # (1, 4) dominates only (1, 1).  The other bucket's two entries
+        # stand between them, neither dominating the other.  Only (2, 2)
+        # and (1, 1) go, and the survivors keep their insertion order.
+        (
+            [
+                ((2, 2), 0b11),
+                ((0, 1), 0b111),
+                ((3, 3), 0b111),
+                ((1, 1), 0b11),
+                ((0, 3), 0b10),
+                ((1, 4), 0b110),
+            ],
+            [1, 2, 4, 5],
+        ),
+    ],
+)
+def test_drop_dominated_on_hand_built_tables(entries, survivors):
+    assert _pruned(entries) == [entries[i] for i in survivors]
+
+
+def test_drop_dominated_matches_the_definition_on_random_tables():
+    rng = random.Random(7400)
+    for _ in range(300):
+        size = rng.randint(0, 12)
+        entries = {(rng.randint(0, 4), rng.randint(0, 4)): rng.getrandbits(5) for _ in range(size)}
+        # The reference's states: field 0 is selected (-1), any other a clearance.
+        states = {fields: tuple(f or -1 for f in fields) for fields in entries}
+        reference = {states[fields]: (mask.bit_count(), mask) for fields, mask in entries.items()}
+        expected = [
+            (fields, mask)
+            for fields, mask in entries.items()
+            if not _dominated(states[fields], reference)
+        ]
+        assert _pruned(list(entries.items())) == expected, entries
+
+
+def _gadget_cases():
+    seth = gen_seth(parse_cnf("p cnf 1 2\n1 0\n-1 0\n"), 4, Fraction(1))
+    yield "seth 1 / -1 at d=4", seth.graph, seth.d
+    fvs = gen_fvs_unweighted(parse_mcis("p mcis 2 2\ne 1.1 2.1\ne 1.2 2.2\n"))
+    yield "fvs 2x2 YES", fvs.graph, fvs.d
+
+
+def test_pruned_engine_keeps_the_unpruned_optimum_on_gadgets():
+    # Pruning shrinks their largest tables from 552 to 99 and from 321 to 163 entries.
+    for name, g, d in _gadget_cases():
+        nd = nice_for(g)
+        size, witness = max_scattered(g, nd, d)
+        assert size == _tuple_engine(g, nd, d, "max")[0], name
+        assert size == len(witness) and scattered_violation(g, witness, d) is None, name
 
 
 def test_engine_output_pinned():
@@ -603,7 +720,7 @@ def test_engine_output_pinned():
             result = (i, d, max_scattered(g, nd, d), count_scattered(g, nd, d, g.n))
             digest.update(repr(result).encode())
         digest.update(repr((i, approx_max_scattered(g, td, 17, Fraction(1, 2)))).encode())
-    assert digest.hexdigest() == "4bec59b98a2701b83cb5d0bb0c241884ca0632625e196dace53f0a2fd6c06960"
+    assert digest.hexdigest() == "436fc8292420fa79c1cba37c590cff6c8b12e742524504354a414ab814125987"
 
 
 def test_engine_sizes_and_counts_pinned():
