@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .graph_core import ParseError, WeightedGraph, ints, records
 
@@ -104,49 +104,65 @@ def _children(td: TreeDecomposition) -> list[list[int]]:
     return children
 
 
+def _check_tops(
+    g: WeightedGraph,
+    bags: Iterable[Sequence[int]],
+    tops: dict[int, Collection[int]],
+    split: Collection[int],
+) -> Violation | None:
+    """The first broken decomposition property, read off each vertex's top bags.
+
+    A top of v is a bag holding v that is the root or whose parent bag lacks
+    v.  `tops` maps each bag vertex to the union of its top bags, `split`
+    holds the vertices with more than one top, and `bags` is scanned only to
+    name the first out-of-range vertex.  Each node's parent chain ends at the
+    root, so every bag vertex has a top: v is in some bag iff it has one,
+    and its bags are connected iff it has exactly one, since each connected
+    group of them has one.  An edge uv lies in a bag iff v is in a top bag
+    of u or u in one of v: walking up from a bag holding both, the first
+    bag whose parent lacks one of them is a top of that one.  The checks run
+    in the validator's order: range, coverage, edges in `g.edges` order,
+    connectivity, each reporting its lowest or first offender.
+    """
+    n = g.n
+    if tops and (min(tops) < 0 or max(tops) >= n):
+        v = next(v for bag in bags for v in bag if not 0 <= v < n)
+        return Violation("structure", f"bag vertex {v} out of range", (v,))
+    if len(tops) < n:
+        v = next(v for v in range(n) if v not in tops)
+        return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
+    for u, v, _ in g.edges:
+        if v not in tops[u] and u not in tops[v]:
+            return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
+    if split:
+        v = min(split)
+        return Violation(
+            "connectivity", f"bags containing vertex {v} are not connected in the tree", (v,)
+        )
+    return None
+
+
 def validate_decomposition(g: WeightedGraph, td: TreeDecomposition) -> Violation | None:
     """Check tree shape plus the three decomposition properties.
 
-    Returns None when valid, otherwise the first violation found.
+    Returns None when valid, otherwise the first violation found.  Node i
+    is a top of the vertices its bag holds and its parent's lacks; the
+    properties are read off those tops by `_check_tops`.
     """
     parent = _parents(td)
     if isinstance(parent, Violation):
         return parent
-    # Bag vertex -> ids of the bags holding it, keyed by bag vertices only so
-    # memory stays O(sum of bag sizes) whatever n is.
-    holders: dict[int, list[int]] = {}
-    for i, bag in enumerate(td.bags):
-        for v in bag:
-            if not (0 <= v < g.n):
-                return Violation("structure", f"bag vertex {v} out of range", (v,))
-            held = holders.setdefault(v, [])
-            if not held or held[-1] != i:
-                held.append(i)
-    if len(holders) < g.n:
-        v = next(v for v in range(g.n) if v not in holders)
-        return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
-    for u, v, _ in g.edges:
-        if set(holders[u]).isdisjoint(holders[v]):
-            return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
-    # v's bags are connected iff exactly one of them is a top: the root, or
-    # a bag whose parent bag lacks v.  Each connected group has one top.
-    # owner[i] == v marks the bags holding v while v is checked.
-    owner = [-1] * len(td.bags)
-    for v in range(g.n):
-        held = holders[v]
-        for i in held:
-            owner[i] = v
-        tops = 0
-        for i in held:
-            if parent[i] < 0 or owner[parent[i]] != v:
-                tops += 1
-        if tops > 1:
-            return Violation(
-                "connectivity",
-                f"bags containing vertex {v} are not connected in the tree",
-                (v,),
-            )
-    return None
+    bags = td.bags
+    tops: dict[int, Collection[int]] = {}
+    split: set[int] = set()
+    for bag, p in zip(bags, parent):
+        for v in set(bag).difference(bags[p] if p >= 0 else ()):
+            if v in tops:
+                split.add(v)
+                tops[v] = set(tops[v]).union(bag)
+            else:
+                tops[v] = bag
+    return _check_tops(g, bags, tops, split)
 
 
 def _fill(work: list[set[int]], v: int) -> int:
@@ -348,34 +364,24 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
 
     A broken nice rule (a node's kind, children or bag, or a root bag that
     is not empty) is a Violation of kind "nice".  With g, the rest is what
-    `validate_decomposition(g, nice_to_tree(nd))` reports, with the same
-    message, in its order: tree shape, range, coverage, edges in `g.edges`
-    order, connectivity.  The same pass over the nodes gathers it from two
-    facts about a nice tree whose root bag is empty:
-    - vertex v's bags are the subtrees below its forget nodes, since the
-      top of each group is the child of a forget-v node.  So v is in some
-      bag iff it is forgotten, and its bags are connected iff it is
-      forgotten exactly once;
-    - an edge uv lies in a bag iff v is in the child bag of a forget-u node
-      or u in the child bag of a forget-v node: walking up from a bag that
-      holds both, the first of them to leave leaves at its forget node.
-    Both read the tree as rooted at `nd.root`, which holds when every child
-    precedes its parent and has one parent, as in every nice form that
-    `make_nice` builds.  Any other shape is checked as a plain tree.
+    `validate_decomposition(g, nice_to_tree(nd))` reports, from the same
+    pass over the nodes: below an empty root bag, a node's parent lacks v
+    only if it forgets v, so the tops of v are the child bags of its forget
+    nodes, and `_check_tops` reads the properties off those.  That holds
+    when every child precedes its parent and has one parent, as in every
+    nice form `make_nice` builds; any other shape is checked as a plain tree.
     """
     nodes = nd.nodes
     has_parent = bytearray(len(nodes))
     rooted = True  # every child precedes its parent and has no other parent
     tree_edges = 0
-    entered: list[int] = []  # leaf and introduce vertices: every bag vertex enters at one
-    forgot: dict[int, tuple[int, ...] | set[int]] = {}  # v -> its forget nodes' child bags
+    forgot: dict[int, Collection[int]] = {}  # v -> its forget nodes' child bags
     twice: set[int] = set()  # vertices forgotten more than once
     for i, node in enumerate(nodes):
         kids, kind, bag = node.children, node.kind, node.bag
         if kind == "leaf":
             if kids or len(bag) != 1:
                 return Violation("nice", f"node {i}: leaf must have no children and a size-1 bag")
-            entered.append(bag[0])
         elif kind == "introduce" or kind == "forget":
             if len(kids) != 1:
                 return Violation("nice", f"node {i}: {kind} needs exactly one child")
@@ -383,7 +389,6 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
             if kind == "introduce":
                 if not _adds(bag, child, v):
                     return Violation("nice", f"node {i}: introduce bag mismatch")
-                entered.append(v)
             else:
                 if not _adds(child, bag, v):
                     return Violation("nice", f"node {i}: forget bag mismatch")
@@ -414,22 +419,7 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
     if not (rooted and tree_edges == len(nodes) - 1 and 0 <= nd.root < len(nodes)
             and not has_parent[nd.root]):
         return validate_decomposition(g, nice_to_tree(nd))
-    n = g.n
-    if entered and (min(entered) < 0 or max(entered) >= n):
-        v = next(v for node in nodes for v in node.bag if not 0 <= v < n)
-        return Violation("structure", f"bag vertex {v} out of range", (v,))
-    if len(forgot) < n:
-        v = next(v for v in range(n) if v not in forgot)
-        return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
-    for u, v, _ in g.edges:
-        if v not in forgot[u] and u not in forgot[v]:
-            return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
-    if twice:
-        v = min(twice)
-        return Violation(
-            "connectivity", f"bags containing vertex {v} are not connected in the tree", (v,)
-        )
-    return None
+    return _check_tops(g, (node.bag for node in nodes), forgot, twice)
 
 
 def decomposition_depth(td: TreeDecomposition) -> int:

@@ -30,6 +30,15 @@ from .tw_exact import dp_over_decomposition
 # benchmark's tests require every name it wraps to exist.
 from .graph_core import all_pairs_distances  # noqa: F401
 
+# Most bits the rounding ladder may hold.  Its cap + 1 rungs each take up
+# to cap * log2(a+b) bits, so it grows with cap squared.  tracemalloc puts
+# a ladder at 1.03 bytes per 8 bits (17.8 MiB for 139 million bits at
+# epsilon = 1/100 on a 40-vertex path at d = 5, 3,542 rungs), so the bound
+# is about 200 MiB, near vc_fpt's profile bound; epsilon = 1/300 there
+# (10,624 rungs, 182.5 MiB) still fits.  It is checked at each rung of the
+# cap loop, before the ladder is built.
+_MAX_LADDER_BITS = 1_600_000_000
+
 
 def slack_threshold(d: int, epsilon: Fraction) -> int:
     """Smallest integer distance t with (1+epsilon) * t >= d.
@@ -63,6 +72,12 @@ class RoundedClearance:
         top, unit, cap = 1, 1, 0
         while top * (a + b) <= d * unit * b:
             top, unit, cap = top * (a + b), unit * b, cap + 1
+            # No rung exceeds top = (a+b)^cap.
+            if (cap + 1) * top.bit_length() > _MAX_LADDER_BITS:
+                raise ValueError(
+                    f"rounding ladder refused: epsilon {self.epsilon} gives delta {self.delta}, "
+                    f"and {cap + 1} rungs already need more than {_MAX_LADDER_BITS} bits"
+                )
         # Going up one rung trades one factor b for one factor a+b.
         ladder = [unit]
         for _ in range(cap):

@@ -179,9 +179,10 @@ def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int,
 def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:
     """Refuse d < 2 and a broken nice form.
 
-    `validate_nice` given g checks the nice rules and the decomposition
-    properties in one pass over the nodes.  It views the nice form as a
-    plain tree only when its shape is one `make_nice` never builds.
+    `validate_nice` given g checks the nice rules in one pass over the
+    nodes, and the decomposition properties from the tops it meets there:
+    the child bags of the forget nodes.  It views the nice form as a plain
+    tree only when its shape is one `make_nice` never builds.
     """
     if d < 2:
         raise ValueError("d must be >= 2")

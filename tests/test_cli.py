@@ -352,6 +352,38 @@ def test_count_pads_beyond_n(capsys, p5):
     assert all(isinstance(c, str) for c in counts)
 
 
+
+def test_count_refuses_a_k_it_cannot_print(capsys, p5):
+    # Sizes past n all count 0; a bound past n + _MAX_ZERO_COUNTS would only
+    # pad the report with zeros, 10**6 of them took 173 MiB.
+    code, out, err = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", str(10**12))
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        f"error: --k {10**12} exceeds n = 5 by more than {cli._MAX_ZERO_COUNTS}; "
+        "every size past n counts 0"
+    ]
+    k = 5 + cli._MAX_ZERO_COUNTS
+    code, out, _ = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", str(k), "--json")
+    assert code == 0 and len(json.loads(out)["result"]["counts"]) == k + 1
+    code, _, _ = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", str(k + 1))
+    assert code == 3
+
+
+def test_solve_approx_refuses_a_ladder_past_its_bit_bound(capsys, tmp_path):
+    # On a 40-vertex path at d = 5 the balanced nice form stacks 11 rounding
+    # steps.  epsilon = 1/100 gives 3,542 rungs and runs; epsilon = 1/1000
+    # would need about ten times as many rungs, each ten times as long.
+    graph = tmp_path / "p40.dss"
+    graph.write_text(format_dss(path_graph(40)))
+    argv = ("solve", "--graph", str(graph), "--d", "5", "--algo", "approx", "--epsilon")
+    code, out, _ = run_cli(capsys, *argv, "1/100", "--json")
+    assert code == 0 and json.loads(out)["result"]["size"] == 8
+    code, out, err = run_cli(capsys, *argv, "1/1000")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: rounding ladder refused: epsilon 1/1000 gives delta 1/22000, and ")
+    assert err.endswith(f" rungs already need more than {tw_approx._MAX_LADDER_BITS} bits\n")
+
 # -- gen ----------------------------------------------------------------------
 
 

@@ -15,6 +15,8 @@ from scatterset.decomp import (
     NiceDecomposition,
     NiceNode,
     TreeDecomposition,
+    Violation,
+    _parents,
     balance,
     decomposition_depth,
     format_td,
@@ -233,11 +235,116 @@ def test_validator_refuses_malformed_trees(td, message):
     assert (violation.kind, violation.message) == ("structure", message)
 
 
+def _reference_validate(g: WeightedGraph, td: TreeDecomposition) -> Violation | None:
+    """The holders-based validator that `_check_tops` replaced, kept as a reference.
+
+    Each bag vertex maps to the bags holding it; an edge is covered when its
+    ends share a holder, and v's holders are connected when exactly one of
+    them is the root or has a parent bag without v.
+    """
+    parent = _parents(td)
+    if isinstance(parent, Violation):
+        return parent
+    holders: dict[int, list[int]] = {}
+    for i, bag in enumerate(td.bags):
+        for v in bag:
+            if not (0 <= v < g.n):
+                return Violation("structure", f"bag vertex {v} out of range", (v,))
+            held = holders.setdefault(v, [])
+            if not held or held[-1] != i:
+                held.append(i)
+    if len(holders) < g.n:
+        v = next(v for v in range(g.n) if v not in holders)
+        return Violation("vertex-coverage", f"vertex {v} in no bag", (v,))
+    for u, v, _ in g.edges:
+        if set(holders[u]).isdisjoint(holders[v]):
+            return Violation("edge-coverage", f"edge ({u},{v}) in no bag", (u, v))
+    owner = [-1] * len(td.bags)
+    for v in range(g.n):
+        held = holders[v]
+        for i in held:
+            owner[i] = v
+        tops = sum(1 for i in held if parent[i] < 0 or owner[parent[i]] != v)
+        if tops > 1:
+            return Violation(
+                "connectivity", f"bags containing vertex {v} are not connected in the tree", (v,)
+            )
+    return None
+
+
+def _as_triple(bad: Violation | None):
+    return None if bad is None else (bad.kind, bad.message, bad.witness)
+
+
+MUTATIONS = ("drop", "add", "repeat", "out-of-range", "rewire", "move-root", "empty", "merge")
+
+
+def _mutated_trees(seed: int, count: int):
+    """`count` (mutation, graph, plain decomposition) triples, each broken one or two ways.
+
+    The shapes are heuristic decompositions, their balanced forms and their
+    nice forms viewed as plain trees.
+    """
+    rng = random.Random(seed)
+    shapes = []
+    for g in seeded_corpus(60, 14, 3, base_seed=seed):
+        td = heuristic_decomposition(g)
+        shapes += [(g, td), (g, balance(td, g)), (g, nice_to_tree(make_nice(td)))]
+    for _ in range(count):
+        g, td = rng.choice(shapes)
+        bags, edges, root = [list(b) for b in td.bags], list(td.tree_edges), td.root
+        names = []
+        for _ in range(rng.randint(1, 2)):
+            mutation = rng.choice(MUTATIONS)
+            names.append(mutation)
+            i, j = rng.randrange(len(bags)), rng.randrange(len(bags))
+            if mutation == "drop" and bags[i]:
+                bags[i].remove(rng.choice(bags[i]))
+            elif mutation == "add":
+                bags[i].append(rng.randrange(g.n))
+            elif mutation == "repeat" and bags[i]:
+                bags[i].insert(rng.randrange(len(bags[i]) + 1), rng.choice(bags[i]))
+            elif mutation == "out-of-range":
+                bags[i].append(rng.choice([-1, g.n, g.n + 3]))
+            elif mutation == "rewire" and edges:
+                e = rng.randrange(len(edges))
+                a, b = edges[e]
+                end = rng.randrange(-1, len(bags) + 1) if rng.randrange(8) == 0 else j
+                edges[e] = (a, end) if rng.randrange(2) else (end, b)
+            elif mutation == "move-root":
+                root = j if rng.randrange(8) else len(bags)
+            elif mutation == "empty":
+                bags[i] = []
+            elif mutation == "merge":
+                bags[i] = sorted(set(bags[i]) | set(bags[j]))
+        yield "+".join(names), g, TreeDecomposition(tuple(map(tuple, bags)), tuple(edges), root)
+
+
+def test_top_bag_validator_matches_the_reference_on_mutated_trees():
+    # Same first violation, kind, message and witness, as the holders-based
+    # reference, and every outcome the plain validator has is reached.
+    seen: dict[str, set] = {}
+    cases = 0
+    for mutation, g, td in _mutated_trees(9300, 3000):
+        got = _as_triple(validate_decomposition(g, td))
+        assert got == _as_triple(_reference_validate(g, td)), (mutation, td)
+        for name in mutation.split("+"):
+            seen.setdefault(name, set()).add(None if got is None else got[0])
+        cases += 1
+    assert cases == 3000
+    kinds = set().union(*seen.values())
+    assert kinds == {None, "structure", "vertex-coverage", "edge-coverage", "connectivity"}
+    assert seen["out-of-range"] >= {"structure"} and seen["rewire"] >= {"structure"}
+    assert seen["drop"] >= {"vertex-coverage", "edge-coverage"}
+    assert seen["add"] >= {"connectivity"} and seen["merge"] >= {"connectivity"}
+    assert seen["repeat"] >= {None} and seen["move-root"] >= {None}
+
+
 def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
     """The engine's input check before the one-pass checker, as (kind, message, witness).
 
-    The nice rules node by node, then `validate_decomposition` on the nice
-    form viewed as a plain tree.
+    The nice rules node by node, then the holders-based reference on the
+    nice form viewed as a plain tree.
     """
     nodes = nd.nodes
     for i, node in enumerate(nodes):
@@ -263,8 +370,7 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
             return ("nice", f"node {i}: unknown kind {node.kind!r}", ())
     if nodes[nd.root].bag != ():
         return ("nice", "root bag is not empty", ())
-    bad = validate_decomposition(g, nice_to_tree(nd))
-    return None if bad is None else (bad.kind, bad.message, bad.witness)
+    return _as_triple(_reference_validate(g, nice_to_tree(nd)))
 
 
 def _splice(nd: NiceDecomposition, at: int, chain) -> NiceDecomposition:

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cycle_graph, path_graph, seeded_corpus, star_graph
+import scatterset.tw_approx as tw_approx
 from scatterset.decomp import heuristic_decomposition
 from scatterset.graph_core import INF, all_pairs_distances, scattered_violation
 from scatterset.oracle import brute_force_max
@@ -52,6 +53,24 @@ def test_rounded_clearance_admission_uses_slack_target():
     assert rc.from_distance(2) == 3
     assert rc.join_ok(rc.cap, rc.cap)
 
+
+def test_ladder_refuses_past_its_bit_bound(monkeypatch):
+    # The cap loop bounds the ladder by (cap + 1) rungs of top's bits; at
+    # exactly that bound the ladder is built, one bit less refuses it.
+    rc = RoundedClearance(7, Fraction(1, 4), Fraction(1, 2))
+    need = (rc.cap + 1) * rc._ladder[-1].bit_length()
+    assert sum(x.bit_length() for x in rc._ladder) <= need
+    monkeypatch.setattr(tw_approx, "_MAX_LADDER_BITS", need)
+    assert RoundedClearance(7, Fraction(1, 4), Fraction(1, 2)).cap == rc.cap
+    monkeypatch.setattr(tw_approx, "_MAX_LADDER_BITS", need - 1)
+    with pytest.raises(ValueError, match=f"epsilon 1/2 gives delta 1/4, and {rc.cap + 1} rungs"):
+        RoundedClearance(7, Fraction(1, 4), Fraction(1, 2))
+    monkeypatch.undo()
+    # At the module's bound, epsilon = 1/100 on a path of 40 at d = 5 fits
+    # and epsilon = 1/1000 does not.
+    assert RoundedClearance(5, Fraction(1, 2200), Fraction(1, 100)).cap == 3541
+    with pytest.raises(ValueError, match="rounding ladder refused"):
+        RoundedClearance(5, Fraction(1, 22000), Fraction(1, 1000))
 
 def test_approx_rejects_bad_arguments():
     g = path_graph(4)
