@@ -40,11 +40,9 @@ from .graph_core import (
     ParseError,
     WeightedGraph,
     all_pairs_distances,
-    connected_components,
     dijkstra_from,
     distances_within,
     format_dss,
-    induced_subgraph,
     is_scattered,
     parse_graph,
     scattered_violation,
@@ -61,7 +59,6 @@ from .tw_exact import (
     count_scattered,
     dp_over_decomposition,
     max_scattered,
-    solve_via_treedepth,
 )
 from .vc_fpt import compute_vertex_cover, max_scattered_vc
 
@@ -84,7 +81,6 @@ __all__ = [
     "brute_force_count",
     "brute_force_max",
     "compute_vertex_cover",
-    "connected_components",
     "count_scattered",
     "decomposition_depth",
     "dijkstra_from",
@@ -98,7 +94,6 @@ __all__ = [
     "gen_td_eth",
     "gen_w1_vc",
     "heuristic_decomposition",
-    "induced_subgraph",
     "is_scattered",
     "make_nice",
     "max_scattered",
@@ -109,7 +104,6 @@ __all__ = [
     "parse_mcis",
     "parse_td",
     "scattered_violation",
-    "solve_via_treedepth",
     "validate_decomposition",
     "validate_nice",
     "vertex_set",

@@ -370,15 +370,26 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
     nodes, and `_check_tops` reads the properties off those.  That holds
     when every child precedes its parent and has one parent, as in every
     nice form `make_nice` builds; any other shape is checked as a plain tree.
+    A root or child index that names no node is the structure violation the
+    plain validator reports, with or without g.
     """
     nodes = nd.nodes
-    has_parent = bytearray(len(nodes))
+    count = len(nodes)
+    has_parent = bytearray(count)
     rooted = True  # every child precedes its parent and has no other parent
     tree_edges = 0
     forgot: dict[int, Collection[int]] = {}  # v -> its forget nodes' child bags
     twice: set[int] = set()  # vertices forgotten more than once
     for i, node in enumerate(nodes):
         kids, kind, bag = node.children, node.kind, node.bag
+        tree_edges += len(kids)
+        for c in kids:
+            if 0 <= c < i and not has_parent[c]:
+                has_parent[c] = 1
+            elif not 0 <= c < count:
+                return _parents(nice_to_tree(nd))
+            else:
+                rooted = False
         if kind == "leaf":
             if kids or len(bag) != 1:
                 return Violation("nice", f"node {i}: leaf must have no children and a size-1 bag")
@@ -404,20 +415,15 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
                 return Violation("nice", f"node {i}: join children bags differ from own bag")
         else:
             return Violation("nice", f"node {i}: unknown kind {kind!r}")
-        tree_edges += len(kids)
-        for c in kids:
-            if 0 <= c < i and not has_parent[c]:
-                has_parent[c] = 1
-            else:
-                rooted = False
+    if not 0 <= nd.root < count:
+        return _parents(nice_to_tree(nd))
     if nodes[nd.root].bag != ():
         return Violation("nice", "root bag is not empty")
     if g is None:
         return None
     # n - 1 edges to distinct earlier children, none of them the root: each
     # node but the root has one parent, so following parents ends there.
-    if not (rooted and tree_edges == len(nodes) - 1 and 0 <= nd.root < len(nodes)
-            and not has_parent[nd.root]):
+    if not (rooted and tree_edges == count - 1 and not has_parent[nd.root]):
         return validate_decomposition(g, nice_to_tree(nd))
     return _check_tops(g, (node.bag for node in nodes), forgot, twice)
 

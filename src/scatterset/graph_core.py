@@ -246,36 +246,3 @@ def scattered_violation(
             v = min(later)
             return (u, v, near[v])
     return None
-
-
-def connected_components(g: WeightedGraph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted, in id order."""
-    seen = [False] * g.n
-    comps: list[list[int]] = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack = [s]
-        seen[s] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v, _ in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
-def induced_subgraph(g: WeightedGraph, vertices: Sequence[int]) -> tuple[WeightedGraph, list[int]]:
-    """Subgraph induced by `vertices`; returns (subgraph, old-id list)."""
-    keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v], w)
-        for u, v, w in g.edges
-        if u in index and v in index
-    ]
-    return WeightedGraph(n=len(keep), edges=tuple(edges)), keep

@@ -27,10 +27,9 @@ clearance, so no maximum changes (`dp_over_decomposition` gives the
 proof); counting never prunes.  Both modes free each child table once its
 parent has consumed it.
 
-`count_scattered` and `max_scattered` run the engine in those two modes;
-`solve_via_treedepth` adds a per-component diameter shortcut.  The
-`clearance` hook lets the approximation module re-run the same engine over
-a rounded value domain; the engine memoizes every hook call per solve.
+`count_scattered` and `max_scattered` run the engine in those two modes.
+The `clearance` hook lets the approximation module re-run the same engine
+over a rounded value domain; the engine memoizes every hook call per solve.
 """
 
 from __future__ import annotations
@@ -38,29 +37,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .decomp import (
-    NiceDecomposition,
-    heuristic_decomposition,
-    make_nice,
-    postorder,
-    validate_nice,
-)
-from .graph_core import (
-    INF,
-    VertexSet,
-    WeightedGraph,
-    connected_components,
-    distances_within,
-    induced_subgraph,
-)
+from .decomp import NiceDecomposition, postorder, validate_nice
+from .graph_core import INF, VertexSet, WeightedGraph, distances_within
 
 # Unused here, but bench/tracing.py wraps these module-level names and the
 # benchmark's tests require every name it wraps to exist.
 from .decomp import nice_to_tree, validate_decomposition  # noqa: F401
 from .graph_core import all_pairs_distances  # noqa: F401
 
-# Number of times the decomposition DP has actually executed; lets callers
-# verify that trivial cases short-circuit without running it.
+# Number of times the decomposition DP has actually executed; only
+# bench/run.py reads it, for its tw_exact.engine_runs count.
 ENGINE_RUNS = 0
 
 # ---------------------------------------------------------------------------
@@ -203,7 +189,8 @@ def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
     before what it dominates by (popcount, key), descending: its key is
     larger, its fields being at least Y's.  So each dominated key meets an
     undominated dominator earlier in that order, and exactly the dominated
-    entries go.  Deleting in place keeps the survivors' insertion order.
+    entries go.  One loop serves every bucket of two or more keys.
+    Deleting in place keeps the survivors' insertion order.
     """
     if len(table) < 2:
         return
@@ -213,23 +200,14 @@ def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
     if len(buckets) == len(table):
         return
     for bucket in buckets.values():
-        if len(bucket) == 2:
-            # Distinct keys cover each other in at most one direction, and
-            # only then is a popcount worth its O(n) cost.
-            x, y = bucket
-            if ((x | guards) - y) & guards != guards:
-                x, y = y, x
-                if ((x | guards) - y) & guards != guards:
-                    continue
-            if table[x].bit_count() >= table[y].bit_count():
-                del table[y]
-        elif len(bucket) > 2:
-            front: list[int] = []
-            for key in sorted(bucket, key=lambda key: (table[key].bit_count(), key), reverse=True):
-                if any((kept - key) & guards == guards for kept in front):
-                    del table[key]
-                else:
-                    front.append(key | guards)
+        if len(bucket) < 2:
+            continue
+        front: list[int] = []
+        for key in sorted(bucket, key=lambda key: (table[key].bit_count(), key), reverse=True):
+            if any((kept - key) & guards == guards for kept in front):
+                del table[key]
+            else:
+                front.append(key | guards)
 
 
 def dp_over_decomposition(
@@ -551,32 +529,3 @@ def max_scattered(g: WeightedGraph, nd: NiceDecomposition, d: int) -> tuple[int,
     re-checked here; the CLI re-validates every witness it prints.
     """
     return dp_over_decomposition(g, nd, d, mode="max")
-
-
-def solve_via_treedepth(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
-    """Maximization with the diameter shortcut, per connected component.
-
-    A component whose diameter is below d answers with a single vertex and
-    skips the DP (observable via ENGINE_RUNS).  The test runs one radius-d
-    ball per vertex and stops at the first ball that misses part of the
-    component, so no all-pairs pass is made.  Other components are solved
-    by the decomposition DP; components combine additively since
-    inter-component distances are infinite.
-    """
-    if not g.has_unit_weights():
-        raise ValueError("treedepth-style solving expects unit weights")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    total = 0
-    chosen: list[int] = []
-    for comp in connected_components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        everyone = range(sub.n)
-        if all(len(distances_within(sub, s, everyone, d)) == sub.n for s in everyone):
-            total += 1
-            chosen.append(old_ids[0])
-            continue
-        size, witness = max_scattered(sub, make_nice(heuristic_decomposition(sub)), d)
-        total += size
-        chosen.extend(old_ids[v] for v in witness)
-    return total, tuple(sorted(chosen))

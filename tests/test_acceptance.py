@@ -12,7 +12,6 @@ from fractions import Fraction
 
 import pytest
 
-import scatterset.tw_exact as tw_mod
 from conftest import diameter, independent_set_counts, max_finite_distance, seeded_corpus
 from scatterset.decomp import (
     TreeDecomposition,
@@ -34,7 +33,6 @@ from scatterset.gadgets import (
     parse_mcis,
 )
 from scatterset.graph_core import (
-    INF,
     all_pairs_distances,
     is_scattered,
 )
@@ -46,7 +44,6 @@ from scatterset.tw_approx import approx_max_scattered
 from scatterset.tw_exact import (
     count_scattered,
     max_scattered,
-    solve_via_treedepth,
 )
 from scatterset.vc_fpt import (
     compute_vertex_cover,
@@ -224,19 +221,12 @@ def test_decomposition_toolkit_bounds_and_dp_agreement(weighted_corpus):
             assert len(results) == 1
 
 
-def test_treedepth_wrapper_shortcuts_large_d(unit_corpus):
-    shortcut_hits = 0
+def test_maximization_matches_brute_force_on_unit_corpus(unit_corpus):
+    # In a unit-weight graph every clearance folds at d - 1.
     for g in unit_corpus:
-        diam = diameter(g)
-        if diam < INF:
-            before = tw_mod.ENGINE_RUNS
-            size, members = solve_via_treedepth(g, diam + 1)
-            assert size == 1 and len(members) == 1
-            assert tw_mod.ENGINE_RUNS == before  # no DP ran
-            shortcut_hits += 1
-        for d in range(2, min(diam, 4) + 1):
-            size, members = solve_via_treedepth(g, d)
+        nd = make_nice(heuristic_decomposition(g))
+        for d in range(2, min(diameter(g), 4) + 1):
             opt, _ = brute_force_max(g, d)
+            size, members = max_scattered(g, nd, d)
             assert size == opt
-            assert is_scattered(g, members, d)
-    assert shortcut_hits > 50
+            assert len(members) == size and is_scattered(g, members, d)

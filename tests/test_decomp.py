@@ -32,6 +32,7 @@ from scatterset.decomp import (
 from scatterset.gadgets import gen_seth, parse_cnf
 from scatterset.graph_core import ParseError, WeightedGraph
 from scatterset.oracle import RandomSpec, gen_random_graph
+from scatterset.tw_exact import max_scattered
 
 
 def _assert_valid(g, td):
@@ -478,6 +479,51 @@ def test_one_pass_nice_check_matches_the_three_calls(monkeypatch):
     assert seen["uncovered-vertex"] == {"vertex-coverage"}
     assert seen["dropped"] >= {"nice"} and seen["added"] >= {"nice"}
     assert seen["shared-child"] == {"structure", "nice"} and seen["orphaned"] == {"structure"}
+
+
+def _index_breaks(nd: NiceDecomposition):
+    """Copies of nd whose root, or one child of its first introduce and first
+    join, is len(nodes) or -1: an index that names no node."""
+    count = len(nd.nodes)
+    for r in (count, -1):
+        yield dataclasses.replace(nd, root=r)
+    for kind in ("introduce", "join"):
+        i = next((i for i, node in enumerate(nd.nodes) if node.kind == kind), None)
+        if i is None:
+            continue
+        for side in range(len(nd.nodes[i].children)):
+            for c in (count, -1):
+                kids = list(nd.nodes[i].children)
+                kids[side] = c
+                nodes = list(nd.nodes)
+                nodes[i] = dataclasses.replace(nodes[i], children=tuple(kids))
+                yield NiceDecomposition(tuple(nodes), nd.root)
+
+
+@pytest.mark.parametrize(
+    "g, edges",
+    [
+        (path_graph(3), ("(1,6)", "(1,-1)")),
+        (star_graph(3), ("(1,10)", "(1,-1)", "(6,10)", "(6,-1)")),
+    ],
+    ids=["path", "star"],
+)
+def test_nice_check_reports_indices_that_name_no_node(g, edges):
+    # The plain validator's structure violation, with or without g, where an
+    # unchecked index would raise IndexError or read the last node's bag.
+    nd = make_nice(heuristic_decomposition(g))
+    seen = set()
+    for bad in _index_breaks(nd):
+        want = validate_decomposition(g, nice_to_tree(bad))
+        assert want is not None and want.kind == "structure"
+        assert validate_nice(bad, g) == want
+        assert validate_nice(bad) == want
+        with pytest.raises(ValueError) as info:
+            max_scattered(g, bad, 3)
+        assert str(info.value) == f"invalid decomposition: {want.message}"
+        seen.add(want.message)
+    roots = {f"root {r} out of range" for r in (len(nd.nodes), -1)}
+    assert seen == roots | {f"bad tree edge {e}" for e in edges}
 
 
 def test_make_nice_validates_and_preserves_width():

@@ -20,11 +20,9 @@ from scatterset.graph_core import (
     ParseError,
     WeightedGraph,
     all_pairs_distances,
-    connected_components,
     dijkstra_from,
     distances_within,
     format_dss,
-    induced_subgraph,
     is_scattered,
     parse_graph,
     scattered_violation,
@@ -203,16 +201,3 @@ def test_parse_graph_rejects_malformed_input(text, line_no):
     assert getattr(info.value, "line_no", None) == line_no
     assert isinstance(info.value, ParseError) == (line_no is not None)
 
-
-def test_connected_components_partition():
-    g = WeightedGraph(n=6, edges=((0, 1, 1), (1, 2, 1), (4, 5, 1)))
-    comps = connected_components(g)
-    assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3], [4, 5]]
-
-
-def test_induced_subgraph_remaps_ids_and_weights():
-    g = WeightedGraph(n=5, edges=((1, 3, 4), (3, 4, 2), (0, 2, 1)))
-    sub, old_ids = induced_subgraph(g, [1, 3, 4])
-    assert list(old_ids) == [1, 3, 4]
-    assert sub.n == 3
-    assert sorted(sub.edges) == [(0, 1, 4), (1, 2, 2)]

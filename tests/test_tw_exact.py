@@ -39,7 +39,6 @@ from scatterset.tw_exact import (
     count_scattered,
     dp_over_decomposition,
     max_scattered,
-    solve_via_treedepth,
 )
 
 
@@ -336,32 +335,6 @@ def test_max_witness_on_forest_with_isolated_vertices():
     assert size == 10 + 1 + 29 + 7 + 10 and len(witness) == size
     assert scattered_violation(g, witness, 3) is None
     assert set(range(41, 70)) | set(range(90, 100)) <= set(witness)
-
-
-def test_treedepth_wrapper_skips_dp_on_small_diameter():
-    g = cycle_graph(6)  # diameter 3
-    before = tw.ENGINE_RUNS
-    size, witness = solve_via_treedepth(g, 4)
-    assert size == 1 and len(witness) == 1
-    assert tw.ENGINE_RUNS == before  # answered by the diameter shortcut
-    size, witness = solve_via_treedepth(g, 3)
-    assert size == 2
-    assert tw.ENGINE_RUNS == before + 1
-
-
-def test_treedepth_wrapper_adds_up_components():
-    g = WeightedGraph(n=7, edges=((0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)))
-    # Components: P3 + P3 + isolated vertex; d=3 gives 1 + 1 + 1.
-    size, witness = solve_via_treedepth(g, 3)
-    assert size == 3
-    assert is_scattered(g, witness, 3)
-    assert size == brute_force_max(g, 3)[0]
-
-
-def test_treedepth_wrapper_requires_unit_weights():
-    g = path_graph(3, weight=2)
-    with pytest.raises(ValueError):
-        solve_via_treedepth(g, 3)
 
 
 # -- packed state keys --------------------------------------------------------
