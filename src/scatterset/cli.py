@@ -248,6 +248,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError("--epsilon applies only to --algo approx")
     if args.algo in ("vc", "brute") and args.td:
         raise UsageError(f"--algo {args.algo} takes no --td")
+    if args.k is not None and args.k < 0:
+        raise ValueError("k must be >= 0")
     g = _load_graph(args.graph)
     report = RunReport(command="solve", solver=args.algo)
     report.parameters.update(

@@ -183,31 +183,60 @@ def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
 
     Keys are packed as in `dp_over_decomposition`, with ONES = `unit` and
     H = `guards`.  X dominates Y when both have the same selection set
-    (the join's bucket ((key | H) - ONES) & H), X >= Y in every field
-    (((X | H) - Y) & H == H) and X's mask has at least as many bits as Y's.
-    Distinct keys make this a strict partial order, and a dominator ranks
-    before what it dominates by (popcount, key), descending: its key is
-    larger, its fields being at least Y's.  So each dominated key meets an
-    undominated dominator earlier in that order, and exactly the dominated
-    entries go.  One loop serves every bucket of two or more keys.
-    Deleting in place keeps the survivors' insertion order.
+    (the join's bucket ((key | H) - ONES) & H), X >= Y in every field and
+    X's mask has at least as many bits as Y's.  Distinct keys make this a
+    strict partial order.
+
+    Each key k is extended to x = popcount(mask) << a | k, a being H's bit
+    length, so a bucket of extended keys sorted as plain ints, descending,
+    is in (popcount, key) order.  A dominator ranks first in it: its size is
+    at least Y's, and its key is larger, its fields being at least Y's.  So
+    each dominated key meets an undominated dominator earlier in that order,
+    and testing each key against the kept keys before it drops exactly the
+    dominated entries.  Each of those kept keys has at least the tested
+    key's size, so only their fields remain to compare.
+
+    The kept keys form one packed front: slot i, of a bits, holds the i-th
+    kept key K_i | H.  R has a 1 at the bottom of each slot and GG = H * R.
+    In front - k * R no borrow crosses a field or a slot: field j of slot i
+    computes 2^(W-1) + K_ij - k_j, which lies in [1, 2^W), as in the join's
+    identities.  So slot i of Q = ~(front - k * R) & GG is zero exactly when
+    K_i >= k in every field.  With HI the top bit of each slot (bit a - 1,
+    the last field's guard), (Q - R) & ~Q & HI is nonzero exactly when some
+    slot of Q is zero: below the lowest zero slot no slot borrows, and a
+    nonzero slot minus one keeps its top bit only if it had it, which ~Q
+    clears; the lowest zero slot turns all ones, top bit included.  So one
+    test covers the whole front.  One loop serves every bucket of two or
+    more keys, and deleting in place keeps the survivors' insertion order.
     """
     if len(table) < 2:
         return
+    at = guards.bit_length()
     buckets: dict[int, list[int]] = {}
-    for key in table:
-        buckets.setdefault(((key | guards) - unit) & guards, []).append(key)
+    for key, mask in table.items():
+        buckets.setdefault(((key | guards) - unit) & guards, []).append(mask.bit_count() << at | key)
     if len(buckets) == len(table):
         return
+    low = (1 << at) - 1
+    # HI's bit in slot 0: the last field's guard.
+    top = 1 << (at - 1)
     for bucket in buckets.values():
         if len(bucket) < 2:
             continue
-        front: list[int] = []
-        for key in sorted(bucket, key=lambda key: (table[key].bit_count(), key), reverse=True):
-            if any((kept - key) & guards == guards for kept in front):
+        bucket.sort(reverse=True)
+        # The largest x has no dominator: its key fills slot 0.
+        front, rep, gg, high, shift = bucket[0] & low | guards, 1, guards, top, at
+        for x in bucket[1:]:
+            key = x & low
+            q = ~(front - key * rep) & gg
+            if (q - rep) & ~q & high:
                 del table[key]
             else:
-                front.append(key | guards)
+                front |= (key | guards) << shift
+                rep |= 1 << shift
+                gg |= guards << shift
+                high |= top << shift
+                shift += at
 
 
 def dp_over_decomposition(
@@ -301,6 +330,13 @@ def dp_over_decomposition(
     of one: an output entry dominates another only if the child entries
     they extend did (both sizes grow by one when both select the new
     vertex, and neither does otherwise), so introduce needs no filter.
+    The filter sorts each selection bucket once, by size and then key, and
+    tests each entry against every entry kept before it in one packed-int
+    test: the kept keys sit side by side in slots of b * W bits, and the
+    first identity above, applied to all slots at once, sets every guard
+    bit of a slot exactly when that kept key covers the entry field by
+    field.  No borrow crosses a field or a slot, so a zero-slot test on the
+    inverted guard bits is exact (`_drop_dominated` gives the argument).
     Join outputs are not filtered: measured on the benchmark's graphs, the
     filter there cost more than it saved.  Counting mode never prunes:
     every partial solution counts.

@@ -182,7 +182,7 @@ def reduce_to_packing(
     radius; it runs once per cover vertex, with the origins as targets.
     """
     if d < 3:
-        raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
+        raise ValueError("d must be >= 3 here; for d = 2 use --algo tw")
     if not g.has_unit_weights():
         raise ValueError("packing reduction expects unit weights")
     elements = tuple(sorted(cover))
@@ -339,7 +339,7 @@ def max_scattered_vc(g: WeightedGraph, d: int) -> tuple[int, VertexSet]:
     if not g.has_unit_weights():
         raise ValueError("max_scattered_vc expects unit weights")
     if d < 3:
-        raise ValueError("d must be >= 3 here; for d = 2 use the tw_exact module")
+        raise ValueError("d must be >= 3 here; for d = 2 use --algo tw")
     cover = compute_vertex_cover(g)
     reps = neighborhood_classes(g, cover)
     return solve_packing(*reduce_to_packing(g, cover, reps, d))

@@ -114,7 +114,7 @@ def test_solve_vc_redirects_small_d(capsys, tmp_path):
     p4.write_text(format_dss(path_graph(4)))
     code, _, err = run_cli(capsys, "solve", "--graph", str(p4), "--d", "2", "--algo", "vc")
     assert code == 3
-    assert "d = 2" in err
+    assert err.splitlines() == ["error: d must be >= 3 here; for d = 2 use --algo tw"]
 
 
 def test_solve_vc_refuses_a_cover_search_past_its_limit(capsys, tmp_path, monkeypatch):
@@ -155,6 +155,20 @@ def test_solve_reports_target(capsys, p5):
     assert code == 0 and "target_met: true" in out
     code, out, _ = run_cli(capsys, "solve", "--graph", p5, "--d", "3", "--k", "3")
     assert code == 0 and "target_met: false" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "count"])
+def test_negative_k_is_refused(capsys, p5, monkeypatch, command):
+    if command == "solve":
+        # solve refuses before it decomposes or solves anything.
+        def no_solver(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        for name in ("heuristic_decomposition", "max_scattered"):
+            monkeypatch.setattr(cli, name, no_solver)
+    code, out, err = run_cli(capsys, command, "--graph", p5, "--d", "3", "--k", "-5")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: k must be >= 0"]
 
 
 def test_solve_with_supplied_decomposition(capsys, p5, tmp_path):

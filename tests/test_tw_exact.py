@@ -663,6 +663,55 @@ def test_drop_dominated_matches_the_definition_on_random_tables():
         assert _pruned(list(entries.items())) == expected, entries
 
 
+def test_drop_dominated_matches_the_definition_on_large_buckets():
+    # Buckets of 50-300 keys over 6-12 positions, masks of 250 to 261 bits,
+    # so that sizes span 2**8, and field widths from 4 bits up to the 41
+    # that d = 10**12 gives.
+    rng = random.Random(2602)
+    widths = (4, 5, 9, 17, (10**12 + 2).bit_length() + 1)
+    for trial in range(25):
+        width = widths[trial % len(widths)]
+        b = rng.randint(6, 12)
+        unit = ((1 << (b * width)) - 1) // ((1 << width) - 1)
+        # Few clearance levels and sizes, so that many pairs compare and tie.
+        levels = rng.sample(range(1, 1 << (width - 1)), 4)
+        sizes = range(250, 250 + rng.randint(1, 12))
+        selections = [rng.sample(range(b), rng.randint(0, 2)) for _ in range(2)]
+        target = rng.randint(50, 300)
+        entries: dict[tuple[int, ...], int] = {}
+        while len(entries) < target:
+            if entries and rng.random() < 0.5:
+                # A near copy of an entry: one field changed, with a smaller,
+                # equal or larger size; or two unequal fields swapped, with
+                # the same size, which leaves the two incomparable.
+                fields, mask = rng.choice(list(entries.items()))
+                fields = list(fields)
+                size = mask.bit_count()
+                i, j = rng.sample([j for j, f in enumerate(fields) if f], 2)
+                if rng.random() < 0.5:
+                    fields[i] = rng.choice(levels)
+                    size = max(250, size + rng.choice((-1, 0, 1)))
+                else:
+                    fields[i], fields[j] = fields[j], fields[i]
+            else:
+                selected = rng.choice(selections)
+                fields = [0 if j in selected else rng.choice(levels) for j in range(b)]
+                size = rng.choice(sizes)
+            mask = sum(1 << v for v in rng.sample(range(4 * size), size))
+            entries.setdefault(tuple(fields), mask)
+        packed = {fields: sum(f << (j * width) for j, f in enumerate(fields)) for fields in entries}
+        table = {packed[fields]: mask for fields, mask in entries.items()}
+        tw._drop_dominated(table, unit, unit << (width - 1))
+        states = {fields: tuple(f or -1 for f in fields) for fields in entries}
+        reference = {states[fields]: (mask.bit_count(), mask) for fields, mask in entries.items()}
+        expected = [
+            (packed[fields], mask)
+            for fields, mask in entries.items()
+            if not _dominated(states[fields], reference)
+        ]
+        assert list(table.items()) == expected, (trial, width, b)
+
+
 def _gadget_cases():
     seth = gen_seth(parse_cnf("p cnf 1 2\n1 0\n-1 0\n"), 4, Fraction(1))
     yield "seth 1 / -1 at d=4", seth.graph, seth.d
