@@ -664,7 +664,7 @@ def test_drop_dominated_matches_the_definition_on_random_tables():
 
 
 def test_drop_dominated_matches_the_definition_on_large_buckets():
-    # Buckets of 50-300 keys over 6-12 positions, masks of 250 to 261 bits,
+    # Buckets of 50-300 keys over 6-12 positions, masks of 250 bits or more,
     # so that sizes span 2**8, and field widths from 4 bits up to the 41
     # that d = 10**12 gives.
     rng = random.Random(2602)
@@ -682,8 +682,8 @@ def test_drop_dominated_matches_the_definition_on_large_buckets():
         while len(entries) < target:
             if entries and rng.random() < 0.5:
                 # A near copy of an entry: one field changed, with a smaller,
-                # equal or larger size; or two unequal fields swapped, with
-                # the same size, which leaves the two incomparable.
+                # equal or larger size; or two fields swapped, with the same
+                # size, which leaves the two incomparable if the fields differ.
                 fields, mask = rng.choice(list(entries.items()))
                 fields = list(fields)
                 size = mask.bit_count()
