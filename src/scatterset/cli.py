@@ -239,6 +239,20 @@ def _pick_decomposition(args: argparse.Namespace, g: WeightedGraph) -> TreeDecom
     return heuristic_decomposition(g)
 
 
+def _check_parameters(args: argparse.Namespace) -> None:
+    """Refuse k < 0, epsilon <= 0 and d < 2 before the graph is read.
+
+    The solvers refuse them too, in this order and these words, but only
+    after the decomposition is built.  `--algo vc` keeps its own d >= 3.
+    """
+    if args.k is not None and args.k < 0:
+        raise ValueError("k must be >= 0")
+    if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if args.d < 2 and getattr(args, "algo", "tw") != "vc":
+        raise ValueError("d must be >= 2")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     d = args.d
     epsilon = args.epsilon
@@ -248,8 +262,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError("--epsilon applies only to --algo approx")
     if args.algo in ("vc", "brute") and args.td:
         raise UsageError(f"--algo {args.algo} takes no --td")
-    if args.k is not None and args.k < 0:
-        raise ValueError("k must be >= 0")
+    _check_parameters(args)
     g = _load_graph(args.graph)
     report = RunReport(command="solve", solver=args.algo)
     report.parameters.update(
@@ -288,6 +301,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    _check_parameters(args)
     g = _load_graph(args.graph)
     if args.k > g.n + _MAX_ZERO_COUNTS:
         raise ValueError(

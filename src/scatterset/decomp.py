@@ -9,7 +9,6 @@ answer from a single root entry.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
@@ -46,6 +45,15 @@ class NiceNode:
 
 @dataclass(frozen=True)
 class NiceDecomposition:
+    """Typed nodes whose child lists form one tree under `root`.
+
+    The root is no node's child and every other node is exactly one node's
+    child.  An introduce or forget node's bag is its child's with `vertex`
+    put in or taken out at one position, the rest in order; a join node's
+    children have its bag.  The dynamic programs read and write bag fields
+    by position, so the order is part of the form.
+    """
+
     nodes: tuple[NiceNode, ...]
     root: int
 
@@ -350,33 +358,36 @@ def nice_to_tree(nd: NiceDecomposition) -> TreeDecomposition:
 
 
 def _adds(big: tuple[int, ...], small: tuple[int, ...], v: int | None) -> bool:
-    """Whether set(big) is set(small) plus v, with v not in small."""
-    if v is None or v in small:
+    """Whether big is small with v, not in small, put in at one position, the rest in order."""
+    if v in small or v not in big:
         return False
-    # Sorted bags, as every nice form here has, match as tuples; any other
-    # order falls back to the set comparison.
-    k = bisect_left(small, v)
-    return big == small[:k] + (v,) + small[k:] or set(big) == set(small) | {v}
+    k = big.index(v)
+    return big[:k] + big[k + 1 :] == small
 
 
 def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Violation | None:
     """First broken nice-form rule; given g, then the first broken decomposition property.
 
-    A broken nice rule (a node's kind, children or bag, or a root bag that
-    is not empty) is a Violation of kind "nice".  With g, the rest is what
-    `validate_decomposition(g, nice_to_tree(nd))` reports, from the same
-    pass over the nodes: below an empty root bag, a node's parent lacks v
-    only if it forgets v, so the tops of v are the child bags of its forget
-    nodes, and `_check_tops` reads the properties off those.  That holds
-    when every child precedes its parent and has one parent, as in every
-    nice form `make_nice` builds; any other shape is checked as a plain tree.
-    A root or child index that names no node is the structure violation the
-    plain validator reports, with or without g.
+    A broken nice rule is a Violation of kind "nice": a node's kind,
+    children or bag, where a parent's bag must be its child's with one
+    vertex put in or taken out, the rest in order, or a root bag that is
+    not empty.  The child lists must then form one tree under the root: a
+    root or child index that names no node, or any other shape, is a
+    structure violation, the one `_parents` reports for the plain-tree view
+    where it has one and otherwise one naming a node that is no node's
+    child.  Every child preceding its one parent, as in each nice form
+    `make_nice` builds, proves the shape without a walk.
+
+    With g, the rest is what `validate_decomposition(g, nice_to_tree(nd))`
+    reports, from the same pass over the nodes: below an empty root bag, a
+    node's parent lacks v only if it forgets v, so the tops of v are the
+    child bags of its forget nodes, and `_check_tops` reads the properties
+    off those.
     """
     nodes = nd.nodes
     count = len(nodes)
     has_parent = bytearray(count)
-    rooted = True  # every child precedes its parent and has no other parent
+    ordered = True  # every child precedes its parent
     tree_edges = 0
     forgot: dict[int, Collection[int]] = {}  # v -> its forget nodes' child bags
     twice: set[int] = set()  # vertices forgotten more than once
@@ -384,12 +395,11 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
         kids, kind, bag = node.children, node.kind, node.bag
         tree_edges += len(kids)
         for c in kids:
-            if 0 <= c < i and not has_parent[c]:
-                has_parent[c] = 1
-            elif not 0 <= c < count:
-                return _parents(nice_to_tree(nd))
-            else:
-                rooted = False
+            if not 0 <= c < i:
+                if not 0 <= c < count:
+                    return _parents(nice_to_tree(nd))
+                ordered = False
+            has_parent[c] = 1
         if kind == "leaf":
             if kids or len(bag) != 1:
                 return Violation("nice", f"node {i}: leaf must have no children and a size-1 bag")
@@ -419,12 +429,23 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
         return _parents(nice_to_tree(nd))
     if nodes[nd.root].bag != ():
         return Violation("nice", "root bag is not empty")
+    # n - 1 edges to distinct children, none of them the root: every other
+    # node is one node's child.  Then all are below the root if every child
+    # precedes its parent, as following parents from any node ends there;
+    # otherwise iff a walk from the root, which meets no cycle, meets them all.
+    tree = tree_edges == count - 1 == has_parent.count(1) and not has_parent[nd.root]
+    if tree and not ordered:
+        tree = len(postorder([node.children for node in nodes], nd.root)) == count
+    if not tree:
+        bad = _parents(nice_to_tree(nd))
+        if isinstance(bad, Violation):
+            return bad
+        # A tree in the plain view whose child lists do not hang from the
+        # root leaves some other node no node's child.
+        orphan = next(i for i in range(count) if i != nd.root and not has_parent[i])
+        return Violation("structure", f"node {orphan} is no node's child", (orphan,))
     if g is None:
         return None
-    # n - 1 edges to distinct earlier children, none of them the root: each
-    # node but the root has one parent, so following parents ends there.
-    if not (rooted and tree_edges == count - 1 and not has_parent[nd.root]):
-        return validate_decomposition(g, nice_to_tree(nd))
     return _check_tops(g, (node.bag for node in nodes), forgot, twice)
 
 

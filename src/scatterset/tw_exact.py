@@ -167,8 +167,9 @@ def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:
 
     `validate_nice` given g checks the nice rules in one pass over the
     nodes, and the decomposition properties from the tops it meets there:
-    the child bags of the forget nodes.  It views the nice form as a plain
-    tree only when its shape is one `make_nice` never builds.
+    the child bags of the forget nodes.  Its rules are the ones this engine
+    relies on: bags in the order whose fields it splices and cuts by
+    position, and child lists that form one tree under the root.
     """
     if d < 2:
         raise ValueError("d must be >= 2")

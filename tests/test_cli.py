@@ -171,6 +171,29 @@ def test_negative_k_is_refused(capsys, p5, monkeypatch, command):
     assert err.splitlines() == ["error: k must be >= 0"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("count", "--k", "-1", "--d", "3"), "k must be >= 0"),
+        (("count", "--k", "2", "--d", "1"), "d must be >= 2"),
+        (("count", "--k", "-1", "--d", "1"), "k must be >= 0"),
+        (("solve", "--d", "1"), "d must be >= 2"),
+        (("solve", "--d", "1", "--algo", "brute"), "d must be >= 2"),
+        (("solve", "--d", "3", "--algo", "approx", "--epsilon", "0"), "epsilon must be positive"),
+        (("solve", "--d", "1", "--algo", "approx", "--epsilon", "0"), "epsilon must be positive"),
+        (("solve", "--d", "1", "--algo", "approx", "--epsilon", "1", "--k", "-1"), "k must be >= 0"),
+    ],
+)
+def test_bad_parameters_are_refused_before_the_graph_is_read(capsys, p5, monkeypatch, argv, message):
+    # The solvers' own words and order: k, then epsilon, then d.
+    def no_graph(text):
+        raise AssertionError("the graph was read")
+
+    monkeypatch.setattr(cli, "parse_graph", no_graph)
+    code, out, err = run_cli(capsys, *argv, "--graph", p5)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_solve_with_supplied_decomposition(capsys, p5, tmp_path):
     td_file = tmp_path / "p5.td"
     code, _, _ = run_cli(capsys, "decompose", "--graph", p5, "--out", str(td_file))

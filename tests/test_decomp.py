@@ -31,8 +31,8 @@ from scatterset.decomp import (
 )
 from scatterset.gadgets import gen_seth, parse_cnf
 from scatterset.graph_core import ParseError, WeightedGraph
-from scatterset.oracle import RandomSpec, gen_random_graph
-from scatterset.tw_exact import max_scattered
+from scatterset.oracle import RandomSpec, brute_force_count, brute_force_max, gen_random_graph
+from scatterset.tw_exact import count_scattered, max_scattered
 
 
 def _assert_valid(g, td):
@@ -342,10 +342,12 @@ def test_top_bag_validator_matches_the_reference_on_mutated_trees():
 
 
 def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
-    """The engine's input check before the one-pass checker, as (kind, message, witness).
+    """The engine's input check, spelled out as (kind, message, witness).
 
-    The nice rules node by node, then the holders-based reference on the
-    nice form viewed as a plain tree.
+    The nice rules node by node, where a parent's bag is its child's with
+    one vertex put in or taken out and the rest in order; the child lists
+    as one tree under the root, counted and walked; then the holders-based
+    reference on the nice form viewed as a plain tree.
     """
     nodes = nd.nodes
     for i, node in enumerate(nodes):
@@ -356,12 +358,10 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
         elif node.kind in ("introduce", "forget"):
             if len(kids) != 1:
                 return ("nice", f"node {i}: {node.kind} needs exactly one child", ())
-            child, own = set(nodes[kids[0]].bag), set(node.bag)
-            if node.kind == "introduce":
-                if node.vertex is None or own != child | {node.vertex} or node.vertex in child:
-                    return ("nice", f"node {i}: introduce bag mismatch", ())
-            elif node.vertex is None or child != own | {node.vertex} or node.vertex in own:
-                return ("nice", f"node {i}: forget bag mismatch", ())
+            child, own, v = nodes[kids[0]].bag, node.bag, node.vertex
+            big, small = (own, child) if node.kind == "introduce" else (child, own)
+            if v in small or len(big) != len(small) + 1 or tuple(x for x in big if x != v) != small:
+                return ("nice", f"node {i}: {node.kind} bag mismatch", ())
         elif node.kind == "join":
             if len(kids) != 2:
                 return ("nice", f"node {i}: join needs two children", ())
@@ -371,6 +371,23 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
             return ("nice", f"node {i}: unknown kind {node.kind!r}", ())
     if nodes[nd.root].bag != ():
         return ("nice", "root bag is not empty", ())
+    parents = [0] * len(nodes)
+    for node in nodes:
+        for c in node.children:
+            parents[c] += 1
+    reached, stack = {nd.root}, [nd.root]
+    while stack:
+        for c in nodes[stack.pop()].children:
+            if c not in reached:
+                reached.add(c)
+                stack.append(c)
+    others = [i for i in range(len(nodes)) if i != nd.root]
+    if parents[nd.root] or any(parents[i] != 1 for i in others) or len(reached) < len(nodes):
+        bad = _parents(nice_to_tree(nd))
+        if isinstance(bad, Violation):
+            return _as_triple(bad)
+        orphan = min(i for i in others if not parents[i])
+        return ("structure", f"node {orphan} is no node's child", (orphan,))
     return _as_triple(_reference_validate(g, nice_to_tree(nd)))
 
 
@@ -399,11 +416,6 @@ def _with_bag(nd: NiceDecomposition, i: int, bag) -> NiceDecomposition:
     nodes = list(nd.nodes)
     nodes[i] = dataclasses.replace(nodes[i], bag=tuple(sorted(bag)))
     return NiceDecomposition(tuple(nodes), nd.root)
-
-
-# Mutations that keep every child before its parent, and each node's one
-# parent, leave the one pass to answer without the plain-tree fallback.
-ROOTED_MUTATIONS = ("dropped", "added", "forgotten-twice", "out-of-range", "uncovered-edge", "uncovered-vertex")
 
 
 def _broken_nice_forms(seed: int):
@@ -442,6 +454,22 @@ def _broken_nice_forms(seed: int):
             yield "shared-child", g, NiceDecomposition(tuple(shared), nd.root)
         orphan = NiceNode("leaf", (rng.randrange(g.n),), ())
         yield "orphaned", g, NiceDecomposition(nodes + (orphan,), nd.root)
+        # A copy of some node's parent that no node lists: the plain view is
+        # still a tree, one edge longer.
+        parent = {c: p for p, node in enumerate(nodes) for c in node.children}
+        copy = nodes[parent[rng.choice(inner)]]
+        yield "dangling-parent", g, NiceDecomposition(nodes + (copy,), nd.root)
+        # The same bag set in another order, which the engine's fields follow.
+        wide = [
+            j for j, node in enumerate(nodes)
+            if node.kind in ("introduce", "forget") and len(node.bag) > 1
+        ]
+        if wide:
+            j = rng.choice(wide)
+            turn = rng.randrange(1, len(nodes[j].bag))
+            reordered = list(nodes)
+            reordered[j] = dataclasses.replace(nodes[j], bag=nodes[j].bag[turn:] + nodes[j].bag[:turn])
+            yield "reordered-bag", g, NiceDecomposition(tuple(reordered), nd.root)
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         missing = sorted(set(pairs) - {(min(u, v), max(u, v)) for u, v, _ in g.edges})
         if missing:
@@ -453,32 +481,30 @@ def _broken_nice_forms(seed: int):
 
 
 def test_one_pass_nice_check_matches_the_three_calls(monkeypatch):
-    # Same first violation, kind, message and witness as the nice rules
-    # followed by `validate_decomposition` on the plain tree.
+    # Same first violation, kind, message and witness as the nice rules, the
+    # shape rule and the holders-based validator on the plain tree, and
+    # never through `validate_decomposition`.
     import scatterset.decomp as decomp
 
-    fallbacks = []
+    def refuse(g, td):
+        raise AssertionError("validate_nice called validate_decomposition")
 
-    def counted(g, td):
-        fallbacks.append(td)
-        return validate_decomposition(g, td)
-
-    monkeypatch.setattr(decomp, "validate_decomposition", counted)
+    # `balance` validates its input, so the forms are built first.
+    forms = list(_broken_nice_forms(9100))
+    monkeypatch.setattr(decomp, "validate_decomposition", refuse)
     seen: dict[str, set] = {}
-    for mutation, g, nd in _broken_nice_forms(9100):
-        del fallbacks[:]
+    for mutation, g, nd in forms:
         bad = validate_nice(nd, g)
         got = None if bad is None else (bad.kind, bad.message, bad.witness)
         assert got == _three_call_check(g, nd), mutation
         seen.setdefault(mutation, set()).add(None if got is None else got[0])
-        if mutation in ROOTED_MUTATIONS:
-            assert not fallbacks, mutation
     assert seen["forgotten-twice"] >= {"connectivity"}
     assert seen["out-of-range"] == {"structure"}
     assert seen["uncovered-edge"] >= {"edge-coverage"}
     assert seen["uncovered-vertex"] == {"vertex-coverage"}
     assert seen["dropped"] >= {"nice"} and seen["added"] >= {"nice"}
     assert seen["shared-child"] == {"structure", "nice"} and seen["orphaned"] == {"structure"}
+    assert seen["dangling-parent"] == {"structure"} and seen["reordered-bag"] >= {"nice"}
 
 
 def _index_breaks(nd: NiceDecomposition):
@@ -524,6 +550,95 @@ def test_nice_check_reports_indices_that_name_no_node(g, edges):
         seen.add(want.message)
     roots = {f"root {r} out of range" for r in (len(nd.nodes), -1)}
     assert seen == roots | {f"bad tree edge {e}" for e in edges}
+
+
+def test_nice_check_refuses_child_lists_that_are_no_tree_under_the_root():
+    # Two vertices, no edge.  Root 1 forgets leaf 0's vertex, and node 2,
+    # which no node lists, introduces vertex 1 above the same leaf.  As an
+    # undirected tree this is a path, which the plain validator accepts;
+    # the engine read it as max 1 and counts [1, 1, 0], against 2 and
+    # [1, 2, 1].  Adding a forget and an introduce that list each other
+    # keeps one parent per node but leaves them out of the root's tree.
+    g = WeightedGraph(n=2, edges=())
+    leaf = NiceNode("leaf", (0,), ())
+    root = NiceNode("forget", (), (0,), 0)
+    dangling = (leaf, root, NiceNode("introduce", (0, 1), (0,), 1))
+    looped = (leaf, root, NiceNode("forget", (), (3,), 1), NiceNode("introduce", (1,), (2,), 1))
+    cases = [
+        (NiceDecomposition(dangling, 1), Violation("structure", "node 2 is no node's child", (2,))),
+        (NiceDecomposition(looped, 1), Violation("structure", "decomposition tree is not connected")),
+    ]
+    assert validate_decomposition(g, nice_to_tree(cases[0][0])) is None
+    for nd, want in cases:
+        assert validate_nice(nd) == want and validate_nice(nd, g) == want
+        with pytest.raises(ValueError, match=f"^invalid decomposition: {want.message}$"):
+            max_scattered(g, nd, 2)
+        with pytest.raises(ValueError, match=f"^invalid decomposition: {want.message}$"):
+            count_scattered(g, nd, 2, 2)
+
+
+def test_nice_check_refuses_a_vertex_put_in_twice():
+    # Bag (0, 0) above leaf (0,), forgotten twice down to the empty root:
+    # without g no decomposition property would catch the repeat.
+    nodes = (
+        NiceNode("leaf", (0,), ()),
+        NiceNode("introduce", (0, 0), (0,), 0),
+        NiceNode("forget", (0,), (1,), 0),
+        NiceNode("forget", (), (2,), 0),
+    )
+    assert validate_nice(NiceDecomposition(nodes, 3)) == Violation("nice", "node 1: introduce bag mismatch")
+
+
+def _shuffled_bags(nd: NiceDecomposition, rng: random.Random) -> NiceDecomposition:
+    """nd with each introduce and forget bag shuffled, except at joins and their children."""
+    nodes = list(nd.nodes)
+    kept = {j for i, node in enumerate(nodes) if node.kind == "join" for j in (i, *node.children)}
+    for i, node in enumerate(nodes):
+        if node.kind in ("introduce", "forget") and i not in kept:
+            bag = list(node.bag)
+            rng.shuffle(bag)
+            nodes[i] = dataclasses.replace(node, bag=tuple(bag))
+    return NiceDecomposition(tuple(nodes), nd.root)
+
+
+def test_nice_check_accepts_only_bag_orders_the_engine_reads():
+    # The engine splices and cuts a bag field at the vertex's position and
+    # keeps the others in order.  A set comparison accepted all 300 of
+    # these forms, and the engine got 119 of them wrong.
+    rng = random.Random(2700)
+    refused: set[str] = set()
+    unsorted = 0
+    for i, g in enumerate(seeded_corpus(300, 10, 3, base_seed=2700)):
+        nd = _shuffled_bags(make_nice(heuristic_decomposition(g)), rng)
+        bad = validate_nice(nd, g)
+        if bad is not None:
+            refused.add(bad.message.split(": ")[-1])
+            continue
+        unsorted += any(list(node.bag) != sorted(node.bag) for node in nd.nodes)
+        d = 2 + i % 3
+        assert count_scattered(g, nd, d, g.n) == brute_force_count(g, d, g.n), i
+        assert max_scattered(g, nd, d)[0] == brute_force_max(g, d)[0], i
+    assert refused == {"introduce bag mismatch", "forget bag mismatch"}
+    assert unsorted > 0
+
+
+def test_nice_check_accepts_children_after_their_parent():
+    # make_nice's ids reversed: every child follows its parent, so the
+    # shape is confirmed by a walk from the root, and the answers hold.
+    for g in seeded_corpus(30, 10, 3, base_seed=2710):
+        nd = make_nice(heuristic_decomposition(g))
+        last = len(nd.nodes) - 1
+        flipped = NiceDecomposition(
+            tuple(
+                dataclasses.replace(node, children=tuple(last - c for c in node.children))
+                for node in reversed(nd.nodes)
+            ),
+            last - nd.root,
+        )
+        assert validate_nice(flipped) is None and validate_nice(flipped, g) is None
+        for d in (2, 3, 5):
+            assert max_scattered(g, flipped, d) == max_scattered(g, nd, d)
+            assert count_scattered(g, flipped, d, g.n) == count_scattered(g, nd, d, g.n)
 
 
 def test_make_nice_validates_and_preserves_width():
