@@ -243,13 +243,17 @@ def _check_parameters(args: argparse.Namespace) -> None:
     """Refuse k < 0, epsilon <= 0 and d < 2 before the graph is read.
 
     The solvers refuse them too, in this order and these words, but only
-    after the decomposition is built.  `--algo vc` keeps its own d >= 3.
+    after the graph is read or the decomposition is built.  `--algo vc`
+    refuses d < 3 in its own words.
     """
     if args.k is not None and args.k < 0:
         raise ValueError("k must be >= 0")
     if getattr(args, "epsilon", None) is not None and args.epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if args.d < 2 and getattr(args, "algo", "tw") != "vc":
+    if getattr(args, "algo", "tw") == "vc":
+        if args.d < 3:
+            raise ValueError("d must be >= 3 here; for d = 2 use --algo tw")
+    elif args.d < 2:
         raise ValueError("d must be >= 2")
 
 
@@ -466,8 +470,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.td and args.d is not None:
-        raise UsageError("--d applies only to --set")
+    # Each refusal comes before the graph is read.
+    if args.td:
+        if args.d is not None:
+            raise UsageError("--d applies only to --set")
+    elif args.d is None:
+        raise UsageError("--set requires --d")
+    elif args.d < 2:
+        raise ValueError("d must be >= 2")
     g = _load_graph(args.graph)
     report = RunReport(command="validate", solver="td" if args.td else "set")
     started = time.perf_counter()
@@ -482,10 +492,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
             report.validation["checks"].append("decomposition validated")
             report.result["width"] = td.width
     else:
-        if args.d is None:
-            raise UsageError("--set requires --d")
-        if args.d < 2:
-            raise ValueError("d must be >= 2")
         members = _parse_vertex_file(_read_text(args.set), g.n)
         report.parameters.update(d=args.d)
         bad = scattered_violation(g, members, args.d)

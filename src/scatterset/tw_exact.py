@@ -121,18 +121,27 @@ class _HookMemo:
     does.  No later test tells a clearance above `top` from `top` itself
     (`dp_over_decomposition` gives the proof), so the engine stores
     min(c, top).  In the exact domain top = max(d - w, ceil(d / 2)).
+
+    `pin[dist]` is 0 unless a bag-mate at distance dist is pinned (see
+    `dp_over_decomposition`); then it is the mate's threshold field, the
+    least f >= 1 whose reach add(f - 1, dist) is admitted, or top + 2 if
+    no stored field is.
     """
 
     def __init__(self, dom, w: int | None = None) -> None:
         self.cap = cap = dom.cap
         add, join_ok = dom.add, dom.join_ok
         self.top = cap
+        # The least field an unselected position can hold: min(lo, top) + 1.
+        lo_field = cap + 1
         if w is not None:
             lo = dom.from_distance(w)
             # Both tests are monotone in t, so their conjunction is too.
             self.top = _least(
                 lambda t: dom.admit_clearance(add(t, w)) and join_ok(t, min(t, lo)), cap
             )
+            lo_field = min(lo, self.top) + 1
+        top_field = self.top + 1
         # rows[w][f] is the field of add(f - 1, w).  A selected position never
         # lowers the reach of a new vertex, so it maps to the cap's field.
         self.rows = _Memo(lambda w: _Memo(lambda f: add(f - 1, w) + 1, {0: cap + 1}))
@@ -145,6 +154,14 @@ class _HookMemo:
         # selected position meets a selected one (the join buckets by
         # selection), and its 0 lets it through the same test.
         self.least = _Memo(lambda f: _least(lambda b: join_ok(f - 1, b), cap + 1) + 1, {0: 0})
+
+        def pin(dist: int) -> int:
+            row = self.rows[dist]
+            if dom.admit_distance(dist) or row[lo_field] < top_field:
+                return 0
+            return _least(lambda t: self.admit[row[t + 1]], top_field) + 1
+
+        self.pin = _Memo(pin)
 
 
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
@@ -299,11 +316,37 @@ def dp_over_decomposition(
     least-partner field (the first identity equals H), and merges to the
     fieldwise min.  Forget cuts its field out with a mask and a shift and,
     if that field was 0, takes the fieldwise min against the packed fresh
-    clearances.  Introduce splices a field in the same way; only bag-mates
-    closer than d can lower the new vertex's reach, and the clash test
-    subtracts ONES over the clash fields alone.  The clash fields are among
-    those bag-mates' fields, so the reach and the verdict on selecting the
-    new vertex are memoized per introduce node by that part of the key.
+    clearances.  Introduce splices a field in the same way.  Only bag-mates
+    closer than d can lower the new vertex v's reach or forbid selecting
+    it, and each of them is either pinned or read.
+
+    Why a pinned mate needs no reach.  A mate at distance dist is pinned
+    when dist is not admitted, so a selected mate there forbids selecting
+    v, and add(lo', dist) >= top, where lo' = min(lo, top) is the least
+    clearance an unselected position stores (the fold argument above).
+    - Its reach folds to top.  add is monotone, so every stored unselected
+      clearance c gives add(c, dist) >= top, and a selected mate gives the
+      cap.  So min(reach, top), the stored field of an unselected v, is
+      the min over the read mates alone (top if there are none).
+    - Admission splits over the mates.  admit_clearance is monotone, so
+      admitting the least reach admits every mate's reach.  v may be
+      selected exactly when the read mates' least reach is admitted and no
+      read clash field is 0, and each pinned mate is unselected with an
+      admitted reach add(f - 1, dist).
+    - For a pinned mate that condition is f >= t, with t the least field
+      >= 1 whose reach is admitted, or top + 2 if no stored field's is
+      (`_HookMemo.pin`).  Since t >= 1, a 0 in a pinned field refuses v.
+    With T the thresholds at the pinned fields and G their guard bits, the
+    first identity above gives ((X | G) - T) & G == G exactly when every
+    pinned field of X reaches its threshold (the other fields subtract 0
+    and borrow nothing), so one test decides all the pinned mates.  The
+    read fields alone decide the stored reach and the read mates' verdict,
+    so both are memoized per introduce node by that part of the key, and
+    the clash test subtracts ONES over the read clash fields alone.  The
+    outputs are the same entries, in the same order, as when every close
+    mate is read.  In the exact domain a mate is pinned when dist >= top -
+    min(w, top): in a unit graph every mate at d <= 3, and every mate at
+    distance 2 or more at d = 4.
 
     Max mode stores one int mask per state, where bit v is set when vertex
     v is in one best partial solution; the solution's size is the mask's
@@ -429,18 +472,29 @@ def dp_over_decomposition(
             # Only bag-mates closer than d can lower v's reach below the cap,
             # and only they can be too close to a selected vertex: every
             # distance of d or more is admitted, so the clash fields (where a
-            # selected vertex forbids selecting v) are among the read fields.
+            # selected vertex forbids selecting v) are among them.  A pinned
+            # mate only decides admission, by its threshold field; the others
+            # are read.
             reads = []
-            read_mask = clash = 0
+            read_mask = clash = thresholds = pin_guards = 0
             for j, u in enumerate(cbag):
-                if u in drow:
-                    reads.append((j * width, hooks.rows[drow[u]]))
-                    read_mask |= field << (j * width)
-                    if not dom.admit_distance(drow[u]):
-                        clash |= 1 << (j * width)
+                dist = drow.get(u)
+                if dist is None:
+                    continue
+                s = j * width
+                pin = hooks.pin[dist]
+                if pin:
+                    thresholds |= pin << s
+                    pin_guards |= 1 << (s + guard)
+                    continue
+                reads.append((s, hooks.rows[dist]))
+                read_mask |= field << s
+                if not dom.admit_distance(dist):
+                    clash |= 1 << s
             clash_guard = clash << guard
-            # The read fields alone decide v's reach and whether v may be
-            # selected, so both are memoized by that part of the key.
+            # The read fields alone decide v's reach and whether the read
+            # mates let v be selected, so both are memoized by that part of
+            # the key.
             verdicts: dict[int, tuple[int, bool]] = {}
             # Keys extend distinct child keys at one field, so none repeat.
             for key, value in ctable.items():
@@ -456,6 +510,9 @@ def dp_over_decomposition(
                 spliced = (key & below) | (key >> at << (at + width))
                 table[spliced | reach << at] = value
                 if not selectable:
+                    continue
+                # Every pinned field at least its threshold, in one test.
+                if thresholds and ((key | pin_guards) - thresholds) & pin_guards != pin_guards:
                     continue
                 if counting:
                     shifted = (value << slot_bits) & trunc

@@ -194,6 +194,24 @@ def test_bad_parameters_are_refused_before_the_graph_is_read(capsys, p5, monkeyp
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("validate", "--set", "claim.txt", "--d", "1"), "error: d must be >= 2"),
+        (("validate", "--set", "claim.txt", "--d", "-3"), "error: d must be >= 2"),
+        (("validate", "--set", "claim.txt"), "usage error: --set requires --d"),
+        (("solve", "--d", "2", "--algo", "vc"), "error: d must be >= 3 here; for d = 2 use --algo tw"),
+        (("solve", "--d", "1", "--algo", "vc"), "error: d must be >= 3 here; for d = 2 use --algo tw"),
+    ],
+)
+def test_validate_and_vc_refuse_their_d_before_the_graph_is_read(capsys, tmp_path, argv, line):
+    # A graph path that does not exist: reading it would exit 2 with an
+    # OSError line instead of the parameter's own.
+    missing = str(tmp_path / "missing.dss")
+    code, out, err = run_cli(capsys, *argv, "--graph", missing)
+    assert (code, out, err) == (2 if line.startswith("usage") else 3, "", f"{line}\n")
+
+
 def test_solve_with_supplied_decomposition(capsys, p5, tmp_path):
     td_file = tmp_path / "p5.td"
     code, _, _ = run_cli(capsys, "decompose", "--graph", p5, "--out", str(td_file))

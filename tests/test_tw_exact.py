@@ -590,6 +590,89 @@ def test_witness_masks_past_one_machine_word_match_the_reference():
             assert scattered_violation(g, witness, d) is None, (seed, d)
 
 
+# -- pinned bag-mates ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_exact_pinned_distances_closed_form(d):
+    # A mate at distance dist < d is pinned exactly when even the least
+    # stored unselected field, min(w, top) + 1, reaches the fold point.
+    for w in range(1, d + 2):
+        hooks = _HookMemo(ExactClearance(d), w)
+        top = max(d - w, -(-d // 2))
+        for dist in range(1, d + 3):
+            pinned = dist < d and dist >= top - min(w, top)
+            assert bool(hooks.pin[dist]) == pinned, (d, w, dist)
+            if pinned:
+                # The least field f >= 1 with f - 1 + dist >= d, if one is stored.
+                assert hooks.pin[dist] == min(d - dist, top + 1) + 1, (d, w, dist)
+    unit = _HookMemo(ExactClearance(d), 1)
+    if d <= 3:
+        assert all(unit.pin[dist] for dist in range(1, d))
+    if d == 4:
+        assert [bool(unit.pin[dist]) for dist in (1, 2, 3)] == [False, True, True]
+
+
+def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> set[tuple[bool, bool]]:
+    """(has a pinned mate, has a read mate) for each introduce node of `nd`."""
+    dom = dom if dom is not None else ExactClearance(d)
+    hooks = _HookMemo(dom, min((w for _, _, w in g.edges), default=None))
+    near = tw._bag_distances(g, nd, d)
+    kinds = set()
+    for node in nd.nodes:
+        if node.kind == "introduce":
+            dists = [near[node.vertex][u] for u in node.bag if u in near[node.vertex]]
+            kinds.add((any(hooks.pin[x] for x in dists), any(not hooks.pin[x] for x in dists)))
+    return kinds
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_pinned_mates_match_the_reference_engine(d):
+    # Weights 1..3 leave some mates of one introduce node pinned and others
+    # read from d = 4 on, so both parts of the verdict meet in one node; the
+    # banded graphs' longer paths spread the distances for the larger d.
+    corpus = seeded_corpus(10, 11, 3, base_seed=7400 + d)
+    banded = [_banded_graph(20 + 2 * s, 7400 + 10 * d + s) for s in range(3)]
+    kinds = set()
+    for i, g in enumerate(corpus + banded):
+        nd = nice_for(g)
+        kinds |= _mate_kinds(g, nd, d)
+        counts = dp_over_decomposition(g, nd, d, mode="count")
+        assert counts == _tuple_engine(g, nd, d, "count", fold=True, prune=True), (d, i)
+        if i < len(corpus):
+            assert counts == brute_force_count(g, d, g.n), (d, i)
+        size, witness = dp_over_decomposition(g, nd, d, mode="max")
+        assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True, prune=True), (d, i)
+    # d = 2 and 3 pin every mate of a unit graph, and these corpora's.
+    assert (True, True) in kinds if d >= 4 else (True, False) in kinds, d
+
+
+def test_admitted_read_distance_is_never_pinned():
+    # The slackened threshold ceil(10 / 2) = 5 admits distances 5..9, which
+    # are still read (below d = 10): a mate there never clashes.
+    dom = RoundedClearance(10, Fraction(1, 4), Fraction(1))
+    assert slack_threshold(dom.d, dom.epsilon) == 5
+    for w in range(1, 10):
+        hooks = _HookMemo(dom, w)
+        assert not any(hooks.pin[dist] for dist in range(5, 10)), w
+    for dist in range(5, 10):
+        g = WeightedGraph(n=2, edges=((0, 1, dist),))
+        nd = nice_for(g)
+        # Both ends selected: the mate at an admitted distance lets v in.
+        assert dp_over_decomposition(g, nd, 10, mode="max", clearance=dom) == (2, (0, 1)), dist
+        assert dp_over_decomposition(g, nd, 10, mode="count", clearance=dom) == [1, 2, 1], dist
+    # With the lightest edge at 2 or more, distances 3 and 4 are pinned.
+    rng, kinds = random.Random(7500), set()
+    for i in range(20):
+        g = _heavy_graph(rng, 2, 6)
+        nd = nice_for(g)
+        kinds |= _mate_kinds(g, nd, dom.d, dom)
+        for mode in ("count", "max"):
+            got = dp_over_decomposition(g, nd, dom.d, mode=mode, clearance=dom)
+            assert got == _tuple_engine(g, nd, dom.d, mode, dom, fold=True, prune=True), (i, mode)
+    assert (True, True) in kinds
+
+
 # -- dominance pruning --------------------------------------------------------
 
 # Hand-built tables use 4-bit fields (3 value bits and a guard bit) over a
