@@ -200,8 +200,14 @@ def test_bad_parameters_are_refused_before_the_graph_is_read(capsys, p5, monkeyp
         (("validate", "--set", "claim.txt", "--d", "1"), "error: d must be >= 2"),
         (("validate", "--set", "claim.txt", "--d", "-3"), "error: d must be >= 2"),
         (("validate", "--set", "claim.txt"), "usage error: --set requires --d"),
-        (("solve", "--d", "2", "--algo", "vc"), "error: d must be >= 3 here; for d = 2 use --algo tw"),
-        (("solve", "--d", "1", "--algo", "vc"), "error: d must be >= 3 here; for d = 2 use --algo tw"),
+        (
+            ("solve", "--d", "2", "--algo", "vc"),
+            "error: d must be >= 3 here; for d = 2 use --algo tw",
+        ),
+        (
+            ("solve", "--d", "1", "--algo", "vc"),
+            "error: d must be >= 3 here; for d = 2 use --algo tw",
+        ),
     ],
 )
 def test_validate_and_vc_refuse_their_d_before_the_graph_is_read(capsys, tmp_path, argv, line):

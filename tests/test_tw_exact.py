@@ -613,7 +613,7 @@ def test_exact_pinned_distances_closed_form(d):
         assert [bool(unit.pin[dist]) for dist in (1, 2, 3)] == [False, True, True]
 
 
-def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> set[tuple[bool, bool]]:
+def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> set:
     """(has a pinned mate, has a read mate) for each introduce node of `nd`."""
     dom = dom if dom is not None else ExactClearance(d)
     hooks = _HookMemo(dom, min((w for _, _, w in g.edges), default=None))
@@ -643,7 +643,7 @@ def test_pinned_mates_match_the_reference_engine(d):
             assert counts == brute_force_count(g, d, g.n), (d, i)
         size, witness = dp_over_decomposition(g, nd, d, mode="max")
         assert (size, witness) == _tuple_engine(g, nd, d, "max", fold=True, prune=True), (d, i)
-    # d = 2 and 3 pin every mate of a unit graph, and these corpora's.
+    # At d = 2 and 3 every close mate is pinned, whatever the weights.
     assert (True, True) in kinds if d >= 4 else (True, False) in kinds, d
 
 
