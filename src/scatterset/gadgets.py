@@ -37,24 +37,13 @@ from .graph_core import (
     ParseError,
     VertexSet,
     WeightedGraph,
+    _check_size,
     ints,
     is_scattered,
     records,
     uncovered_edge,
     vertex_set,
 )
-
-# Refuse constructions beyond these sizes instead of thrashing; the
-# generators target desk-scale benchmark instances.
-_MAX_VERTICES = 2_000_000
-_MAX_EDGES = 8_000_000
-
-
-def _check_size(vertices: int, edges: int) -> None:
-    """Refuse a graph of these sizes if it passes either limit."""
-    if vertices > _MAX_VERTICES or edges > _MAX_EDGES:
-        raise ValueError("generated graph would be too large")
-
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -308,6 +297,21 @@ class _Layout:
     verifiers: dict[tuple[int, int, int, int], int]  # (i, l, j, o) -> u
 
 
+def _check_layout_size(
+    sizes: Sequence[int], scale: int, m: int, h: int, weighted: bool
+) -> None:
+    """`_check_size` for the layout of m verifiers on h verified class pairs."""
+    k, n, s = len(sizes), scale, sum(sizes)
+    # s choices, m verifiers and h verified pairs make 2s+5m+h links of total
+    # length 3N*s + (21N-1)*m + (3N+1)*h between 2k+s+m+2h end vertices.
+    links, ends = 2 * s + 5 * m + h, 2 * k + s + m + 2 * h
+    length = 3 * n * s + (21 * n - 1) * m + (3 * n + 1) * h
+    if weighted:
+        _check_size(ends, links)
+    else:
+        _check_size(ends + length - links, length)
+
+
 def _anchor_verifier_layout(
     sizes: Sequence[int],
     scale: int,
@@ -337,17 +341,13 @@ def _anchor_verifier_layout(
             b.path(u, v, length, label)
 
     k, n = len(sizes), scale
-    # s choices, m verifiers and h verified pairs make 2s+5m+h links of total
-    # length 3N*s + (21N-1)*m + (3N+1)*h between 2k+s+m+2h end vertices.
-    s = sum(sizes)
-    m = sum(len(lo_pairs) for lo_pairs in matches.values())
-    h = sum(1 for lo_pairs in matches.values() if lo_pairs)
-    links, ends = 2 * s + 5 * m + h, 2 * k + s + m + 2 * h
-    length = 3 * n * s + (21 * n - 1) * m + (3 * n + 1) * h
-    if weighted:
-        _check_size(ends, links)
-    else:
-        _check_size(ends + length - links, length)
+    _check_layout_size(
+        sizes,
+        scale,
+        sum(len(lo_pairs) for lo_pairs in matches.values()),
+        sum(1 for lo_pairs in matches.values() if lo_pairs),
+        weighted,
+    )
     av = [b.vertex(f"a[{i}]") for i in range(1, k + 1)]
     bv = [b.vertex(f"b[{i}]") for i in range(1, k + 1)]
     pv: dict[tuple[int, int], int] = {}
@@ -409,6 +409,14 @@ def _mcis_gadget(
     """gen_w1_vc (weighted) or gen_fvs_unweighted: N = n, verifiers on non-edges."""
     k, n = inst.num_classes, inst.class_size
     d = 12 * n if weighted else 6 * n
+    # The edges are distinct cross-class pairs, so each class pair has n * n
+    # minus its edge count verifiers: size the graph before listing them.
+    edges_per_pair: dict[tuple[int, int], int] = {}
+    for (i, _), (j, _) in inst.edges:
+        edges_per_pair[i, j] = edges_per_pair.get((i, j), 0) + 1
+    pairs = k * (k - 1) // 2
+    full = sum(1 for count in edges_per_pair.values() if count == n * n)
+    _check_layout_size([n] * k, n, pairs * n * n - len(inst.edges), pairs - full, weighted)
     matches = {
         (i, j): [
             (l, o)
@@ -557,6 +565,9 @@ def gen_seth(
     codes = d**p
     columns = m * (t * p * (d - 1) + 1)
     target = (t * p + 2) * columns
+    # The path cells alone, d per path, size the graph from below before
+    # any variable is listed; the exact sizes are checked further on.
+    _check_size(columns * t * p * d, 0)
 
     group_vars = [
         list(range(g * gamma + 1, min((g + 1) * gamma, n) + 1)) for g in range(t)

@@ -28,6 +28,17 @@ INF = math.inf
 
 VertexSet = tuple[int, ...]
 
+# Refuse graphs beyond these sizes instead of thrashing: the parser, the
+# generators and the random graphs all target desk-scale instances.
+_MAX_VERTICES = 2_000_000
+_MAX_EDGES = 8_000_000
+
+
+def _check_size(vertices: int, edges: int) -> None:
+    """Refuse a graph of these sizes if it passes either limit."""
+    if vertices > _MAX_VERTICES or edges > _MAX_EDGES:
+        raise ValueError("generated graph would be too large")
+
 
 class ParseError(ValueError):
     """A malformed input line; carries its 1-based line number."""
@@ -119,7 +130,8 @@ def parse_graph(text: str) -> WeightedGraph:
     vertex ids and optional positive integer weight (default 1).  Lines
     whose first field is ``c`` are comments.  A malformed line raises
     `ParseError` naming its line; a missing header or a wrong edge count is
-    a file-level `ValueError`, as in the other readers.
+    a file-level `ValueError`, as in the other readers.  A header past the
+    size limit is refused on its own line, before any edge is read.
     """
     n = -1
     m = -1
@@ -134,6 +146,11 @@ def parse_graph(text: str) -> WeightedGraph:
             n, m = ints(line_no, fields[2:])
             if n < 1 or m < 0:
                 raise ParseError(line_no, f"invalid sizes n={n} m={m}")
+            try:
+                _check_size(n, m)
+            except ValueError:
+                limits = f"{_MAX_VERTICES} vertices and {_MAX_EDGES} edges"
+                raise ParseError(line_no, f"sizes n={n} m={m} pass the limit of {limits}") from None
         elif fields[0] == "e":
             if n < 0:
                 raise ParseError(line_no, "edge before header")

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gadgets import _check_size
-from .graph_core import VertexSet, WeightedGraph, distances_within
+from .graph_core import VertexSet, WeightedGraph, _check_size, distances_within
 
 import random
 

@@ -122,10 +122,13 @@ class _HookMemo:
     (`dp_over_decomposition` gives the proof), so the engine stores
     min(c, top).  In the exact domain top = max(d - w, ceil(d / 2)).
 
-    `pin[dist]` is 0 unless a bag-mate at distance dist is pinned (see
-    `dp_over_decomposition`); then it is the mate's threshold field, the
-    least f >= 1 whose reach add(f - 1, dist) is admitted, or top + 2 if
-    no stored field is.
+    `gate[dist]` is (t, read) for a bag-mate at distance dist below d (see
+    `dp_over_decomposition`): v may be selected only if the mate's field is
+    at least t, and read says whether the mate's field can lower v's reach.
+    A read mate has t = 0 at an admitted distance and t = 1 at a refused
+    one, where a selected mate (field 0) refuses v.  A pinned mate is not
+    read; its t is the least f >= 1 whose reach add(f - 1, dist) is
+    admitted, or top + 2 if no stored field is.
     """
 
     def __init__(self, dom, w: int | None = None) -> None:
@@ -155,13 +158,15 @@ class _HookMemo:
         # selection), and its 0 lets it through the same test.
         self.least = _Memo(lambda f: _least(lambda b: join_ok(f - 1, b), cap + 1) + 1, {0: 0})
 
-        def pin(dist: int) -> int:
+        def gate(dist: int) -> tuple[int, bool]:
+            if dom.admit_distance(dist):
+                return 0, True
             row = self.rows[dist]
-            if dom.admit_distance(dist) or row[lo_field] < top_field:
-                return 0
-            return _least(lambda t: self.admit[row[t + 1]], top_field) + 1
+            if row[lo_field] < top_field:
+                return 1, True
+            return _least(lambda t: self.admit[row[t + 1]], top_field) + 1, False
 
-        self.pin = _Memo(pin)
+        self.gate = _Memo(gate)
 
 
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
@@ -320,33 +325,33 @@ def dp_over_decomposition(
     closer than d can lower the new vertex v's reach or forbid selecting
     it, and each of them is either pinned or read.
 
-    Why a pinned mate needs no reach.  A mate at distance dist is pinned
-    when dist is not admitted, so a selected mate there forbids selecting
-    v, and add(lo', dist) >= top, where lo' = min(lo, top) is the least
-    clearance an unselected position stores (the fold argument above).
+    Why one threshold per mate decides admission.  A mate at distance dist
+    is pinned when dist is not admitted, so a selected mate there forbids
+    selecting v, and add(lo', dist) >= top, where lo' = min(lo, top) is the
+    least clearance an unselected position stores (the fold argument above).
     - Its reach folds to top.  add is monotone, so every stored unselected
       clearance c gives add(c, dist) >= top, and a selected mate gives the
       cap.  So min(reach, top), the stored field of an unselected v, is
       the min over the read mates alone (top if there are none).
     - Admission splits over the mates.  admit_clearance is monotone, so
       admitting the least reach admits every mate's reach.  v may be
-      selected exactly when the read mates' least reach is admitted and no
-      read clash field is 0, and each pinned mate is unselected with an
-      admitted reach add(f - 1, dist).
-    - For a pinned mate that condition is f >= t, with t the least field
-      >= 1 whose reach is admitted, or top + 2 if no stored field's is
-      (`_HookMemo.pin`).  Since t >= 1, a 0 in a pinned field refuses v.
-    With T the thresholds at the pinned fields and G their guard bits, the
-    first identity above gives ((X | G) - T) & G == G exactly when every
-    pinned field of X reaches its threshold (the other fields subtract 0
-    and borrow nothing), so one test decides all the pinned mates.  The
-    read fields alone decide the stored reach and the read mates' verdict,
-    so both are memoized per introduce node by that part of the key, and
-    the clash test subtracts ONES over the read clash fields alone.  The
-    outputs are the same entries, in the same order, as when every close
-    mate is read.  In the exact domain a mate is pinned when dist >= top -
-    min(w, top): in a unit graph every mate at d <= 3, and every mate at
-    distance 2 or more at d = 4.
+      selected exactly when the read mates' least reach is admitted and
+      each mate's field f reaches its threshold t (`_HookMemo.gate`).  A
+      read mate at an admitted distance never refuses v: t = 0.  One at a
+      refused distance refuses v only when selected: t = 1.  A pinned mate
+      must be unselected with an admitted reach add(f - 1, dist): t is the
+      least field >= 1 whose reach is admitted, or top + 2 if no stored
+      field's is.
+    With T the thresholds packed at the close mates' fields and H the child
+    bag's guard bits, the first identity above gives ((X | H) - T) & H == H
+    exactly when every field of X reaches its threshold (a field whose
+    threshold is 0 subtracts nothing and borrows nothing), so one test
+    decides every mate's threshold.  The read fields alone decide the
+    stored reach and its admission, so both are memoized per introduce node
+    by that part of the key.  The outputs are the same entries, in the same
+    order, as when every close mate is read.  In the exact domain a mate is
+    pinned when dist >= top - min(w, top): in a unit graph every mate at
+    d <= 3, and every mate at distance 2 or more at d = 4.
 
     Max mode stores one int mask per state, where bit v is set when vertex
     v is in one best partial solution; the solution's size is the mask's
@@ -471,30 +476,23 @@ def dp_over_decomposition(
             drow = near[v]
             # Only bag-mates closer than d can lower v's reach below the cap,
             # and only they can be too close to a selected vertex: every
-            # distance of d or more is admitted, so the clash fields (where a
-            # selected vertex forbids selecting v) are among them.  A pinned
-            # mate only decides admission, by its threshold field; the others
-            # are read.
+            # distance of d or more is admitted.  Each of them gates v by a
+            # threshold on its field; a read mate also lowers the reach.
             reads = []
-            read_mask = clash = thresholds = pin_guards = 0
+            read_mask = thresholds = 0
             for j, u in enumerate(cbag):
                 dist = drow.get(u)
                 if dist is None:
                     continue
                 s = j * width
-                pin = hooks.pin[dist]
-                if pin:
-                    thresholds |= pin << s
-                    pin_guards |= 1 << (s + guard)
-                    continue
-                reads.append((s, hooks.rows[dist]))
-                read_mask |= field << s
-                if not dom.admit_distance(dist):
-                    clash |= 1 << s
-            clash_guard = clash << guard
-            # The read fields alone decide v's reach and whether the read
-            # mates let v be selected, so both are memoized by that part of
-            # the key.
+                threshold, read = hooks.gate[dist]
+                thresholds |= threshold << s
+                if read:
+                    reads.append((s, hooks.rows[dist]))
+                    read_mask |= field << s
+            guards = ones(len(cbag)) << guard
+            # The read fields alone decide v's reach, so it is memoized by
+            # that part of the key, with its admission.
             verdicts: dict[int, tuple[int, bool]] = {}
             # Keys extend distinct child keys at one field, so none repeat.
             for key, value in ctable.items():
@@ -502,17 +500,14 @@ def dp_over_decomposition(
                 verdict = verdicts.get(part)
                 if verdict is None:
                     reach = min([row[part >> s & field] for s, row in reads], default=cap + 1)
-                    free = ((part | clash_guard) - clash) & clash_guard == clash_guard
                     # Admit on the reach itself, then store it folded.
-                    verdict = verdicts[part] = (min(reach, top_field), free and admit[reach])
+                    verdict = verdicts[part] = (min(reach, top_field), admit[reach])
                 reach, selectable = verdict
                 # The child's key with a 0 (v selected) field spliced in at v.
                 spliced = (key & below) | (key >> at << (at + width))
                 table[spliced | reach << at] = value
-                if not selectable:
-                    continue
-                # Every pinned field at least its threshold, in one test.
-                if thresholds and ((key | pin_guards) - thresholds) & pin_guards != pin_guards:
+                # Every close mate's field at least its threshold, in one test.
+                if not selectable or ((key | guards) - thresholds) & guards != guards:
                     continue
                 if counting:
                     shifted = (value << slot_bits) & trunc

@@ -622,10 +622,10 @@ def test_gen_random_is_sized_before_its_first_draw(capsys, tmp_path, monkeypatch
     # would give almost no edges.
     monkeypatch.chdir(tmp_path)
     argv = ("gen", "random", "--n", "12", "--p", "1/100000", "--seed", "1")
-    monkeypatch.setattr(gadgets, "_MAX_EDGES", 66)
+    monkeypatch.setattr(graph_core, "_MAX_EDGES", 66)
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(gadgets, "_MAX_EDGES", 65)
+    monkeypatch.setattr(graph_core, "_MAX_EDGES", 65)
     monkeypatch.setattr(random.Random, "randrange", _no_draw)
     for written in tmp_path.iterdir():
         written.unlink()

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 import scatterset.gadgets as gadgets
+import scatterset.graph_core as graph_core
 from scatterset.gadgets import (
     CnfFormula,
     McisInstance,
@@ -493,6 +494,10 @@ def _no_vertex(builder, name):
     raise AssertionError(f"vertex {name} was built before the size check")
 
 
+def _no_enumeration(*args):
+    raise AssertionError("a source was enumerated before the size check")
+
+
 SETH_SIZED = [
     lambda: gen_seth(CnfFormula(1, ((1,), (-1,))), 4, Fraction(1), (True,)),
     lambda: gen_seth(CnfFormula(1, ((1,), (-1,))), 5, Fraction(1)),
@@ -510,13 +515,13 @@ def test_size_is_checked_before_the_first_vertex(build, monkeypatch):
     # vertex or one edge less is refused before any vertex exists.
     graph = build().graph
     n, m = graph.n, len(graph.edges)
-    monkeypatch.setattr(gadgets, "_MAX_VERTICES", n)
-    monkeypatch.setattr(gadgets, "_MAX_EDGES", m)
+    monkeypatch.setattr(graph_core, "_MAX_VERTICES", n)
+    monkeypatch.setattr(graph_core, "_MAX_EDGES", m)
     assert build().graph == graph
     monkeypatch.setattr(gadgets._GraphBuilder, "vertex", _no_vertex)
     for limits in ((n - 1, m), (n, m - 1)):
-        monkeypatch.setattr(gadgets, "_MAX_VERTICES", limits[0])
-        monkeypatch.setattr(gadgets, "_MAX_EDGES", limits[1])
+        monkeypatch.setattr(graph_core, "_MAX_VERTICES", limits[0])
+        monkeypatch.setattr(graph_core, "_MAX_EDGES", limits[1])
         with pytest.raises(ValueError, match="generated graph would be too large"):
             build()
 
@@ -527,10 +532,17 @@ def test_size_is_checked_before_the_first_vertex(build, monkeypatch):
         lambda: gen_td_eth(parse_cnf("p cnf 10 2\n1 -2 0\n2 0\n")),
         lambda: gen_fvs_unweighted(parse_mcis("p mcis 8 30\n")),
         lambda: gen_seth(parse_cnf("p cnf 1 1\n1 0\n"), 10**12, 10**12 - 1),
+        lambda: gen_w1_vc(parse_mcis("p mcis 2 3000\n")),
+        lambda: gen_seth(parse_cnf("p cnf 1000000 1\n1 0\n"), 3, 1),
     ],
-    ids=["tdeth", "fvs", "seth"],
+    ids=["tdeth", "fvs", "seth", "w1vc-pairs", "seth-vars"],
 )
 def test_oversized_sources_are_refused_with_no_vertex_built(build, monkeypatch):
+    # Nor is a choice pair or a group assignment enumerated first: the mcis
+    # gadgets count their verifiers in closed form, and seth bounds its
+    # size from its columns before it lists the variables.
     monkeypatch.setattr(gadgets._GraphBuilder, "vertex", _no_vertex)
+    monkeypatch.setattr(McisInstance, "has_edge", _no_enumeration)
+    monkeypatch.setattr(gadgets, "_base_digits", _no_enumeration)
     with pytest.raises(ValueError, match="generated graph would be too large"):
         build()

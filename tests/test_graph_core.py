@@ -19,6 +19,8 @@ from scatterset.graph_core import (
     INF,
     ParseError,
     WeightedGraph,
+    _MAX_EDGES,
+    _MAX_VERTICES,
     all_pairs_distances,
     dijkstra_from,
     distances_within,
@@ -193,6 +195,11 @@ def test_parse_graph_accepts_comments_and_blank_lines():
         ("p dss 2 0\ncomment-less line\n", 2),
         ("p dss 0 0\n", 1),  # no vertices
         ("p dss 3 -1\n", 1),  # negative edge count
+        # At the size limit the header passes and only the missing edges
+        # fail; one vertex or one edge past it fails on the header line.
+        (f"p dss {_MAX_VERTICES} {_MAX_EDGES}\n", None),
+        (f"p dss {_MAX_VERTICES + 1} 0\n", 1),
+        (f"p dss 2 {_MAX_EDGES + 1}\n", 1),
     ],
 )
 def test_parse_graph_rejects_malformed_input(text, line_no):

@@ -602,15 +602,30 @@ def test_exact_pinned_distances_closed_form(d):
         top = max(d - w, -(-d // 2))
         for dist in range(1, d + 3):
             pinned = dist < d and dist >= top - min(w, top)
-            assert bool(hooks.pin[dist]) == pinned, (d, w, dist)
+            threshold, read = hooks.gate[dist]
+            assert read == (not pinned), (d, w, dist)
             if pinned:
                 # The least field f >= 1 with f - 1 + dist >= d, if one is stored.
-                assert hooks.pin[dist] == min(d - dist, top + 1) + 1, (d, w, dist)
+                assert threshold == min(d - dist, top + 1) + 1, (d, w, dist)
+            else:
+                # A read mate refuses v only when selected, and only below d.
+                assert threshold == (1 if dist < d else 0), (d, w, dist)
     unit = _HookMemo(ExactClearance(d), 1)
     if d <= 3:
-        assert all(unit.pin[dist] for dist in range(1, d))
+        assert not any(unit.gate[dist][1] for dist in range(1, d))
     if d == 4:
-        assert [bool(unit.pin[dist]) for dist in (1, 2, 3)] == [False, True, True]
+        assert [unit.gate[dist][1] for dist in (1, 2, 3)] == [True, False, False]
+    # Rounded at epsilon = 1, distances ceil(d / 2)..d - 1 are admitted: a
+    # read mate there never refuses v, and one below refuses it if selected.
+    dom = RoundedClearance(d, Fraction(1, 4), Fraction(1))
+    for w in range(1, d + 2):
+        hooks = _HookMemo(dom, w)
+        for dist in range(1, d):
+            threshold, read = hooks.gate[dist]
+            if dist >= -(-d // 2):
+                assert (threshold, read) == (0, True), (d, w, dist)
+            else:
+                assert threshold == 1 if read else threshold >= 1, (d, w, dist)
 
 
 def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> set:
@@ -622,7 +637,8 @@ def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> se
     for node in nd.nodes:
         if node.kind == "introduce":
             dists = [near[node.vertex][u] for u in node.bag if u in near[node.vertex]]
-            kinds.add((any(hooks.pin[x] for x in dists), any(not hooks.pin[x] for x in dists)))
+            reads = [hooks.gate[x][1] for x in dists]
+            kinds.add((not all(reads), any(reads)))
     return kinds
 
 
@@ -654,7 +670,7 @@ def test_admitted_read_distance_is_never_pinned():
     assert slack_threshold(dom.d, dom.epsilon) == 5
     for w in range(1, 10):
         hooks = _HookMemo(dom, w)
-        assert not any(hooks.pin[dist] for dist in range(5, 10)), w
+        assert all(hooks.gate[dist][1] for dist in range(5, 10)), w
     for dist in range(5, 10):
         g = WeightedGraph(n=2, edges=((0, 1, dist),))
         nd = nice_for(g)
