@@ -54,7 +54,11 @@ class RoundedClearance:
 
     Index l stands for the exact value (1+delta)^l; the cap is the largest
     power not exceeding d.  Every admission check compares against the
-    slackened target d/(1+epsilon), exactly.
+    slackened target d/(1+epsilon), exactly.  The constructor raises
+    ValueError unless the top power reaches that target, so the cap is
+    admitted and partners every clearance, as in the exact domain.  Any
+    delta <= epsilon passes, since (1+delta)^(cap+1) > d, so
+    `approx_max_scattered` never builds a domain that fails.
 
     With delta = a/b in lowest terms, `_ladder[l]` is (1+delta)^l * b^cap =
     (a+b)^l * b^(cap-l), an integer, and `_unit` = b^cap stands for 1.  An
@@ -78,6 +82,13 @@ class RoundedClearance:
                     f"rounding ladder refused: epsilon {self.epsilon} gives delta {self.delta}, "
                     f"and {cap + 1} rungs already need more than {_MAX_LADDER_BITS} bits"
                 )
+        # The top rung must reach the target d/(1+epsilon) = d*q / (p+q).
+        p, q = self.epsilon.numerator, self.epsilon.denominator
+        if top * (p + q) < d * q * unit:
+            raise ValueError(
+                f"delta {self.delta} tops out at (1+delta)^{cap}, "
+                f"below the target d/(1+epsilon) = {Fraction(d) / (1 + self.epsilon)}"
+            )
         # Going up one rung trades one factor b for one factor a+b.
         ladder = [unit]
         for _ in range(cap):
@@ -85,8 +96,7 @@ class RoundedClearance:
         self._ladder = ladder
         self._unit = unit
         self._threshold = slack_threshold(d, self.epsilon)
-        # ceil(target * b^cap) for target = d / (1+epsilon) = d*q / (p+q).
-        p, q = self.epsilon.numerator, self.epsilon.denominator
+        # ceil(target * b^cap).
         self._scaled_target = -(-d * q * unit // (p + q))
 
     @property

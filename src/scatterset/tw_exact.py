@@ -128,7 +128,7 @@ class _HookMemo:
     A read mate has t = 0 at an admitted distance and t = 1 at a refused
     one, where a selected mate (field 0) refuses v.  A pinned mate is not
     read; its t is the least f >= 1 whose reach add(f - 1, dist) is
-    admitted, or top + 2 if no stored field is.
+    admitted, at most top + 1 at every distance dist >= w.
     """
 
     def __init__(self, dom, w: int | None = None) -> None:
@@ -153,10 +153,10 @@ class _HookMemo:
         # admit[f]: a new vertex whose reach has field f may be selected.
         self.admit = _Memo(lambda f: dom.admit_clearance(f - 1))
         # least[f] is the field of the least partner of clearance f - 1
-        # (join_ok is monotone in the partner), so cap + 2 means none.  A
-        # selected position meets a selected one (the join buckets by
-        # selection), and its 0 lets it through the same test.
-        self.least = _Memo(lambda f: _least(lambda b: join_ok(f - 1, b), cap + 1) + 1, {0: 0})
+        # (join_ok is monotone in the partner, and the cap partners every
+        # clearance).  A selected position meets a selected one (the join
+        # buckets by selection), and its 0 lets it through the same test.
+        self.least = _Memo(lambda f: _least(lambda b: join_ok(f - 1, b), cap) + 1, {0: 0})
 
         def gate(dist: int) -> tuple[int, bool]:
             if dom.admit_distance(dist):
@@ -280,10 +280,11 @@ def dp_over_decomposition(
     in the clearance domain's units and folded at `top` (0 <= c <= top <=
     cap), so field values run 0..top + 1.  "Selected" is below every
     clearance under min; the hook memos (`_HookMemo`) take and return field
-    values too.  W = bit length of (cap + 2), plus one: a least-partner
-    threshold of cap + 2 means "no partner", and the top bit of each field
-    is a guard bit, 0 in every key.  A leaf's keys are top + 1 and 0, and
-    the root's key is 0.
+    values too.  W = bit length of (cap + 1), plus one, and the top bit of
+    each field is a guard bit, 0 in every key: both domains admit the cap,
+    so it partners every clearance, and no field value, threshold or least
+    partner exceeds cap + 1.  The root's key is 0, and a leaf is an
+    introduce into the empty bag, whose table maps key 0 to no selection.
 
     Why the fold changes no verdict.  Let w be the lightest edge weight and
     lo = from_distance(w).  An unselected bag vertex is at distance >= w
@@ -304,8 +305,7 @@ def dp_over_decomposition(
     the new vertex on its reach before folding it: at d = 3 in a unit graph
     a reach of 3 is admitted, but its folded value 2 would not be.  The
     exact domain folds at max(d - w, ceil(d / 2)), d - 1 for unit weights;
-    a rounded domain whose clearance 0 has no partner keeps top = cap, as
-    does a graph without edges.
+    a graph without edges keeps top = cap.
 
     For a bag of b positions let ONES have a 1 in each field and
     H = ONES << (W - 1) be its guard bits.  For keys X and Y:
@@ -340,8 +340,8 @@ def dp_over_decomposition(
       read mate at an admitted distance never refuses v: t = 0.  One at a
       refused distance refuses v only when selected: t = 1.  A pinned mate
       must be unselected with an admitted reach add(f - 1, dist): t is the
-      least field >= 1 whose reach is admitted, or top + 2 if no stored
-      field's is.
+      least field >= 1 whose reach is admitted, at most top + 1: below the
+      cap add(top, dist) >= add(top, w) is admitted, and so is the cap.
     With T the thresholds packed at the close mates' fields and H the child
     bag's guard bits, the first identity above gives ((X | H) - T) & H == H
     exactly when every field of X reaches its threshold (a field whose
@@ -355,10 +355,10 @@ def dp_over_decomposition(
 
     Max mode stores one int mask per state, where bit v is set when vertex
     v is in one best partial solution; the solution's size is the mask's
-    popcount.  A leaf gives {top + 1: 0, 0: 1 << v}, selecting v ORs in
-    1 << v, forget and an unselected introduce pass the child's mask on
-    unchanged, and a join ORs the two masks.  Forget and join keep the mask
-    with more bits, and ties keep the first entry found.
+    popcount.  The empty bag's table is {0: 0}, selecting v ORs in 1 << v,
+    forget and an unselected introduce pass the child's mask on unchanged,
+    and a join ORs the two masks.  Forget and join keep the mask with more
+    bits, and ties keep the first entry found.
 
     Why max mode may drop dominated entries.  Entry X dominates entry Y of
     the same table when both have the same selection set, X's clearance is
@@ -393,8 +393,8 @@ def dp_over_decomposition(
     Counting mode stores one int P per state, the generating polynomial of
     its partial solutions evaluated at 2^B: the number of partial solutions
     of size m sits in bits [m*B, (m+1)*B), for m <= k_cap = min(k, n), with
-    B = bit length of max_{m <= k_cap} C(n, m).  Leaf: {top + 1: 1,
-    0: 1 << B}.  Introducing a selected vertex shifts P up one slot, forget
+    B = bit length of max_{m <= k_cap} C(n, m).  The empty bag's table is
+    {0: 1}.  Introducing a selected vertex shifts P up one slot, forget
     adds, join multiplies and shifts down by the nsel shared selections, and
     every step truncates above slot k_cap.  Only counting mode builds B and
     the truncation mask, which has about n^2 bits when k is None.
@@ -442,9 +442,9 @@ def dp_over_decomposition(
         trunc = (1 << (slot_bits * (k_cap + 1))) - 1
     admit = hooks.admit
 
-    # W of the docstring: every field value, up to the "no partner" cap + 2,
-    # sits below the field's guard bit.
-    width = (cap + 2).bit_length() + 1
+    # W of the docstring: every field value, up to cap + 1, sits below the
+    # field's guard bit.
+    width = (cap + 1).bit_length() + 1
     guard = width - 1
     field = (1 << width) - 1
 
@@ -454,23 +454,85 @@ def dp_over_decomposition(
 
     least = hooks.least
     tables: dict[int, dict] = {}
+    # The empty bag's table, below every leaf: no selection, count 1 or mask 0.
+    empty = {0: 1 if counting else 0}
 
     def _node_table(i: int) -> dict:
         node = nd.nodes[i]
         table: dict = {}
-        if node.kind == "leaf":
-            v = node.bag[0]
-            if counting:
-                table[top_field] = 1
-                if k_cap >= 1:
-                    table[0] = 1 << slot_bits
-            else:
-                table[top_field] = 0
-                table[0] = 1 << v
-        elif node.kind == "introduce":
+        if node.kind == "forget":
             ctable = tables[node.children[0]]
             cbag = nd.nodes[node.children[0]].bag
             v = node.vertex
+            pos = cbag.index(v)
+            at = pos * width
+            below = (1 << at) - 1
+            zrow = near[v]
+            unit = ones(len(node.bag))
+            guards = unit << guard
+            fresh = sum(
+                hooks.fresh[zrow.get(u, INF)] << (j * width)
+                for j, u in enumerate(cbag[:pos] + cbag[pos + 1 :])
+            )
+            fresh_guarded = fresh | guards
+            for key, value in ctable.items():
+                rest = (key & below) | (key >> (at + width) << at)
+                if not key >> at & field:
+                    # Fieldwise min(rest, fresh); a selected field is 0 and stays.
+                    take = (((fresh_guarded - rest) & guards) >> guard) * field
+                    rest = fresh ^ ((fresh ^ rest) & take)
+                if counting:
+                    table[rest] = table.get(rest, 0) + value
+                else:
+                    old = table.get(rest)
+                    if old is None or value.bit_count() > old.bit_count():
+                        table[rest] = value
+            if not counting:
+                _drop_dominated(table, unit, guards)
+        elif node.kind == "join":
+            # Bucket the larger child table by selection mask and walk the
+            # smaller one, so the per-entry thresholds are built for fewer
+            # keys; join_ok is symmetric, so either side may supply them.
+            outer, inner = (tables[c] for c in node.children)
+            if len(outer) > len(inner):
+                outer, inner = inner, outer
+            b = len(node.bag)
+            unit = ones(b)
+            guards = unit << guard
+            shifts = range(0, b * width, width)
+            by_mask: dict[int, list] = {}
+            for ikey, ivalue in inner.items():
+                by_mask.setdefault(((ikey | guards) - unit) & guards, []).append((ikey, ivalue))
+            for okey, ovalue in outer.items():
+                mask = ((okey | guards) - unit) & guards
+                bucket = by_mask.get(mask)
+                if bucket is None:
+                    continue
+                if counting:
+                    # nsel, the shared selections, times the slot width.
+                    shift = slot_bits * (b - mask.bit_count())
+                olimit = sum([least[okey >> s & field] << s for s in shifts])
+                for ikey, ivalue in bucket:
+                    iguarded = ikey | guards
+                    if (iguarded - olimit) & guards != guards:
+                        continue
+                    take = (((iguarded - okey) & guards) >> guard) * field
+                    merged = ikey ^ ((ikey ^ okey) & take)
+                    if counting:
+                        product = ((ovalue * ivalue) >> shift) & trunc
+                        if product:
+                            table[merged] = table.get(merged, 0) + product
+                    else:
+                        union = ovalue | ivalue
+                        old = table.get(merged)
+                        if old is None or union.bit_count() > old.bit_count():
+                            table[merged] = union
+        else:  # introduce, or a leaf: an introduce into the empty bag
+            if node.children:
+                ctable = tables[node.children[0]]
+                cbag, v = nd.nodes[node.children[0]].bag, node.vertex
+            else:
+                ctable, cbag, v = empty, (), node.bag[0]
             at = node.bag.index(v) * width
             below = (1 << at) - 1
             drow = near[v]
@@ -515,73 +577,6 @@ def dp_over_decomposition(
                         table[spliced] = shifted
                 else:
                     table[spliced] = value | 1 << v
-        elif node.kind == "forget":
-            ctable = tables[node.children[0]]
-            cbag = nd.nodes[node.children[0]].bag
-            v = node.vertex
-            pos = cbag.index(v)
-            at = pos * width
-            below = (1 << at) - 1
-            zrow = near[v]
-            unit = ones(len(node.bag))
-            guards = unit << guard
-            fresh = sum(
-                hooks.fresh[zrow.get(u, INF)] << (j * width)
-                for j, u in enumerate(cbag[:pos] + cbag[pos + 1 :])
-            )
-            fresh_guarded = fresh | guards
-            for key, value in ctable.items():
-                rest = (key & below) | (key >> (at + width) << at)
-                if not key >> at & field:
-                    # Fieldwise min(rest, fresh); a selected field is 0 and stays.
-                    take = (((fresh_guarded - rest) & guards) >> guard) * field
-                    rest = fresh ^ ((fresh ^ rest) & take)
-                if counting:
-                    table[rest] = table.get(rest, 0) + value
-                else:
-                    old = table.get(rest)
-                    if old is None or value.bit_count() > old.bit_count():
-                        table[rest] = value
-            if not counting:
-                _drop_dominated(table, unit, guards)
-        else:  # join
-            # Bucket the larger child table by selection mask and walk the
-            # smaller one, so the per-entry thresholds are built for fewer
-            # keys; join_ok is symmetric, so either side may supply them.
-            outer, inner = (tables[c] for c in node.children)
-            if len(outer) > len(inner):
-                outer, inner = inner, outer
-            b = len(node.bag)
-            unit = ones(b)
-            guards = unit << guard
-            shifts = range(0, b * width, width)
-            by_mask: dict[int, list] = {}
-            for ikey, ivalue in inner.items():
-                by_mask.setdefault(((ikey | guards) - unit) & guards, []).append((ikey, ivalue))
-            for okey, ovalue in outer.items():
-                mask = ((okey | guards) - unit) & guards
-                bucket = by_mask.get(mask)
-                if bucket is None:
-                    continue
-                if counting:
-                    # nsel, the shared selections, times the slot width.
-                    shift = slot_bits * (b - mask.bit_count())
-                olimit = sum([least[okey >> s & field] << s for s in shifts])
-                for ikey, ivalue in bucket:
-                    iguarded = ikey | guards
-                    if (iguarded - olimit) & guards != guards:
-                        continue
-                    take = (((iguarded - okey) & guards) >> guard) * field
-                    merged = ikey ^ ((ikey ^ okey) & take)
-                    if counting:
-                        product = ((ovalue * ivalue) >> shift) & trunc
-                        if product:
-                            table[merged] = table.get(merged, 0) + product
-                    else:
-                        union = ovalue | ivalue
-                        old = table.get(merged)
-                        if old is None or union.bit_count() > old.bit_count():
-                            table[merged] = union
         for c in node.children:
             del tables[c]
         return table

@@ -206,6 +206,7 @@ def _least_passing(test, hi):
 
 def test_integer_ladder_matches_the_fraction_reference():
     rng = random.Random(1605)
+    refused = 0
     for d, delta in _ladder_grid():
         ref = _FractionClearance(d, delta, Fraction(1))
         cap = ref.cap
@@ -215,10 +216,19 @@ def test_integer_ladder_matches_the_fraction_reference():
         sample = range(cap + 1) if cap <= 300 else rng.sample(range(cap + 1), 8)
         for epsilon in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
             case = (d, delta, epsilon)
-            got = RoundedClearance(d, delta, epsilon)
             # The ladder does not depend on epsilon, so one reference ladder
             # serves every epsilon.
             ref.target = Fraction(d) / (1 + epsilon)
+            if ref.powers[-1] < ref.target:
+                # A top rung below the target is refused.
+                with pytest.raises(ValueError, match="below the target"):
+                    RoundedClearance(d, delta, epsilon)
+                refused += 1
+                continue
+            got = RoundedClearance(d, delta, epsilon)
+            if epsilon == 1:
+                # delta <= 1 = epsilon: every ladder of the grid is built here.
+                ladder = got
             assert got.cap == cap, case
             assert [got.admit_clearance(i) for i in range(cap + 1)] == [
                 ref.admit_clearance(i) for i in range(cap + 1)
@@ -238,15 +248,31 @@ def test_integer_ladder_matches_the_fraction_reference():
                 assert got.from_distance(dist) == ref.from_distance(dist), (case, dist)
                 assert got.admit_distance(dist) == ref.admit_distance(dist), (case, dist)
         # The epsilon-free hooks, once per ladder.
-        assert got.powers == ref.powers, (d, delta)
+        assert ladder.powers == ref.powers, (d, delta)
         for i in sorted({0, 1, cap - 1, cap} & set(range(cap + 1)) | set(sample)):
             for w in range(4):
-                assert got.add(i, w) == ref.add(i, w), (d, delta, i, w)
+                assert ladder.add(i, w) == ref.add(i, w), (d, delta, i, w)
             # Distances on both sides of the rung's value, where the floor
             # steps.
             below = ref.powers[i].numerator // ref.powers[i].denominator
             for dist in (below - 1, below, below + 1):
-                assert got.from_distance(dist) == ref.from_distance(dist), (d, delta, dist)
+                assert ladder.from_distance(dist) == ref.from_distance(dist), (d, delta, dist)
+    # 13 of the 81 cases are refused, each with epsilon < delta.
+    assert refused == 13
+
+
+def test_every_domain_the_approximation_builds_reaches_its_target():
+    # delta = _delta_for(epsilon, depth) <= epsilon, so the top rung reaches
+    # d/(1+epsilon), the cap is admitted and it partners clearance 0.  The
+    # largest ladder here, delta = 1/90 at d = 10**12, holds 2,501 rungs in
+    # 41 million bits, far below _MAX_LADDER_BITS, so no domain is refused.
+    epsilons = [Fraction(n, m) for n, m in ((2, 1), (1, 1), (1, 2), (2, 3), (1, 3), (1, 5))]
+    for d in [*range(2, 200), *(10**k for k in range(3, 13))]:
+        for epsilon in epsilons:
+            for depth in (1, 2, 3, 4, 6, 9):
+                dom = RoundedClearance(d, _delta_for(epsilon, depth), epsilon)
+                case = (d, epsilon, depth)
+                assert dom.admit_clearance(dom.cap) and dom.join_ok(0, dom.cap), case
 
 
 @pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(1, 10)])

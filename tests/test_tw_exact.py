@@ -20,6 +20,7 @@ from scatterset.decomp import (
     format_td,
     heuristic_decomposition,
     make_nice,
+    max_introduce_depth,
     parse_td,
     postorder,
     validate_decomposition,
@@ -32,7 +33,12 @@ from scatterset.graph_core import (
     scattered_violation,
 )
 from scatterset.oracle import RandomSpec, brute_force_count, brute_force_max, gen_random_graph
-from scatterset.tw_approx import RoundedClearance, approx_max_scattered, slack_threshold
+from scatterset.tw_approx import (
+    RoundedClearance,
+    _delta_for,
+    approx_max_scattered,
+    slack_threshold,
+)
 from scatterset.tw_exact import (
     ExactClearance,
     _HookMemo,
@@ -464,8 +470,8 @@ def _tuple_engine(
     return root[0], tuple(v for v in range(n) if root[1] >> v & 1)
 
 
-# The field width W = bit_length(cap + 2) + 1 steps up where cap + 2 reaches
-# a power of two, so these d put cap + 2 at 7, 8, 9 and 15, 16, 17; 10**12
+# The field width W = bit_length(cap + 1) + 1 steps up where cap + 1 reaches
+# a power of two, so these d put cap + 1 at 6, 7, 8 and 14, 15, 16; 10**12
 # makes each field 41 bits wide.
 @pytest.mark.parametrize("d", [5, 6, 7, 13, 14, 15, 10**12])
 def test_packed_keys_match_brute_force_at_field_width_boundaries(d):
@@ -485,19 +491,14 @@ def test_packed_keys_match_brute_force_at_field_width_boundaries(d):
             assert (size, witness) == pruned, (d, i, name)
 
 
-# Doubling ladders whose slackened target exceeds 1 + the top power, so
-# clearance 0 has no accepted partner (threshold cap + 1, packed as cap + 2),
-# with cap + 2 at 7, 8 and 9.
-PARTNERLESS = [
-    RoundedClearance(40, Fraction(1), Fraction(1, 10)),
-    RoundedClearance(100, Fraction(1), Fraction(1, 10)),
-    RoundedClearance(140, Fraction(1), Fraction(1, 100)),
-]
+# Doubling ladders with caps 6, 7 and 8: cap + 1 at 7, 8 and 9 gives
+# W = 4, 5 and 5, so the largest field value fills its field below the guard
+# bit, and then steps past it.
+DOUBLING = [RoundedClearance(d, Fraction(1), Fraction(1)) for d in (64, 128, 256)]
 
 
-@pytest.mark.parametrize("dom", PARTNERLESS, ids=["cap-5", "cap-6", "cap-7"])
-def test_packed_keys_match_the_reference_with_a_partnerless_clearance(dom):
-    assert _HookMemo(dom).least[1] - 1 == dom.cap + 1  # clearance 0 is field 1
+@pytest.mark.parametrize("dom", DOUBLING, ids=["cap-6", "cap-7", "cap-8"])
+def test_packed_keys_match_the_reference_on_a_doubling_ladder(dom):
     slack = slack_threshold(dom.d, dom.epsilon)
     for i, g in enumerate(seeded_corpus(16, 11, dom.d // 3, base_seed=7200 + dom.cap)):
         # Rounding only lowers clearances, so every set the rounded engine
@@ -509,8 +510,38 @@ def test_packed_keys_match_the_reference_with_a_partnerless_clearance(dom):
             size, witness = dp_over_decomposition(g, nd, dom.d, mode="max", clearance=dom)
             assert counts == _tuple_engine(g, nd, dom.d, "count", dom), (dom.cap, i, name)
             assert all(c <= b for c, b in zip(counts, slack_counts)), (dom.cap, i, name)
-            assert (size, witness) == _tuple_engine(g, nd, dom.d, "max", dom), (dom.cap, i, name)
+            assert size == _tuple_engine(g, nd, dom.d, "max", dom)[0], (dom.cap, i, name)
+            # At epsilon = 1 the fold point is below the cap, so the witness
+            # is the folded, pruned reference's.
+            pruned = _tuple_engine(g, nd, dom.d, "max", dom, fold=True, prune=True)
+            assert (size, witness) == pruned, (dom.cap, i, name)
             assert size == len(witness) and scattered_violation(g, witness, slack) is None
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(1), Fraction(1, 3), Fraction(1, 10)])
+def test_rounded_engine_keeps_the_guarantee_on_every_decomposition_shape(epsilon):
+    # Each form gets the domain `approx_max_scattered` builds for the form's
+    # own introduce depth.  A leaf admits its vertex by the introduce's rule,
+    # so the one-bag form, whose only leaf starts a chain of introduces,
+    # answers as the forms with many leaves do.  Two isolated vertices at
+    # d = 40 are both selected on every form.
+    graphs = [(g, 2 + i % 6) for i, g in enumerate(seeded_corpus(30, 8, 4, base_seed=7400))]
+    graphs.append((WeightedGraph(n=2, edges=()), 40))
+    for i, (g, d) in enumerate(graphs):
+        best = brute_force_max(g, d)[0]
+        slack = slack_threshold(d, epsilon)
+        one_bag = TreeDecomposition(bags=(tuple(range(g.n)),), tree_edges=())
+        for name, td in [*_decompositions(g), ("one bag", one_bag)]:
+            nd = make_nice(td)
+            delta = _delta_for(epsilon, max(1, max_introduce_depth(nd)))
+            dom = RoundedClearance(d, delta, epsilon)
+            size, witness = dp_over_decomposition(g, nd, d, mode="max", clearance=dom)
+            assert size >= best and size == len(witness), (epsilon, i, name)
+            assert scattered_violation(g, witness, slack) is None, (epsilon, i, name)
+    # A doubling ladder at epsilon = 1/10 tops out at 32 < 40 / (11/10): it
+    # would refuse an isolated vertex on one bag and select it at a leaf.
+    with pytest.raises(ValueError, match="below the target"):
+        RoundedClearance(40, Fraction(1), Fraction(1, 10))
 
 
 @pytest.mark.parametrize("d", [*range(2, 41), 10**12])
@@ -519,18 +550,9 @@ def test_exact_fold_point_closed_form(d):
         assert _HookMemo(ExactClearance(d), w).top == max(d - w, -(-d // 2)), (d, w)
 
 
-@pytest.mark.parametrize(
-    "dom",
-    [*PARTNERLESS, ExactClearance(2), ExactClearance(9)],
-    ids=["cap-5", "cap-6", "cap-7", "exact-2", "exact-9"],
-)
+@pytest.mark.parametrize("dom", [ExactClearance(2), ExactClearance(9)], ids=["exact-2", "exact-9"])
 def test_fold_point_stays_at_the_cap_without_a_partner_or_an_edge(dom):
     assert _HookMemo(dom, None).top == dom.cap
-    if isinstance(dom, RoundedClearance):
-        # On a doubling ladder two clearances below the cap sum to at most the
-        # top power, short of the target, so no t below the cap passes.
-        for w in range(1, dom.d + 1):
-            assert _HookMemo(dom, w).top == dom.cap, w
 
 
 def _heavy_graph(rng: random.Random, lo: int, hi: int) -> WeightedGraph:
