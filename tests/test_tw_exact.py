@@ -491,14 +491,19 @@ def test_packed_keys_match_brute_force_at_field_width_boundaries(d):
             assert (size, witness) == pruned, (d, i, name)
 
 
-# Doubling ladders with caps 6, 7 and 8: cap + 1 at 7, 8 and 9 gives
-# W = 4, 5 and 5, so the largest field value fills its field below the guard
-# bit, and then steps past it.
-DOUBLING = [RoundedClearance(d, Fraction(1), Fraction(1)) for d in (64, 128, 256)]
+# Doubling ladders with caps 6, 7 and 8.  cap + 1, the bound on every field
+# value, is 7, 8 and 9, which gives W = 4, 5 and 5: it fills the bits below
+# the guard at cap 6 and needs one more at cap 7.  At epsilon = 1/2 the top
+# power still reaches the target 2d/3, but 1 + the next power does not, so
+# the least partner of clearance 0 is the cap, field cap + 1, and on unit
+# edges the fold point stays at the cap too.
+DOUBLING = [RoundedClearance(d, Fraction(1), Fraction(1, 2)) for d in (64, 128, 256)]
 
 
 @pytest.mark.parametrize("dom", DOUBLING, ids=["cap-6", "cap-7", "cap-8"])
 def test_packed_keys_match_the_reference_on_a_doubling_ladder(dom):
+    assert _HookMemo(dom).least[1] - 1 == dom.cap  # clearance 0 is field 1
+    assert _HookMemo(dom, 1).top == dom.cap
     slack = slack_threshold(dom.d, dom.epsilon)
     for i, g in enumerate(seeded_corpus(16, 11, dom.d // 3, base_seed=7200 + dom.cap)):
         # Rounding only lowers clearances, so every set the rounded engine
@@ -511,8 +516,8 @@ def test_packed_keys_match_the_reference_on_a_doubling_ladder(dom):
             assert counts == _tuple_engine(g, nd, dom.d, "count", dom), (dom.cap, i, name)
             assert all(c <= b for c, b in zip(counts, slack_counts)), (dom.cap, i, name)
             assert size == _tuple_engine(g, nd, dom.d, "max", dom)[0], (dom.cap, i, name)
-            # At epsilon = 1 the fold point is below the cap, so the witness
-            # is the folded, pruned reference's.
+            # The engine folds and prunes, so its witness is the folded,
+            # pruned reference's.
             pruned = _tuple_engine(g, nd, dom.d, "max", dom, fold=True, prune=True)
             assert (size, witness) == pruned, (dom.cap, i, name)
             assert size == len(witness) and scattered_violation(g, witness, slack) is None
