@@ -519,18 +519,20 @@ def _compress(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:
 
 
 def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
-    """Rooted binary decomposition with width <= 3w+2 and logarithmic depth.
+    """Rooted decomposition with width <= 3w+2 and logarithmic depth.
 
     Recursive splitting of the (subset-contracted) decomposition tree: each
     piece keeps at most two portal nodes whose bags are merged into the
     piece's emitted bag, so every emitted bag unions at most three original
     bags.  A piece with two portals splits at the median of the path
     between them, any other at its centroid; both come from one rooted pass
-    that gives each node's parent and subtree size.
+    that gives each node's parent and subtree size.  The parts left by a
+    separator hang directly below its bag, in order of their lowest node,
+    however many there are: `make_nice` joins any number of children.
 
     The input is validated here: on the approximation path no other layer
-    checks it.  The result is checked for a binary tree, width <= 3w+2 and
-    depth 4*ceil(log2(n+1)) + 4, and a violation raises.  It is not
+    checks it.  The result is checked for width <= 3w+2 and depth
+    4*ceil(log2(n+1)) + 4, and a violation raises.  It is not
     validated again, because its consumers do that: the DP engine's input
     check, and `decompose`'s round-trip check of the file it writes.
     """
@@ -588,46 +590,20 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
                 return q
         return b
 
-    def combine(bag: set[int], items: list[tuple[int, int]]) -> tuple[int, int]:
-        """Weight-balanced binary merge; returns (emitted id, weight)."""
-        if len(items) == 1:
-            return items[0]
-        total = sum(w for _, w in items)
-        heavy = max(range(len(items)), key=lambda i: items[i][1])
-        if 2 * items[heavy][1] > total:
-            rest = items[:heavy] + items[heavy + 1 :]
-            left = items[heavy]
-            right = combine(bag, rest)
-        else:
-            acc = 0
-            cut = 1
-            for i, (_, w) in enumerate(items):
-                acc += w
-                if 2 * acc >= total:
-                    cut = min(max(i + 1, 1), len(items) - 1)
-                    break
-            left = combine(bag, items[:cut])
-            right = combine(bag, items[cut:])
-        return emit(bag, [left[0], right[0]]), total
-
     def split(piece: list[int], portals: tuple[int, ...]) -> int:
         s = path_median(piece, *portals) if len(portals) == 2 else centroid(piece)
         merged = set(bags[s])
         for p in portals:
             merged |= bags[p]
         removed[s] = True
-        child_items: list[tuple[int, int]] = []
+        kids: list[int] = []
         # The parts of piece - s, one per neighbour of s, which heads its list.
         for comp in sorted((rooted(v) for v in adj[s] if not removed[v]), key=min):
             ports = sorted({p for p in portals if p in comp} | {comp[0]})
             if len(ports) > 2:
                 raise RuntimeError("balance invariant breached: >2 portals")
-            child_items.append((split(comp, tuple(ports)), len(comp)))
-        if not child_items:
-            return emit(merged, [])
-        if len(child_items) == 1:
-            return emit(merged, [child_items[0][0]])
-        return combine(merged, child_items)[0]
+            kids.append(split(comp, tuple(ports)))
+        return emit(merged, kids)
 
     root = split(list(range(total_nodes)), ())
     edges = []
@@ -636,8 +612,6 @@ def balance(td: TreeDecomposition, g: WeightedGraph) -> TreeDecomposition:
             edges.append((i, c))
     result = TreeDecomposition(bags=tuple(out_bags), tree_edges=tuple(edges), root=root)
 
-    if any(len(kids) > 2 for kids in out_children):
-        raise RuntimeError("balance produced a non-binary tree")
     if result.width > 3 * width + 2:
         raise RuntimeError(
             f"balance width {result.width} exceeds bound {3 * width + 2}"

@@ -129,9 +129,11 @@ def parse_graph(text: str) -> WeightedGraph:
     Header ``p dss <n> <m>``, then m lines ``e <u> <v> [<w>]`` with 1-based
     vertex ids and optional positive integer weight (default 1).  Lines
     whose first field is ``c`` are comments.  A malformed line raises
-    `ParseError` naming its line; a missing header or a wrong edge count is
-    a file-level `ValueError`, as in the other readers.  A header past the
-    size limit is refused on its own line, before any edge is read.
+    `ParseError` naming its line; a missing header or too few edges is a
+    file-level `ValueError`, as in the other readers.  A header past the
+    size limit is refused on its own line, before any edge is read, and the
+    first edge past the header's m on its line, so no more than m edges are
+    ever held.
     """
     n = -1
     m = -1
@@ -154,6 +156,8 @@ def parse_graph(text: str) -> WeightedGraph:
         elif fields[0] == "e":
             if n < 0:
                 raise ParseError(line_no, "edge before header")
+            if len(edges) == m:
+                raise ParseError(line_no, f"edge {m + 1} past the header's count of {m}")
             if len(fields) not in (3, 4):
                 raise ParseError(line_no, "malformed edge, want 'e <u> <v> [<w>]'")
             u, v, *weight = ints(line_no, fields[1:])

@@ -262,6 +262,14 @@ def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
                 shift += at
 
 
+# Count mode refuses when (k_cap + 1) * B, the bits of one packed value with
+# every slot full, exceeds this.  On a unit path at d = 3 with k = n, 16.0 M
+# bits (n = 4,000) took 2.5 s of CPU, 64.0 M (n = 8,000) 17-24 s and 255.9 M
+# (n = 16,000) 269 s, so the bound admits n = 8,000 and refuses 16,000.
+# The benchmark's largest product is 2,912 bits.
+_MAX_COUNT_BITS = 64_000_000
+
+
 def dp_over_decomposition(
     g: WeightedGraph,
     nd: NiceDecomposition,
@@ -397,7 +405,8 @@ def dp_over_decomposition(
     {0: 1}.  Introducing a selected vertex shifts P up one slot, forget
     adds, join multiplies and shifts down by the nsel shared selections, and
     every step truncates above slot k_cap.  Only counting mode builds B and
-    the truncation mask, which has about n^2 bits when k is None.
+    the truncation mask, which has about n^2 bits when k is None; a mask of
+    more than `_MAX_COUNT_BITS` bits is refused with a ValueError.
 
     Why no carry corrupts a kept count: a state's partial solutions are
     distinct vertex sets, so its coefficient of degree m is at most
@@ -439,6 +448,11 @@ def dp_over_decomposition(
         # B of the docstring; C(n, m) is unimodal in m with its peak at n // 2.
         # Max mode builds neither: with k = None the mask has about n^2 bits.
         slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
+        if (k_cap + 1) * slot_bits > _MAX_COUNT_BITS:
+            raise ValueError(
+                f"count refused: n = {g.n} and k = {k_cap} give {k_cap + 1} slots of "
+                f"B = {slot_bits} bits, more than {_MAX_COUNT_BITS} bits in all"
+            )
         trunc = (1 << (slot_bits * (k_cap + 1))) - 1
     admit = hooks.admit
 
@@ -554,7 +568,9 @@ def dp_over_decomposition(
                     read_mask |= field << s
             guards = ones(len(cbag)) << guard
             # The read fields alone decide v's reach, so it is memoized by
-            # that part of the key, with its admission.
+            # that part of the key, with its admission.  Half or more of the
+            # lookups miss, yet computing every reach afresh made dp-midwidth
+            # `pass_s` about 19% slower (2-vCPU x86_64 VM), so the memo stays.
             verdicts: dict[int, tuple[int, bool]] = {}
             # Keys extend distinct child keys at one field, so none repeat.
             for key, value in ctable.items():

@@ -430,6 +430,25 @@ def test_count_refuses_a_k_it_cannot_print(capsys, p5):
     assert code == 3
 
 
+def test_count_refuses_a_slot_budget_past_its_bound(capsys, p5, monkeypatch):
+    # On P5 with k = 2 a packed value has 3 slots of B = bit length of
+    # C(5, 2) = 10, 4 bits: 12 bits run and a bound of 11 refuses them.
+    need = 3 * math.comb(5, 2).bit_length()
+    monkeypatch.setattr(tw_exact, "_MAX_COUNT_BITS", need)
+    code, out, _ = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", "2")
+    assert code == 0 and "counts: 1 5 6" in out
+    monkeypatch.setattr(tw_exact, "_MAX_COUNT_BITS", need - 1)
+    code, out, err = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", "2")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "error: count refused: n = 5 and k = 2 give 3 slots of B = 4 bits, more than 11 bits in all"
+    ]
+    # Max mode builds no slots, so the bound does not reach it.
+    monkeypatch.setattr(tw_exact, "_MAX_COUNT_BITS", 0)
+    code, _, _ = run_cli(capsys, "solve", "--graph", p5, "--d", "2", "--algo", "tw")
+    assert code == 0
+
+
 def test_solve_approx_refuses_a_ladder_past_its_bit_bound(capsys, tmp_path):
     # On a 40-vertex path at d = 5 the balanced nice form stacks 11 rounding
     # steps.  epsilon = 1/100 gives 3,542 rungs and runs; epsilon = 1/1000

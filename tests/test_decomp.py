@@ -690,12 +690,14 @@ def _balance_corpus():
 
 
 def test_balance_pinned():
-    # Every balanced .td, hashed; the digest was taken from the balance that
-    # rescanned components per centroid candidate and per path node, so any
-    # change to the separators, the portals or the merge order shows here.
+    # Every balanced .td, hashed; the digest was taken when each separator's
+    # parts came to hang directly below it.  Each tree is then the earlier
+    # binary-merged one with every merge node (an inner node holding its
+    # parent's bag) contracted into its parent, so any change to the
+    # separators, the portals or the order of the parts shows here.
     texts = [format_td(balance(heuristic_decomposition(g), g), g.n) for g in _balance_corpus()]
     digest = hashlib.sha256("".join(texts).encode()).hexdigest()
-    assert digest == "25c52823ddc273ac070b5a542c771021b8ac475b608ae567c1797650f7549f62"
+    assert digest == "d1c32af29ef910ab8a6a0fbbe9c8abc573529db2a66b76fe8ec795c2d5d4c688"
 
 
 def test_balance_at_scale():

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import scatterset.gadgets as gadgets
 import scatterset.graph_core as graph_core
+from scatterset.decomp import heuristic_decomposition, make_nice
 from scatterset.gadgets import (
     CnfFormula,
     McisInstance,
@@ -22,6 +25,7 @@ from scatterset.gadgets import (
 )
 from scatterset.graph_core import ParseError, WeightedGraph, format_dss, is_scattered
 from scatterset.oracle import brute_force_max
+from scatterset.tw_exact import max_scattered
 
 YES_MCIS = "p mcis 2 2\ne 1.1 2.2\n"
 NO_MCIS = "p mcis 2 2\ne 1.1 2.1\ne 1.1 2.2\ne 1.2 2.1\ne 1.2 2.2\n"
@@ -196,6 +200,43 @@ def test_w1vc_optimum_reaches_target_iff_independent_choice_exists():
             out = gen_w1_vc(inst)
             reached = brute_force_max(out.graph, out.d)[0] == out.target_size
             assert reached == solvable
+
+
+def _mcis_sources():
+    """Every source with k = 2 and n <= 3, then seeded samples at k = 3, n = 2 and 3."""
+    for n in (1, 2, 3):
+        pairs = [((1, l), (2, o)) for l in range(1, n + 1) for o in range(1, n + 1)]
+        for bits in range(1 << len(pairs)):
+            yield McisInstance(2, n, frozenset(p for i, p in enumerate(pairs) if bits >> i & 1))
+    rng = random.Random(3100)
+    for n, samples in ((2, 400), (3, 60)):
+        pairs = [
+            ((i, l), (j, o))
+            for i, j in combinations(range(1, 4), 2)
+            for l in range(1, n + 1)
+            for o in range(1, n + 1)
+        ]
+        for _ in range(samples):
+            yield McisInstance(3, n, frozenset(p for p in pairs if rng.randrange(2)))
+
+
+def test_w1vc_threshold_holds_on_a_seeded_corpus():
+    # The exact engine on the heuristic's nice form decides each source:
+    # the optimum reaches k*k exactly when one vertex per class can be
+    # chosen pairwise non-adjacent.
+    verdicts = Counter()
+    for inst in _mcis_sources():
+        k, n = inst.num_classes, inst.class_size
+        solvable = any(
+            not any(inst.has_edge(i + 1, pick[i], j + 1, pick[j]) for i, j in combinations(range(k), 2))
+            for pick in product(range(1, n + 1), repeat=k)
+        )
+        out = gen_w1_vc(inst)
+        size, _ = max_scattered(out.graph, make_nice(heuristic_decomposition(out.graph)), out.d)
+        assert (size >= out.target_size) == solvable, (k, n, sorted(inst.edges))
+        verdicts[k, n, solvable] += 1
+    # Both answers occur in every group that can have both.
+    assert all(verdicts[k, n, yes] for k, n in ((2, 2), (2, 3), (3, 2), (3, 3)) for yes in (0, 1))
 
 
 def test_w1vc_bad_assignment_shape():

@@ -190,7 +190,8 @@ def test_parse_graph_accepts_comments_and_blank_lines():
         ("p dss 3 1\ne 1 2 0\n", 2),  # zero weight
         ("p dss 3 1\ne 1 4 1\n", 2),  # vertex out of range
         ("p dss 3 2\ne 1 2 1\ne 2 1 5\n", 3),  # duplicate edge
-        ("p dss 3 9\ne 1 2 1\n", None),  # edge count mismatch
+        ("p dss 3 9\ne 1 2 1\n", None),  # too few edges
+        ("p dss 3 1\ne 1 2 1\ne 2 3 1\n", 3),  # an edge past the header's count
         ("p dss 2 0\ncfoo\n", 2),  # only a first field 'c' makes a comment
         ("p dss 2 0\ncomment-less line\n", 2),
         ("p dss 0 0\n", 1),  # no vertices

@@ -868,7 +868,7 @@ def test_engine_output_pinned():
             result = (i, d, max_scattered(g, nd, d), count_scattered(g, nd, d, g.n))
             digest.update(repr(result).encode())
         digest.update(repr((i, approx_max_scattered(g, td, 17, Fraction(1, 2)))).encode())
-    assert digest.hexdigest() == "436fc8292420fa79c1cba37c590cff6c8b12e742524504354a414ab814125987"
+    assert digest.hexdigest() == "d98357b7bd0133350c23b5b402c53329d245d64147cc96be01db42bad2a1fe59"
 
 
 def test_engine_sizes_and_counts_pinned():
