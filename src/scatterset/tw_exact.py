@@ -264,9 +264,9 @@ def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
 
 # Count mode refuses when (k_cap + 1) * B, the bits of one packed value with
 # every slot full, exceeds this.  On a unit path at d = 3 with k = n, 16.0 M
-# bits (n = 4,000) took 2.5 s of CPU, 64.0 M (n = 8,000) 17-24 s and 255.9 M
-# (n = 16,000) 269 s, so the bound admits n = 8,000 and refuses 16,000.
-# The benchmark's largest product is 2,912 bits.
+# bits (n = 4,000) took 2.5 s of CPU on a 2-vCPU x86_64 VM, 64.0 M
+# (n = 8,000) 17-24 s and 255.9 M (n = 16,000) 269 s, so the bound admits
+# n = 8,000 and refuses 16,000.  The benchmark's largest product is 2,912 bits.
 _MAX_COUNT_BITS = 64_000_000
 
 

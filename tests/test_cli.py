@@ -441,7 +441,8 @@ def test_count_refuses_a_slot_budget_past_its_bound(capsys, p5, monkeypatch):
     code, out, err = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", "2")
     assert (code, out) == (3, "")
     assert err.splitlines() == [
-        "error: count refused: n = 5 and k = 2 give 3 slots of B = 4 bits, more than 11 bits in all"
+        "error: count refused: n = 5 and k = 2 give 3 slots of B = 4 bits, "
+        "more than 11 bits in all"
     ]
     # Max mode builds no slots, so the bound does not reach it.
     monkeypatch.setattr(tw_exact, "_MAX_COUNT_BITS", 0)

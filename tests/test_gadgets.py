@@ -224,19 +224,20 @@ def test_w1vc_threshold_holds_on_a_seeded_corpus():
     # The exact engine on the heuristic's nice form decides each source:
     # the optimum reaches k*k exactly when one vertex per class can be
     # chosen pairwise non-adjacent.
-    verdicts = Counter()
+    groups = Counter()
     for inst in _mcis_sources():
         k, n = inst.num_classes, inst.class_size
+        class_pairs = list(combinations(range(k), 2))
         solvable = any(
-            not any(inst.has_edge(i + 1, pick[i], j + 1, pick[j]) for i, j in combinations(range(k), 2))
+            not any(inst.has_edge(i + 1, pick[i], j + 1, pick[j]) for i, j in class_pairs)
             for pick in product(range(1, n + 1), repeat=k)
         )
         out = gen_w1_vc(inst)
         size, _ = max_scattered(out.graph, make_nice(heuristic_decomposition(out.graph)), out.d)
         assert (size >= out.target_size) == solvable, (k, n, sorted(inst.edges))
-        verdicts[k, n, solvable] += 1
+        groups[k, n, solvable] += 1
     # Both answers occur in every group that can have both.
-    assert all(verdicts[k, n, yes] for k, n in ((2, 2), (2, 3), (3, 2), (3, 3)) for yes in (0, 1))
+    assert all(groups[k, n, yes] for k, n in ((2, 2), (2, 3), (3, 2), (3, 3)) for yes in (0, 1))
 
 
 def test_w1vc_bad_assignment_shape():
