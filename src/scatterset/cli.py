@@ -63,7 +63,7 @@ from .graph_core import (
 )
 from .oracle import RandomSpec, brute_force_max, gen_random_graph
 from .tw_approx import approx_max_scattered, slack_threshold
-from .tw_exact import count_scattered, max_scattered
+from .tw_exact import count_scattered, count_slots, max_scattered
 from .vc_fpt import max_scattered_vc
 
 # Unused here, but bench/tracing.py wraps this module-level name and the
@@ -312,6 +312,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             f"--k {args.k} exceeds n = {g.n} by more than {_MAX_ZERO_COUNTS}; "
             "every size past n counts 0"
         )
+    # The slot budget reads only n and k: refuse before decomposing.
+    count_slots(g.n, args.k)
     report = RunReport(command="count", solver="tw")
     report.parameters.update(d=args.d, k=args.k)
     started = time.perf_counter()
@@ -576,7 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_fvs.add_argument("--out", default="fvs")
 
     g_seth = gen_sub.add_parser(
-        "seth", help="pathwidth-bounded instance from a CNF", parents=[json_flag]
+        "seth",
+        help="unit-weight column chain of selection and clause gadgets from a CNF",
+        parents=[json_flag],
     )
     g_seth.add_argument("--cnf", required=True, help="DIMACS CNF file")
     g_seth.add_argument("--d", type=int, required=True)
@@ -585,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     g_seth.add_argument("--out", default="seth")
 
     g_tdeth = gen_sub.add_parser(
-        "tdeth", help="treedepth-bounded instance from a 3-CNF", parents=[json_flag]
+        "tdeth",
+        help="unit-weight clause groups glued by consistency verifiers, from a 3-CNF",
+        parents=[json_flag],
     )
     g_tdeth.add_argument("--cnf", required=True)
     g_tdeth.add_argument("--assignment")

@@ -47,8 +47,10 @@ class NiceNode:
 class NiceDecomposition:
     """Typed nodes whose child lists form one tree under `root`.
 
-    The root is no node's child and every other node is exactly one node's
-    child.  An introduce or forget node's bag is its child's with `vertex`
+    Every child is listed before its parent.  The root is no node's child
+    and every other node is exactly one node's child, so the root is the
+    last node and a flat pass in index order meets each child before its
+    parent.  An introduce or forget node's bag is its child's with `vertex`
     put in or taken out at one position, the rest in order; a join node's
     children have its bag.  The dynamic programs read and write bag fields
     by position, so the order is part of the form.
@@ -370,13 +372,14 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
 
     A broken nice rule is a Violation of kind "nice": a node's kind,
     children or bag, where a parent's bag must be its child's with one
-    vertex put in or taken out, the rest in order, or a root bag that is
-    not empty.  The child lists must then form one tree under the root: a
-    root or child index that names no node, or any other shape, is a
-    structure violation, the one `_parents` reports for the plain-tree view
-    where it has one and otherwise one naming a node that is no node's
-    child.  Every child preceding its one parent, as in each nice form
-    `make_nice` builds, proves the shape without a walk.
+    vertex put in or taken out, the rest in order, a child index that is
+    not below its parent's, or a root bag that is not empty.  Every child
+    listed before its parent, as in each nice form `make_nice` builds,
+    proves the shape in the same pass: a node listed as a child twice, a
+    root that names no node, or a node other than the root that is no
+    node's child is a structure violation.  Otherwise every chain of
+    parents climbs through higher indices to the one node without a
+    parent, the root, so the child lists form one tree under it.
 
     With g, the rest is what `validate_decomposition(g, nice_to_tree(nd))`
     reports, from the same pass over the nodes: below an empty root bag, a
@@ -385,20 +388,16 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
     off those.
     """
     nodes = nd.nodes
-    count = len(nodes)
-    has_parent = bytearray(count)
-    ordered = True  # every child precedes its parent
-    tree_edges = 0
+    has_parent = bytearray(len(nodes))
     forgot: dict[int, Collection[int]] = {}  # v -> its forget nodes' child bags
     twice: set[int] = set()  # vertices forgotten more than once
     for i, node in enumerate(nodes):
         kids, kind, bag = node.children, node.kind, node.bag
-        tree_edges += len(kids)
         for c in kids:
             if not 0 <= c < i:
-                if not 0 <= c < count:
-                    return _parents(nice_to_tree(nd))
-                ordered = False
+                return Violation("nice", f"node {i}: child {c} is no earlier node")
+            if has_parent[c]:
+                return Violation("structure", f"node {c} has more than one parent", (c,))
             has_parent[c] = 1
         if kind == "leaf":
             if kids or len(bag) != 1:
@@ -425,24 +424,13 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
                 return Violation("nice", f"node {i}: join children bags differ from own bag")
         else:
             return Violation("nice", f"node {i}: unknown kind {kind!r}")
-    if not 0 <= nd.root < count:
-        return _parents(nice_to_tree(nd))
+    if not 0 <= nd.root < len(nodes):
+        return Violation("structure", f"root {nd.root} out of range")
     if nodes[nd.root].bag != ():
         return Violation("nice", "root bag is not empty")
-    # n - 1 edges to distinct children, none of them the root: every other
-    # node is one node's child.  Then all are below the root if every child
-    # precedes its parent, as following parents from any node ends there;
-    # otherwise iff a walk from the root, which meets no cycle, meets them all.
-    tree = tree_edges == count - 1 == has_parent.count(1) and not has_parent[nd.root]
-    if tree and not ordered:
-        tree = len(postorder([node.children for node in nodes], nd.root)) == count
-    if not tree:
-        bad = _parents(nice_to_tree(nd))
-        if isinstance(bad, Violation):
-            return bad
-        # A tree in the plain view whose child lists do not hang from the
-        # root leaves some other node no node's child.
-        orphan = next(i for i in range(count) if i != nd.root and not has_parent[i])
+    has_parent[nd.root] = 1  # so that the search below skips the root
+    orphan = has_parent.find(0)
+    if orphan != -1:
         return Violation("structure", f"node {orphan} is no node's child", (orphan,))
     if g is None:
         return None
@@ -463,19 +451,19 @@ def decomposition_depth(td: TreeDecomposition) -> int:
 
 
 def max_introduce_depth(nd: NiceDecomposition) -> int:
-    """Largest number of introduce nodes on any root-to-leaf path."""
-    best = 0
-    stack = [(nd.root, 0)]
-    while stack:
-        i, acc = stack.pop()
-        node = nd.nodes[i]
-        if node.kind == "introduce":
-            acc += 1
-        if not node.children:
-            best = max(best, acc)
+    """Largest number of introduce nodes on any root-to-leaf path.
+
+    One pass in index order: every child precedes its parent, so each
+    child's depth is known when its parent is reached.
+    """
+    depth: list[int] = []
+    for node in nd.nodes:
+        below = 0
         for c in node.children:
-            stack.append((c, acc))
-    return best
+            if depth[c] > below:
+                below = depth[c]
+        depth.append(below + (node.kind == "introduce"))
+    return depth[nd.root]
 
 
 def _compress(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:

@@ -191,7 +191,8 @@ def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:
     nodes, and the decomposition properties from the tops it meets there:
     the child bags of the forget nodes.  Its rules are the ones this engine
     relies on: bags in the order whose fields it splices and cuts by
-    position, and child lists that form one tree under the root.
+    position, and child lists, each child before its parent, that form one
+    tree under the root.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -268,6 +269,24 @@ def _drop_dominated(table: dict[int, int], unit: int, guards: int) -> None:
 # (n = 8,000) 17-24 s and 255.9 M (n = 16,000) 269 s, so the bound admits
 # n = 8,000 and refuses 16,000.  The benchmark's largest product is 2,912 bits.
 _MAX_COUNT_BITS = 64_000_000
+
+
+def count_slots(n: int, k: int | None) -> tuple[int, int]:
+    """Counting mode's k_cap = min(k, n) and slot width B, or a ValueError.
+
+    B is the bit length of max_{m <= k_cap} C(n, m); C(n, m) is unimodal in
+    m with its peak at n // 2.  A packed value of k_cap + 1 slots of more
+    than `_MAX_COUNT_BITS` bits in all is refused.  It reads only n and k,
+    so `count` refuses before it builds a decomposition.
+    """
+    k_cap = n if k is None else min(k, n)
+    slot_bits = math.comb(n, min(k_cap, n // 2)).bit_length()
+    if (k_cap + 1) * slot_bits > _MAX_COUNT_BITS:
+        raise ValueError(
+            f"count refused: n = {n} and k = {k_cap} give {k_cap + 1} slots of "
+            f"B = {slot_bits} bits, more than {_MAX_COUNT_BITS} bits in all"
+        )
+    return k_cap, slot_bits
 
 
 def dp_over_decomposition(
@@ -406,7 +425,7 @@ def dp_over_decomposition(
     adds, join multiplies and shifts down by the nsel shared selections, and
     every step truncates above slot k_cap.  Only counting mode builds B and
     the truncation mask, which has about n^2 bits when k is None; a mask of
-    more than `_MAX_COUNT_BITS` bits is refused with a ValueError.
+    more than `_MAX_COUNT_BITS` bits is refused by `count_slots`.
 
     Why no carry corrupts a kept count: a state's partial solutions are
     distinct vertex sets, so its coefficient of degree m is at most
@@ -444,15 +463,9 @@ def dp_over_decomposition(
     top_field = hooks.top + 1
     counting = mode == "count"
     if counting:
-        k_cap = g.n if k is None else min(k, g.n)
-        # B of the docstring; C(n, m) is unimodal in m with its peak at n // 2.
-        # Max mode builds neither: with k = None the mask has about n^2 bits.
-        slot_bits = math.comb(g.n, min(k_cap, g.n // 2)).bit_length()
-        if (k_cap + 1) * slot_bits > _MAX_COUNT_BITS:
-            raise ValueError(
-                f"count refused: n = {g.n} and k = {k_cap} give {k_cap + 1} slots of "
-                f"B = {slot_bits} bits, more than {_MAX_COUNT_BITS} bits in all"
-            )
+        # B of the docstring.  Max mode builds neither B nor the mask: with
+        # k = None the mask has about n^2 bits.
+        k_cap, slot_bits = count_slots(g.n, k)
         trunc = (1 << (slot_bits * (k_cap + 1))) - 1
     admit = hooks.admit
 

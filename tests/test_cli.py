@@ -450,6 +450,23 @@ def test_count_refuses_a_slot_budget_past_its_bound(capsys, p5, monkeypatch):
     assert code == 0
 
 
+def test_count_refuses_its_slot_budget_before_it_decomposes(capsys, p5, monkeypatch):
+    # The budget reads only n and k, so a refused count builds no
+    # decomposition: at banded n = 100,000 and k = n the heuristic, the nice
+    # form and the bag searches took seconds before the engine refused.
+    def no_decomposition(g):
+        raise AssertionError("count decomposed before it refused its slot budget")
+
+    monkeypatch.setattr(tw_exact, "_MAX_COUNT_BITS", 3 * math.comb(5, 2).bit_length() - 1)
+    monkeypatch.setattr(cli, "heuristic_decomposition", no_decomposition)
+    code, out, err = run_cli(capsys, "count", "--graph", p5, "--d", "2", "--k", "2")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "error: count refused: n = 5 and k = 2 give 3 slots of B = 4 bits, "
+        "more than 11 bits in all"
+    ]
+
+
 def test_solve_approx_refuses_a_ladder_past_its_bit_bound(capsys, tmp_path):
     # On a 40-vertex path at d = 5 the balanced nice form stacks 11 rounding
     # steps.  epsilon = 1/100 gives 3,542 rungs and runs; epsilon = 1/1000

@@ -345,13 +345,21 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
     """The engine's input check, spelled out as (kind, message, witness).
 
     The nice rules node by node, where a parent's bag is its child's with
-    one vertex put in or taken out and the rest in order; the child lists
-    as one tree under the root, counted and walked; then the holders-based
-    reference on the nice form viewed as a plain tree.
+    one vertex put in or taken out and the rest in order, and each child
+    is listed once and before its parent; the root in range with an empty
+    bag and every other node listed; then the holders-based reference on
+    the nice form viewed as a plain tree.
     """
     nodes = nd.nodes
+    listed: set[int] = set()
     for i, node in enumerate(nodes):
         kids = node.children
+        for c in kids:
+            if c not in range(i):
+                return ("nice", f"node {i}: child {c} is no earlier node", ())
+            if c in listed:
+                return ("structure", f"node {c} has more than one parent", (c,))
+            listed.add(c)
         if node.kind == "leaf":
             if kids or len(node.bag) != 1:
                 return ("nice", f"node {i}: leaf must have no children and a size-1 bag", ())
@@ -369,25 +377,13 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
                 return ("nice", f"node {i}: join children bags differ from own bag", ())
         else:
             return ("nice", f"node {i}: unknown kind {node.kind!r}", ())
+    if nd.root not in range(len(nodes)):
+        return ("structure", f"root {nd.root} out of range", ())
     if nodes[nd.root].bag != ():
         return ("nice", "root bag is not empty", ())
-    parents = [0] * len(nodes)
-    for node in nodes:
-        for c in node.children:
-            parents[c] += 1
-    reached, stack = {nd.root}, [nd.root]
-    while stack:
-        for c in nodes[stack.pop()].children:
-            if c not in reached:
-                reached.add(c)
-                stack.append(c)
-    others = [i for i in range(len(nodes)) if i != nd.root]
-    if parents[nd.root] or any(parents[i] != 1 for i in others) or len(reached) < len(nodes):
-        bad = _parents(nice_to_tree(nd))
-        if isinstance(bad, Violation):
-            return _as_triple(bad)
-        orphan = min(i for i in others if not parents[i])
-        return ("structure", f"node {orphan} is no node's child", (orphan,))
+    unlisted = [i for i in range(len(nodes)) if i != nd.root and i not in listed]
+    if unlisted:
+        return ("structure", f"node {unlisted[0]} is no node's child", (unlisted[0],))
     return _as_triple(_reference_validate(g, nice_to_tree(nd)))
 
 
@@ -527,29 +523,34 @@ def _index_breaks(nd: NiceDecomposition):
 
 
 @pytest.mark.parametrize(
-    "g, edges",
+    "g, breaks",
     [
-        (path_graph(3), ("(1,6)", "(1,-1)")),
-        (star_graph(3), ("(1,10)", "(1,-1)", "(6,10)", "(6,-1)")),
+        (path_graph(3), ((1, 6), (1, -1))),
+        (star_graph(3), ((1, 10), (1, -1), (6, 10), (6, -1))),
     ],
     ids=["path", "star"],
 )
-def test_nice_check_reports_indices_that_name_no_node(g, edges):
-    # The plain validator's structure violation, with or without g, where an
-    # unchecked index would raise IndexError or read the last node's bag.
+def test_nice_check_reports_indices_that_name_no_node(g, breaks):
+    # A root that names no node gets the plain validator's structure
+    # violation and a child index the nice node's, with or without g, where
+    # an unchecked index would raise IndexError or read the last node's bag.
     nd = make_nice(heuristic_decomposition(g))
     seen = set()
     for bad in _index_breaks(nd):
-        want = validate_decomposition(g, nice_to_tree(bad))
-        assert want is not None and want.kind == "structure"
-        assert validate_nice(bad, g) == want
-        assert validate_nice(bad) == want
+        got = validate_nice(bad, g)
+        assert got is not None and validate_nice(bad) == got
+        if bad.root == nd.root:
+            assert got.kind == "nice"
+        else:
+            assert got == validate_decomposition(g, nice_to_tree(bad))
+            assert got.kind == "structure"
         with pytest.raises(ValueError) as info:
             max_scattered(g, bad, 3)
-        assert str(info.value) == f"invalid decomposition: {want.message}"
-        seen.add(want.message)
+        what = "nice decomposition" if got.kind == "nice" else "decomposition"
+        assert str(info.value) == f"invalid {what}: {got.message}"
+        seen.add(got.message)
     roots = {f"root {r} out of range" for r in (len(nd.nodes), -1)}
-    assert seen == roots | {f"bad tree edge {e}" for e in edges}
+    assert seen == roots | {f"node {i}: child {c} is no earlier node" for i, c in breaks}
 
 
 def test_nice_check_refuses_child_lists_that_are_no_tree_under_the_root():
@@ -557,23 +558,26 @@ def test_nice_check_refuses_child_lists_that_are_no_tree_under_the_root():
     # which no node lists, introduces vertex 1 above the same leaf.  As an
     # undirected tree this is a path, which the plain validator accepts;
     # the engine read it as max 1 and counts [1, 1, 0], against 2 and
-    # [1, 2, 1].  Adding a forget and an introduce that list each other
-    # keeps one parent per node but leaves them out of the root's tree.
+    # [1, 2, 1].  A forget and an introduce that list each other instead
+    # keep one parent per node but leave them out of the root's tree; the
+    # forget lists a later node.
     g = WeightedGraph(n=2, edges=())
     leaf = NiceNode("leaf", (0,), ())
     root = NiceNode("forget", (), (0,), 0)
     dangling = (leaf, root, NiceNode("introduce", (0, 1), (0,), 1))
     looped = (leaf, root, NiceNode("forget", (), (3,), 1), NiceNode("introduce", (1,), (2,), 1))
     cases = [
-        (NiceDecomposition(dangling, 1), Violation("structure", "node 2 is no node's child", (2,))),
-        (NiceDecomposition(looped, 1), Violation("structure", "decomposition tree is not connected")),
+        (dangling, Violation("structure", "node 0 has more than one parent", (0,))),
+        (looped, Violation("nice", "node 2: child 3 is no earlier node")),
     ]
-    assert validate_decomposition(g, nice_to_tree(cases[0][0])) is None
-    for nd, want in cases:
+    assert validate_decomposition(g, nice_to_tree(NiceDecomposition(dangling, 1))) is None
+    for nodes, want in cases:
+        nd = NiceDecomposition(nodes, 1)
         assert validate_nice(nd) == want and validate_nice(nd, g) == want
-        with pytest.raises(ValueError, match=f"^invalid decomposition: {want.message}$"):
+        what = "nice decomposition" if want.kind == "nice" else "decomposition"
+        with pytest.raises(ValueError, match=f"^invalid {what}: {want.message}$"):
             max_scattered(g, nd, 2)
-        with pytest.raises(ValueError, match=f"^invalid decomposition: {want.message}$"):
+        with pytest.raises(ValueError, match=f"^invalid {what}: {want.message}$"):
             count_scattered(g, nd, 2, 2)
 
 
@@ -622,9 +626,9 @@ def test_nice_check_accepts_only_bag_orders_the_engine_reads():
     assert unsorted > 0
 
 
-def test_nice_check_accepts_children_after_their_parent():
+def test_nice_check_refuses_children_after_their_parent():
     # make_nice's ids reversed: every child follows its parent, so the
-    # shape is confirmed by a walk from the root, and the answers hold.
+    # check refuses the old root, now node 0, and both modes raise.
     for g in seeded_corpus(30, 10, 3, base_seed=2710):
         nd = make_nice(heuristic_decomposition(g))
         last = len(nd.nodes) - 1
@@ -635,10 +639,13 @@ def test_nice_check_accepts_children_after_their_parent():
             ),
             last - nd.root,
         )
-        assert validate_nice(flipped) is None and validate_nice(flipped, g) is None
-        for d in (2, 3, 5):
-            assert max_scattered(g, flipped, d) == max_scattered(g, nd, d)
-            assert count_scattered(g, flipped, d, g.n) == count_scattered(g, nd, d, g.n)
+        want = Violation("nice", f"node 0: child {flipped.nodes[0].children[0]} is no earlier node")
+        assert validate_nice(flipped) == want and validate_nice(flipped, g) == want
+        message = f"^invalid nice decomposition: {want.message}$"
+        with pytest.raises(ValueError, match=message):
+            max_scattered(g, flipped, 3)
+        with pytest.raises(ValueError, match=message):
+            count_scattered(g, flipped, 3, g.n)
 
 
 def test_make_nice_validates_and_preserves_width():

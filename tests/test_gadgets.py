@@ -588,3 +588,40 @@ def test_oversized_sources_are_refused_with_no_vertex_built(build, monkeypatch):
     monkeypatch.setattr(gadgets, "_base_digits", _no_enumeration)
     with pytest.raises(ValueError, match="generated graph would be too large"):
         build()
+
+
+# -- targets that are no thresholds ---------------------------------------------
+
+MCIS_3X2_NO = "p mcis 3 2\ne 1.1 2.2\ne 1.2 2.1\ne 1.1 3.2\ne 1.2 3.1\ne 2.1 3.1\ne 2.2 3.2\n"
+CNF_2X4_UNSAT = "p cnf 2 4\n1 2 0\n-1 2 0\n1 -2 0\n-1 -2 0\n"
+
+
+@pytest.mark.parametrize(
+    "family, source, n, target, optimum",
+    [
+        ("fvs", MCIS_3X2_NO, 282, 9, 13),
+        ("seth", CNF_2X4_UNSAT, 2520, 200, 220),
+        ("tdeth", "p cnf 1 2\n1 0\n-1 0\n", 2, 1, 2),
+    ],
+    ids=["fvs", "seth", "tdeth"],
+)
+def test_a_no_source_reaches_the_target(family, source, n, target, optimum):
+    # The counterexamples behind "not a threshold" in the module docstring
+    # and in the fvs, seth (d = 4, epsilon 1) and tdeth docstrings: the
+    # source has no independent choice or no satisfying assignment, yet the
+    # exact optimum on the heuristic's nice form reaches the target that a
+    # valid one would give.
+    if family == "fvs":
+        inst = parse_mcis(source)
+        pairs = list(combinations(range(1, inst.num_classes + 1), 2))
+        picks = product(range(1, inst.class_size + 1), repeat=inst.num_classes)
+        assert all(any(inst.has_edge(i, p[i - 1], j, p[j - 1]) for i, j in pairs) for p in picks)
+        out = gen_fvs_unweighted(inst)
+    else:
+        phi = parse_cnf(source)
+        assert not any(map(phi.satisfied_by, product((False, True), repeat=phi.num_vars)))
+        out = gen_seth(phi, 4, Fraction(1)) if family == "seth" else gen_td_eth(phi)
+    assert (out.graph.n, out.target_size) == (n, target)
+    size, witness = max_scattered(out.graph, make_nice(heuristic_decomposition(out.graph)), out.d)
+    assert is_scattered(out.graph, witness, out.d)
+    assert size == optimum >= target
