@@ -283,7 +283,8 @@ def postorder(children: Sequence[Sequence[int]], root: int) -> list[int]:
 def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Convert to a nice decomposition of identical width, empty root bag.
 
-    Each original bag appears, as a set, as some nice node's bag.  Every
+    Each original bag appears, as a set, as some nice node's bag, and each
+    node is emitted after its children, as the nice form requires.  Every
     chain is one `lift`, which forgets then introduces one vertex at a time
     in sorted order: from a leaf's lowest vertex up to its bag, from an only
     child's bag to its parent's, and from the root bag down to the empty bag.
