@@ -35,6 +35,7 @@ over a rounded value domain; the engine memoizes every hook call per solve.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .decomp import NiceDecomposition, postorder, validate_nice
@@ -462,11 +463,24 @@ def dp_over_decomposition(
     # The fold point's field: no stored clearance field exceeds it.
     top_field = hooks.top + 1
     counting = mode == "count"
+    # Whether count-mode joins skip the pairs that truncate to zero.
+    skipping = False
     if counting:
         # B of the docstring.  Max mode builds neither B nor the mask: with
         # k = None the mask has about n^2 bits.
         k_cap, slot_bits = count_slots(g.n, k)
         trunc = (1 << (slot_bits * (k_cap + 1))) - 1
+
+        def low_slot(value: int) -> int:
+            """The slot of value's lowest set bit: its least nonzero degree."""
+            return ((value & -value).bit_length() - 1) // slot_bits
+
+        # At k_cap = n no join pair truncates to zero, so only a smaller
+        # k_cap sorts the inner buckets by low slot.
+        skipping = k_cap < g.n
+    # The exact domain's least partners have a closed form; a rounded one
+    # keeps the memoized per-field path.
+    exact = isinstance(dom, ExactClearance)
     admit = hooks.admit
 
     # W of the docstring: every field value, up to cap + 1, sits below the
@@ -526,19 +540,40 @@ def dp_over_decomposition(
             b = len(node.bag)
             unit = ones(b)
             guards = unit << guard
-            shifts = range(0, b * width, width)
+            if exact:
+                # d + 2 in every field: minus an unselected field f, the
+                # least partner's field d + 2 - f.
+                partners = (dom.d + 2) * unit
+            else:
+                shifts = range(0, b * width, width)
             by_mask: dict[int, list] = {}
             for ikey, ivalue in inner.items():
                 by_mask.setdefault(((ikey | guards) - unit) & guards, []).append((ikey, ivalue))
+            if skipping:
+                # Each bucket in ascending order of its entries' low slots,
+                # with those slots alongside for the bisection.
+                lows_by_mask = {}
+                for mask, bucket in by_mask.items():
+                    bucket.sort(key=lambda entry: low_slot(entry[1]))
+                    lows_by_mask[mask] = [low_slot(ivalue) for _, ivalue in bucket]
             for okey, ovalue in outer.items():
                 mask = ((okey | guards) - unit) & guards
                 bucket = by_mask.get(mask)
                 if bucket is None:
                     continue
                 if counting:
-                    # nsel, the shared selections, times the slot width.
-                    shift = slot_bits * (b - mask.bit_count())
-                olimit = sum([least[okey >> s & field] << s for s in shifts])
+                    # nsel, the shared selections.
+                    nsel = b - mask.bit_count()
+                    shift = slot_bits * nsel
+                    if skipping:
+                        # Only inner entries whose low slot is at most this
+                        # reach a kept slot with this outer entry.
+                        most = k_cap + nsel - low_slot(ovalue)
+                        bucket = bucket[: bisect_right(lows_by_mask[mask], most)]
+                if exact:
+                    olimit = (partners & (mask >> guard) * field) - okey
+                else:
+                    olimit = sum([least[okey >> s & field] << s for s in shifts])
                 for ikey, ivalue in bucket:
                     iguarded = ikey | guards
                     if (iguarded - olimit) & guards != guards:
