@@ -8,7 +8,8 @@ which no later test tells clearances apart.  In a unit-weight graph that
 leaves d states per bag vertex (selected, and clearances 1..d-1), as in the
 paper's O*(d^tw) bound.  A state is one int with a bit field per bag
 position, so the join's compatibility test and its fieldwise min are a few
-whole-int operations, not a loop over the bag.  Sparse keys make it
+whole-int operations, not a loop over the bag; in the exact domain so are
+the per-entry partner limits that the test reads.  Sparse keys make it
 output-sensitive, and the clearance semantics compose without correction
 terms, which keeps counting exact.
 
@@ -17,15 +18,16 @@ of all selection sizes: the count of size m sits in bits [m*B, (m+1)*B).
 Selecting a vertex shifts the packed polynomial up one slot, and a join
 multiplies two of them in a single integer product.  Slots are wide enough
 that no carry ever reaches a kept count; `dp_over_decomposition` gives the
-bound and its proof.  In maximizing mode the value is an int mask alone:
-bit v is set when vertex v is in one best partial solution for that state,
-so the root's mask is the witness and its popcount the size.  Each forget
-table in maximizing mode keeps only its undominated entries: an entry goes
-when another has the same selections, at least its clearance at every bag
-position and at least its size.  Every later step is monotone in each
-clearance, so no maximum changes (`dp_over_decomposition` gives the
-proof); counting never prunes.  Both modes free each child table once its
-parent has consumed it.
+bound and its proof.  Below k = n a join skips the pairs whose product
+lies wholly above slot k.  In maximizing mode the value is an int mask
+alone: bit v is set when vertex v is in one best partial solution for
+that state, so the root's mask is the witness and its popcount the size.
+Each forget table in maximizing mode keeps only its undominated entries:
+an entry goes when another has the same selections, at least its
+clearance at every bag position and at least its size.  Every later step
+is monotone in each clearance, so no maximum changes
+(`dp_over_decomposition` gives the proof); counting never prunes.  Both
+modes free each child table once its parent has consumed it.
 
 `count_scattered` and `max_scattered` run the engine in those two modes.
 The `clearance` hook lets the approximation module re-run the same engine
@@ -442,8 +444,39 @@ def dp_over_decomposition(
     truncated factors still hold every pair that a kept union needs.
 
     The clearance hook is memoized per solve (`_HookMemo`), and each join
-    pair is checked against per-position thresholds: the least partner
-    clearance that `join_ok` accepts, packed once per outer entry.
+    pair is checked against the outer entry's packed limits: in each field
+    the least partner field that `join_ok` accepts.
+
+    Why the exact domain's limits are one subtraction.  There join_ok(c,
+    c') is c + c' >= d, so the least partner of a clearance c <= cap = d is
+    d - c, whose field is d + 2 - f for the field f = c + 1 in 1..top + 1;
+    a selected field (f = 0) has limit 0, as in `_HookMemo.least`.  With M
+    the join's bucket mask, (M >> (W - 1)) * (2^W - 1) fills the unselected
+    fields with ones, so
+        L = ((d + 2) * ONES & (M >> (W - 1)) * (2^W - 1)) - X
+    holds d + 2 - f in each unselected field and 0 - 0 in each selected
+    one.  d + 2 fits a field, since 2^(W-1) > cap + 1, and no borrow
+    crosses a field: each unselected field computes d + 2 - f, which lies
+    in [1, d + 1] because 1 <= f <= top + 1 <= d + 1.  So L is the sum of
+    the per-field limits, built without a lookup per position.  The rounded
+    domain has no such affine partner and sums `_HookMemo.least` per field.
+
+    Why a count-mode join may skip pairs.  Let low(P) = i // B, for i the
+    index of P's lowest set bit: the least size with a nonzero count in P
+    (every stored P is nonzero).  Each kept count is below 2^B, so its
+    lowest set bit lies in its own slot; (i + 1) // B would read one slot
+    high when that count is exactly 2^(B-1).  Every term of a product P * Q
+    has degree at least low(P) + low(Q), so after the shift by nsel slots
+    the product is zero below slot low(P) + low(Q) - nsel, and truncation
+    leaves 0 when that exceeds k_cap.  Such a pair adds nothing, so with
+    k_cap < n the join sorts each inner bucket by low and each outer entry
+    walks, found by bisection, only the inner entries with low <= k_cap +
+    nsel - low(outer).  The tables hold the same counts; only their order
+    may change, and counting reads no order.  At k_cap = n nothing can be
+    skipped: a smallest partial solution of each side shares exactly the
+    nsel bag selections with the other, so their union, a set of at most n
+    vertices, has low(P) + low(Q) - nsel of them.  The join then keeps its
+    buckets unsorted.
 
     Each child table is freed as soon as its parent has consumed it, in
     both modes.  Distances are read only between bag-mates and only below

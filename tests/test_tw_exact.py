@@ -61,10 +61,32 @@ def test_exact_clearance_domain():
     assert dom.join_ok(2, 2) and not dom.join_ok(2, 1)
 
 
+def _closed_form_limit_matches_least(d: int, w: int, fields: list[int]) -> None:
+    """The join's exact-domain limit for a key of `fields` is the per-field least sum.
+
+    The limit is (d + 2) in each unselected field minus the key, in one
+    subtraction; the sum is the memoized per-field path that the rounded
+    domain keeps.
+    """
+    hooks = _HookMemo(ExactClearance(d), w)
+    assert all(0 <= f <= hooks.top + 1 for f in fields), (d, w)
+    width = (d + 1).bit_length() + 1
+    field = (1 << width) - 1
+    unit = ((1 << (len(fields) * width)) - 1) // field
+    guards = unit << (width - 1)
+    key = sum(f << (j * width) for j, f in enumerate(fields))
+    mask = ((key | guards) - unit) & guards
+    closed = ((d + 2) * unit & (mask >> (width - 1)) * field) - key
+    assert closed == sum(hooks.least[f] << (j * width) for j, f in enumerate(fields)), (d, w)
+
+
 @pytest.mark.parametrize(
     "dom",
-    [ExactClearance(2), ExactClearance(7), RoundedClearance(100, Fraction(1, 4), Fraction(1))],
-    ids=["exact-2", "exact-7", "rounded-100"],
+    [
+        *(ExactClearance(d) for d in (2, 3, 4, 6, 7, 8, 14, 15, 16, 17)),
+        RoundedClearance(100, Fraction(1, 4), Fraction(1)),
+    ],
+    ids=lambda dom: f"exact-{dom.d}" if isinstance(dom, ExactClearance) else "rounded-100",
 )
 def test_join_threshold_is_least_accepted_partner(dom):
     # The memo speaks field units: clearance a is field a + 1.
@@ -73,6 +95,25 @@ def test_join_threshold_is_least_accepted_partner(dom):
         accepted = [b for b in range(dom.cap + 1) if dom.join_ok(a, b)]
         assert hooks.least[a + 1] - 1 == (accepted[0] if accepted else dom.cap + 1)
         assert accepted == list(range(hooks.least[a + 1] - 1, dom.cap + 1))
+    if isinstance(dom, ExactClearance):
+        # d sits at field-width edges: d = 3, 7 and 15 are the least d of
+        # their width W, and at d = 2, 6 and 14 the constant d + 2 is a
+        # field's guard bit, which every unselected field clears.
+        d = dom.d
+        for w in sorted({1, 2, d - 1}):
+            top = _HookMemo(dom, w).top
+            _closed_form_limit_matches_least(d, w, list(range(top + 2)))
+            _closed_form_limit_matches_least(d, w, list(range(top + 1, -1, -1)))
+
+
+def test_join_threshold_closed_form_at_a_huge_d():
+    d = 10**12
+    rng = random.Random(1012)
+    for w in (1, 2, d - 1):
+        top = _HookMemo(ExactClearance(d), w).top
+        fields = [0, 1, 2, top // 2, top, top + 1]
+        fields += [rng.randint(0, top + 1) for _ in range(20)]
+        _closed_form_limit_matches_least(d, w, fields)
 
 
 def _first(nd: NiceDecomposition, kind: str) -> int:
@@ -274,6 +315,28 @@ def test_dp_matches_brute_force_on_random_elimination_orders():
         size, witness = max_scattered(g, nd, d)
         assert size == brute_force_max(g, d)[0] and len(witness) == size, (i, order)
         assert scattered_violation(g, witness, d) is None, (i, order)
+
+
+def test_counts_at_every_k_match_brute_force():
+    # Below k = n the join skips the pairs whose product truncates to zero;
+    # the other brute-force count tests run at k = n, where it skips none.
+    rng = random.Random(3313)
+    graphs = seeded_corpus(8, 14, 1, base_seed=3313) + seeded_corpus(8, 14, 4, base_seed=3413)
+    for i, g in enumerate(graphs):
+        td = heuristic_decomposition(g)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        forms = {
+            "heuristic": td,
+            "elimination": _elimination_decomposition(g, order),
+            "balanced": balance(td, g),
+        }
+        for name, form in forms.items():
+            nd = make_nice(form)
+            for d in (2, 3, 4, 7):
+                for k in range(g.n + 1):
+                    expected = brute_force_count(g, d, k)
+                    assert count_scattered(g, nd, d, k) == expected, (i, name, d, k)
 
 
 def test_count_matches_enumeration_on_corpus():
