@@ -9,8 +9,9 @@ answer from a single root entry.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .graph_core import ParseError, WeightedGraph, ints, records
 
@@ -35,8 +36,9 @@ class Violation:
     witness: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class NiceNode:
+class NiceNode(NamedTuple):
+    """One typed node of a nice form: an immutable record, cheap to build."""
+
     kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: tuple[int, ...]
     children: tuple[int, ...]
@@ -306,18 +308,20 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
 
     nodes: list[NiceNode] = []
 
-    def emit(kind: str, bag: Iterable[int], kids: tuple[int, ...], vertex: int | None = None) -> int:
-        nodes.append(NiceNode(kind, tuple(sorted(bag)), kids, vertex))
+    def emit(kind: str, bag: tuple[int, ...], kids: tuple[int, ...], vertex: int | None = None) -> int:
+        """Append a node whose bag is already sorted; returns its id."""
+        nodes.append(NiceNode(kind, bag, kids, vertex))
         return len(nodes) - 1
 
     def lift(top: int, from_bag: Iterable[int], to_bag: Iterable[int]) -> int:
-        cur, target = set(from_bag), set(to_bag)
-        for v in sorted(cur - target):
+        # The running bag stays a sorted list, so each node's bag is a copy.
+        cur, target = sorted(set(from_bag)), set(to_bag)
+        for v in [v for v in cur if v not in target]:
             cur.remove(v)
-            top = emit("forget", cur, (top,), v)
-        for v in sorted(target - cur):
-            cur.add(v)
-            top = emit("introduce", cur, (top,), v)
+            top = emit("forget", tuple(cur), (top,), v)
+        for v in sorted(target.difference(cur)):
+            insort(cur, v)
+            top = emit("introduce", tuple(cur), (top,), v)
         return top
 
     # A node stays if its bag is nonempty or a child stays: subtrees of
@@ -340,7 +344,8 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         for c in rest:
             bag = acc_bag | shared[c]
             # Child c forgets down to shared[c], then introduces what acc brings.
-            acc = emit("join", bag, (lift(acc, acc_bag, bag), lift(top_of[c], td.bags[c], bag)))
+            sides = (lift(acc, acc_bag, bag), lift(top_of[c], td.bags[c], bag))
+            acc = emit("join", tuple(sorted(bag)), sides)
             acc_bag = bag
         top_of[u] = lift(acc, acc_bag, bag_u)
     root = lift(top_of[td.root], td.bags[td.root], ())

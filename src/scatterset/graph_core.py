@@ -205,28 +205,47 @@ def distances_within(
     the frontier reaches the radius, so its cost is bounded by the ball it
     explores, never by n.  `targets` is only tested for membership and
     counted: pass a set without repeats.
+
+    The frontier is bucketed by distance (Dial's method): `layers` maps
+    each tentative distance to the vertices reached at it, and a heap holds
+    each distinct distance once.  Every weight is at least 1, so settling a
+    layer only adds to later ones, and the whole layer is settled by one
+    pop.  A vertex later reached at a smaller distance stays listed in its
+    old layer and is skipped there.  The heap and the layers hold only the
+    distances met, never a slot per value below the radius, so heavy
+    weights, where nearly every layer holds one vertex, cost one small list
+    per distance more than a heap of (distance, vertex) pairs would.
     """
     found: dict[int, int] = {}
     left = len(targets)
+    if not left or radius <= 0:
+        return found
     dist = {source: 0}
-    heap = [(0, source)]
+    layers = {0: [source]}
+    heap = [0]
     adj = g.adjacency
-    while heap and left:
-        du, u = heapq.heappop(heap)
-        if du >= radius:
-            break
-        if du > dist[u]:
-            continue
-        if u in targets:
-            found[u] = du
-            left -= 1
-            if not left:
-                break
-        for v, w in adj[u]:
-            nd = du + w
-            if nd < radius and nd < dist.get(v, radius):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
+    while heap:
+        du = heapq.heappop(heap)
+        for u in layers.pop(du):
+            if dist[u] != du:
+                continue
+            if u in targets:
+                found[u] = du
+                left -= 1
+                if not left:
+                    return found
+            for v, w in adj[u]:
+                nd = du + w
+                # Every stored distance is below the radius, so this test
+                # keeps the frontier inside it too.
+                if nd < dist.get(v, radius):
+                    dist[v] = nd
+                    layer = layers.get(nd)
+                    if layer is None:
+                        layers[nd] = [v]
+                        heapq.heappush(heap, nd)
+                    else:
+                        layer.append(v)
     return found
 
 

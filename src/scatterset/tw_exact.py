@@ -175,16 +175,43 @@ class _HookMemo:
 def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int, dict[int, int]]:
     """Distances below d from each introduced or forgotten vertex to its bag-mates.
 
-    One radius-d search per vertex, stopped once every bag-mate it meets at
-    an introduce or forget node is settled.  A missing entry means ">= d":
-    both clearance domains map every such distance to the cap and admit it,
-    so it reads as INF without changing any state.
+    v's mates are the other vertices of the bags at its introduce and
+    forget nodes: the engine reads v's row only there, at those vertices.
+    A missing entry means ">= d": both clearance domains map every such
+    distance to the cap and admit it, so it reads as INF without changing
+    any state.
+
+    One radius-d search per unordered pair of mates, from the end that is
+    forgotten first: each forget node searches from its vertex to its own
+    bag.  The engine has validated the form, so each vertex is forgotten at
+    exactly one node, and the bags holding both ends of a pair form a
+    subtree whose top's parent is the forget node of one of them, the one
+    forgotten first; that node's bag still holds the other.  So every pair
+    the engine reads meets exactly one search, and, taking the forget
+    nodes in index order, each vertex searches only the mates whose own
+    search has not run.  Distances are symmetric, so one search fills both
+    rows: the searching vertex's row takes every mate found, and a found
+    mate's row takes the searching vertex when it lies in the bag of one
+    of the mate's introduce nodes.  That gives exactly the rows of one
+    search per vertex over all its mates: a mate of v missing from v's
+    forget bag was forgotten first, so it lies in the bag of one of v's
+    introduce nodes and its own search fills v's row, and no entry is
+    stored that the engine does not read.
     """
-    mates: dict[int, set[int]] = {}
+    introduced: dict[int, set[int]] = {}
     for node in nd.nodes:
-        if node.kind in ("introduce", "forget"):
-            mates.setdefault(node.vertex, set()).update(node.bag)
-    return {v: distances_within(g, v, bag - {v}, d) for v, bag in mates.items()}
+        if node.kind == "introduce":
+            introduced.setdefault(node.vertex, set()).update(node.bag)
+    rows: dict[int, dict[int, int]] = {}
+    for node in nd.nodes:
+        if node.kind == "forget":
+            v = node.vertex
+            row = rows.setdefault(v, {})
+            for u, dist in distances_within(g, v, set(node.bag), d).items():
+                row[u] = dist
+                if v in introduced.get(u, ()):
+                    rows.setdefault(u, {})[v] = dist
+    return rows
 
 
 def _check_inputs(g: WeightedGraph, nd: NiceDecomposition, d: int) -> None:

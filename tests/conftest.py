@@ -53,6 +53,28 @@ def max_finite_distance(g: WeightedGraph) -> int:
     return max((x for s in range(g.n) for x in dijkstra_from(g, s) if x < INF), default=0)
 
 
+def floyd_warshall(g: WeightedGraph) -> list[list[int]]:
+    """All-pairs distances by Floyd-Warshall over the raw edge list, INF between components.
+
+    A distance reference of its own: it runs no `graph_core` search, so a
+    bug in the search frontier cannot hide behind it.
+    """
+    dist = [[INF] * g.n for _ in range(g.n)]
+    for v in range(g.n):
+        dist[v][v] = 0
+    for u, v, w in g.edges:
+        dist[u][v] = dist[v][u] = min(dist[u][v], w)
+    for k, via in enumerate(dist):
+        for row in dist:
+            to_k = row[k]
+            if to_k == INF:
+                continue
+            for j, rest in enumerate(via):
+                if to_k + rest < row[j]:
+                    row[j] = to_k + rest
+    return dist
+
+
 def independent_set_counts(g: WeightedGraph, k: int) -> list[int]:
     """Per-size independent-set counts by direct subset enumeration.
 

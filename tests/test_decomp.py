@@ -402,7 +402,7 @@ def _splice(nd: NiceDecomposition, at: int, chain) -> NiceDecomposition:
     nodes = []
     for i, node in enumerate(nd.nodes):
         kids = tuple(at + k if c == at else moved(c) for c in node.children)
-        nodes.append(dataclasses.replace(node, children=kids))
+        nodes.append(node._replace(children=kids))
         if i == at:
             nodes += [NiceNode(kind, bag, (at + j,), v) for j, (kind, bag, v) in enumerate(chain)]
     return NiceDecomposition(tuple(nodes), moved(nd.root))
@@ -410,7 +410,7 @@ def _splice(nd: NiceDecomposition, at: int, chain) -> NiceDecomposition:
 
 def _with_bag(nd: NiceDecomposition, i: int, bag) -> NiceDecomposition:
     nodes = list(nd.nodes)
-    nodes[i] = dataclasses.replace(nodes[i], bag=tuple(sorted(bag)))
+    nodes[i] = nodes[i]._replace(bag=tuple(sorted(bag)))
     return NiceDecomposition(tuple(nodes), nd.root)
 
 
@@ -446,7 +446,7 @@ def _broken_nice_forms(seed: int):
             side = rng.randrange(2)
             kids[side] = rng.choice([c for c in range(len(nodes)) if c not in (j, kids[side])])
             shared = list(nodes)
-            shared[j] = dataclasses.replace(nodes[j], children=tuple(kids))
+            shared[j] = nodes[j]._replace(children=tuple(kids))
             yield "shared-child", g, NiceDecomposition(tuple(shared), nd.root)
         orphan = NiceNode("leaf", (rng.randrange(g.n),), ())
         yield "orphaned", g, NiceDecomposition(nodes + (orphan,), nd.root)
@@ -464,7 +464,7 @@ def _broken_nice_forms(seed: int):
             j = rng.choice(wide)
             turn = rng.randrange(1, len(nodes[j].bag))
             reordered = list(nodes)
-            reordered[j] = dataclasses.replace(nodes[j], bag=nodes[j].bag[turn:] + nodes[j].bag[:turn])
+            reordered[j] = nodes[j]._replace(bag=nodes[j].bag[turn:] + nodes[j].bag[:turn])
             yield "reordered-bag", g, NiceDecomposition(tuple(reordered), nd.root)
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         missing = sorted(set(pairs) - {(min(u, v), max(u, v)) for u, v, _ in g.edges})
@@ -518,7 +518,7 @@ def _index_breaks(nd: NiceDecomposition):
                 kids = list(nd.nodes[i].children)
                 kids[side] = c
                 nodes = list(nd.nodes)
-                nodes[i] = dataclasses.replace(nodes[i], children=tuple(kids))
+                nodes[i] = nodes[i]._replace(children=tuple(kids))
                 yield NiceDecomposition(tuple(nodes), nd.root)
 
 
@@ -601,7 +601,7 @@ def _shuffled_bags(nd: NiceDecomposition, rng: random.Random) -> NiceDecompositi
         if node.kind in ("introduce", "forget") and i not in kept:
             bag = list(node.bag)
             rng.shuffle(bag)
-            nodes[i] = dataclasses.replace(node, bag=tuple(bag))
+            nodes[i] = node._replace(bag=tuple(bag))
     return NiceDecomposition(tuple(nodes), nd.root)
 
 
@@ -634,7 +634,7 @@ def test_nice_check_refuses_children_after_their_parent():
         last = len(nd.nodes) - 1
         flipped = NiceDecomposition(
             tuple(
-                dataclasses.replace(node, children=tuple(last - c for c in node.children))
+                node._replace(children=tuple(last - c for c in node.children))
                 for node in reversed(nd.nodes)
             ),
             last - nd.root,

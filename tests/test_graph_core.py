@@ -11,6 +11,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     diameter,
+    floyd_warshall,
     max_finite_distance,
     path_graph,
     star_graph,
@@ -85,6 +86,38 @@ def test_distances_within_matches_dijkstra_below_the_radius():
             assert near == {t: full[t] for t in targets if full[t] < radius}, (i, source)
 
 
+def _reference_graphs():
+    """Random graphs with unit, light (<= 3) and heavy (up to 10^6) weights, and a few fixed shapes."""
+    rng = random.Random(3400)
+    for max_weight in (1, 3, 10**6):
+        for i in range(25):
+            n = rng.randint(1, 24)
+            p = Fraction(rng.randint(1, 6), 20)
+            yield gen_random_graph(RandomSpec(n, p, max_weight, 3400 + i))
+    yield path_graph(9)
+    yield cycle_graph(8, weight=10**6)
+    yield star_graph(6, weight=2)
+    yield WeightedGraph(n=5, edges=((0, 1, 10**6), (1, 2, 1), (0, 2, 999_999), (3, 4, 7)))
+
+
+def test_distances_within_matches_floyd_warshall():
+    # At radius 0, 1, an exact distance, that distance + 1 and INF, to random
+    # target sets and to every vertex, on unit, light and heavy weights.
+    rng = random.Random(3401)
+    checked = 0
+    for i, g in enumerate(_reference_graphs()):
+        dist = floyd_warshall(g)
+        for source in rng.sample(range(g.n), min(g.n, 4)):
+            exact = rng.choice([x for x in dist[source] if 0 < x < INF] or [0])
+            for targets in (set(rng.sample(range(g.n), rng.randint(0, g.n))), set(range(g.n))):
+                for radius in (0, 1, exact, exact + 1, INF):
+                    want = {t: dist[source][t] for t in targets if dist[source][t] < radius}
+                    got = distances_within(g, source, targets, radius)
+                    assert got == want, (i, source, radius)
+                    checked += 1
+    assert checked > 1000
+
+
 def test_distances_within_stops_at_the_radius_and_the_last_target():
     g = path_graph(6)
     assert distances_within(g, 0, {2, 5}, 3) == {2: 2}
@@ -93,24 +126,22 @@ def test_distances_within_stops_at_the_radius_and_the_last_target():
     assert distances_within(g, 0, {0}, 0) == {}
 
 
-def test_distances_within_relaxes_no_edge_of_the_last_target(monkeypatch):
+def test_distances_within_relaxes_no_edge_of_the_last_target():
     # From a leaf of a star the hub is the only target: once it is settled
-    # the search ends, so none of the hub's edges to the other leaves pushes.
-    import heapq
-    import types
+    # the search ends, so the hub's edge list is never read and none of its
+    # edges to the other leaves is relaxed.  The graph's cached adjacency is
+    # swapped for one that records each vertex whose edges are read.
+    read = []
 
-    import scatterset.graph_core as graph_core
+    class Recording(tuple):
+        def __getitem__(self, u):
+            read.append(u)
+            return tuple.__getitem__(self, u)
 
-    pushed = []
-
-    def push(heap, item):
-        pushed.append(item[1])
-        heapq.heappush(heap, item)
-
-    monkeypatch.setattr(graph_core, "heapq", types.SimpleNamespace(heappush=push, heappop=heapq.heappop))
     g = star_graph(5)
+    g.__dict__["adjacency"] = Recording(g.adjacency)
     assert distances_within(g, 1, {0}, 10) == {0: 1}
-    assert pushed == [0]
+    assert read == [1]
 
 
 def test_disconnected_distance_is_inf():

@@ -12,7 +12,14 @@ from fractions import Fraction
 import pytest
 
 import scatterset.tw_exact as tw
-from conftest import complete_graph, cycle_graph, path_graph, seeded_corpus, star_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    floyd_warshall,
+    path_graph,
+    seeded_corpus,
+    star_graph,
+)
 from scatterset.decomp import (
     NiceDecomposition,
     TreeDecomposition,
@@ -27,6 +34,7 @@ from scatterset.decomp import (
 )
 from scatterset.gadgets import gen_fvs_unweighted, gen_seth, parse_cnf, parse_mcis
 from scatterset.graph_core import (
+    INF,
     WeightedGraph,
     all_pairs_distances,
     is_scattered,
@@ -124,7 +132,7 @@ def _with_node(nd: NiceDecomposition, which: str, **changes) -> NiceDecompositio
     """`nd` with its first node of kind `which` changed."""
     nodes = list(nd.nodes)
     i = _first(nd, which)
-    nodes[i] = dataclasses.replace(nodes[i], **changes)
+    nodes[i] = nodes[i]._replace(**changes)
     return NiceDecomposition(tuple(nodes), nd.root)
 
 
@@ -716,6 +724,43 @@ def test_exact_pinned_distances_closed_form(d):
                 assert (threshold, read) == (0, True), (d, w, dist)
             else:
                 assert threshold == 1 if read else threshold >= 1, (d, w, dist)
+
+
+def test_bag_distances_match_floyd_warshall():
+    # Every row holds exactly its vertex's introduce and forget mates closer
+    # than d, at their distances, read from both ends of each pair, on unit,
+    # light and heavy weights and on heuristic, balanced and random
+    # elimination-order forms.
+    rng = random.Random(3402)
+    graphs = [*seeded_corpus(12, 12, 1, base_seed=3402), *seeded_corpus(12, 12, 3, base_seed=3403)]
+    graphs += [_heavy_graph(rng, 1, 10**6) for _ in range(12)]
+    graphs += [_banded_graph(30, 3404 + s) for s in range(3)]
+    for i, g in enumerate(graphs):
+        dist = floyd_warshall(g)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        td = heuristic_decomposition(g)
+        for form, nd in (
+            ("heuristic", make_nice(td)),
+            ("balanced", make_nice(balance(td, g))),
+            ("elimination", make_nice(_elimination_decomposition(g, order))),
+        ):
+            finite = sorted({x for row in dist for x in row if 1 < x < INF})
+            for d in {2, 3, *rng.sample(finite, min(2, len(finite)))}:
+                near = tw._bag_distances(g, nd, d)
+                mates: dict[int, set[int]] = {}
+                for node in nd.nodes:
+                    if node.kind in ("introduce", "forget"):
+                        mates.setdefault(node.vertex, set()).update(set(node.bag) - {node.vertex})
+                        for u in node.bag:
+                            if u != node.vertex:
+                                want = dist[node.vertex][u] if dist[node.vertex][u] < d else None
+                                assert near[node.vertex].get(u) == want, (i, form, d)
+                                if node.vertex in mates.get(u, ()):
+                                    assert near[u].get(node.vertex) == want, (i, form, d)
+                assert near == {
+                    v: {u: dist[v][u] for u in mine if dist[v][u] < d} for v, mine in mates.items()
+                }, (i, form, d)
 
 
 def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> set:
