@@ -1,9 +1,9 @@
 """Tree decompositions: validation, construction, nice form, balancing.
 
-A decomposition node is identified by its index into `bags`.  Nice
-decompositions are rooted binary trees of typed nodes (leaf / introduce /
-forget / join) whose root bag is empty, so dynamic programs read their
-answer from a single root entry.
+A decomposition node is identified by its index into `bags`.  A nice
+decomposition is its list of typed nodes (introduce / forget / join), each
+child before its parent and the root, whose bag is empty, last; so dynamic
+programs run in index order and read their answer from one root entry.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class Violation:
 class NiceNode(NamedTuple):
     """One typed node of a nice form: an immutable record, cheap to build."""
 
-    kind: str  # "leaf" | "introduce" | "forget" | "join"
+    kind: str  # "introduce" | "forget" | "join"
     bag: tuple[int, ...]
     children: tuple[int, ...]
     vertex: int | None = None  # the vertex added (introduce) or removed (forget)
@@ -47,19 +47,23 @@ class NiceNode(NamedTuple):
 
 @dataclass(frozen=True)
 class NiceDecomposition:
-    """Typed nodes whose child lists form one tree under `root`.
+    """Typed nodes whose child lists form one tree under the last node, the root.
 
     Every child is listed before its parent.  The root is no node's child
-    and every other node is exactly one node's child, so the root is the
-    last node and a flat pass in index order meets each child before its
-    parent.  An introduce or forget node's bag is its child's with `vertex`
-    put in or taken out at one position, the rest in order; a join node's
-    children have its bag.  The dynamic programs read and write bag fields
-    by position, so the order is part of the form.
+    and every other node is exactly one node's child, so a flat pass in
+    index order meets each child before its parent.  An introduce or forget
+    node's bag is its child's with `vertex` put in or taken out at one
+    position, the rest in order; a join node's children have its bag.  An
+    introduce may have no child: its child bag is then the empty bag, so
+    its own bag is (vertex,).  The dynamic programs read and write bag
+    fields by position, so the order is part of the form.
     """
 
     nodes: tuple[NiceNode, ...]
-    root: int
+
+    @property
+    def root(self) -> int:
+        return len(self.nodes) - 1
 
     @property
     def width(self) -> int:
@@ -286,10 +290,11 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
     """Convert to a nice decomposition of identical width, empty root bag.
 
     Each original bag appears, as a set, as some nice node's bag, and each
-    node is emitted after its children, as the nice form requires.  Every
-    chain is one `lift`, which forgets then introduces one vertex at a time
-    in sorted order: from a leaf's lowest vertex up to its bag, from an only
-    child's bag to its parent's, and from the root bag down to the empty bag.
+    node is emitted after its children, the root last, as the nice form
+    requires.  Every chain is one `lift`, which forgets then introduces one
+    vertex at a time in sorted order: from the empty bag up to a leaf's bag,
+    from an only child's bag to its parent's, and from the root bag down to
+    the empty bag.
 
     A node u with several children joins them on what they share with it.
     Each child c is lifted to S_c = bag_c ∩ bag_u, which only forgets; the
@@ -313,15 +318,16 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         nodes.append(NiceNode(kind, bag, kids, vertex))
         return len(nodes) - 1
 
-    def lift(top: int, from_bag: Iterable[int], to_bag: Iterable[int]) -> int:
+    def lift(top: int | None, from_bag: Iterable[int], to_bag: Iterable[int]) -> int:
         # The running bag stays a sorted list, so each node's bag is a copy.
+        # Without a node below (None), the first introduce has no child.
         cur, target = sorted(set(from_bag)), set(to_bag)
         for v in [v for v in cur if v not in target]:
             cur.remove(v)
             top = emit("forget", tuple(cur), (top,), v)
         for v in sorted(target.difference(cur)):
             insort(cur, v)
-            top = emit("introduce", tuple(cur), (top,), v)
+            top = emit("introduce", tuple(cur), () if top is None else (top,), v)
         return top
 
     # A node stays if its bag is nonempty or a child stays: subtrees of
@@ -332,8 +338,7 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
         bag_u = td.bags[u]
         if not kids:
             if bag_u:
-                first = (min(bag_u),)
-                top_of[u] = lift(emit("leaf", first, ()), first, bag_u)
+                top_of[u] = lift(None, (), bag_u)
             continue
         if len(kids) == 1:
             top_of[u] = lift(top_of[kids[0]], td.bags[kids[0]], bag_u)
@@ -348,8 +353,8 @@ def make_nice(td: TreeDecomposition) -> NiceDecomposition:
             acc = emit("join", tuple(sorted(bag)), sides)
             acc_bag = bag
         top_of[u] = lift(acc, acc_bag, bag_u)
-    root = lift(top_of[td.root], td.bags[td.root], ())
-    return NiceDecomposition(nodes=tuple(nodes), root=root)
+    lift(top_of[td.root], td.bags[td.root], ())
+    return NiceDecomposition(nodes=tuple(nodes))
 
 
 def nice_to_tree(nd: NiceDecomposition) -> TreeDecomposition:
@@ -378,14 +383,15 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
 
     A broken nice rule is a Violation of kind "nice": a node's kind,
     children or bag, where a parent's bag must be its child's with one
-    vertex put in or taken out, the rest in order, a child index that is
-    not below its parent's, or a root bag that is not empty.  Every child
-    listed before its parent, as in each nice form `make_nice` builds,
-    proves the shape in the same pass: a node listed as a child twice, a
-    root that names no node, or a node other than the root that is no
+    vertex put in or taken out, the rest in order (a childless introduce
+    puts its vertex into the empty bag), a child index that is not below
+    its parent's, or a last node, the root, whose bag is not empty.  Every
+    child listed before its parent, as in each nice form `make_nice`
+    builds, proves the shape in the same pass: no nodes at all, a node
+    listed as a child twice, or a node other than the last that is no
     node's child is a structure violation.  Otherwise every chain of
     parents climbs through higher indices to the one node without a
-    parent, the root, so the child lists form one tree under it.
+    parent, the last, so the child lists form one tree under it.
 
     With g, the rest is what `validate_decomposition(g, nice_to_tree(nd))`
     reports, from the same pass over the nodes: below an empty root bag, a
@@ -394,6 +400,8 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
     off those.
     """
     nodes = nd.nodes
+    if not nodes:
+        return Violation("structure", "decomposition has no nodes")
     has_parent = bytearray(len(nodes))
     forgot: dict[int, Collection[int]] = {}  # v -> its forget nodes' child bags
     twice: set[int] = set()  # vertices forgotten more than once
@@ -405,24 +413,22 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
             if has_parent[c]:
                 return Violation("structure", f"node {c} has more than one parent", (c,))
             has_parent[c] = 1
-        if kind == "leaf":
-            if kids or len(bag) != 1:
-                return Violation("nice", f"node {i}: leaf must have no children and a size-1 bag")
-        elif kind == "introduce" or kind == "forget":
+        if kind == "introduce":
+            if len(kids) > 1:
+                return Violation("nice", f"node {i}: introduce needs at most one child")
+            if not _adds(bag, nodes[kids[0]].bag if kids else (), node.vertex):
+                return Violation("nice", f"node {i}: introduce bag mismatch")
+        elif kind == "forget":
             if len(kids) != 1:
-                return Violation("nice", f"node {i}: {kind} needs exactly one child")
+                return Violation("nice", f"node {i}: forget needs exactly one child")
             v, child = node.vertex, nodes[kids[0]].bag
-            if kind == "introduce":
-                if not _adds(bag, child, v):
-                    return Violation("nice", f"node {i}: introduce bag mismatch")
+            if not _adds(child, bag, v):
+                return Violation("nice", f"node {i}: forget bag mismatch")
+            if v in forgot:
+                twice.add(v)
+                forgot[v] = set(forgot[v]).union(child)
             else:
-                if not _adds(child, bag, v):
-                    return Violation("nice", f"node {i}: forget bag mismatch")
-                if v in forgot:
-                    twice.add(v)
-                    forgot[v] = set(forgot[v]).union(child)
-                else:
-                    forgot[v] = child
+                forgot[v] = child
         elif kind == "join":
             if len(kids) != 2:
                 return Violation("nice", f"node {i}: join needs two children")
@@ -430,11 +436,9 @@ def validate_nice(nd: NiceDecomposition, g: WeightedGraph | None = None) -> Viol
                 return Violation("nice", f"node {i}: join children bags differ from own bag")
         else:
             return Violation("nice", f"node {i}: unknown kind {kind!r}")
-    if not 0 <= nd.root < len(nodes):
-        return Violation("structure", f"root {nd.root} out of range")
-    if nodes[nd.root].bag != ():
+    if nodes[-1].bag != ():
         return Violation("nice", "root bag is not empty")
-    has_parent[nd.root] = 1  # so that the search below skips the root
+    has_parent[-1] = 1  # so that the search below skips the root
     orphan = has_parent.find(0)
     if orphan != -1:
         return Violation("structure", f"node {orphan} is no node's child", (orphan,))
@@ -457,10 +461,12 @@ def decomposition_depth(td: TreeDecomposition) -> int:
 
 
 def max_introduce_depth(nd: NiceDecomposition) -> int:
-    """Largest number of introduce nodes on any root-to-leaf path.
+    """Largest number of introduce nodes with a child on any root-to-leaf path.
 
-    One pass in index order: every child precedes its parent, so each
-    child's depth is known when its parent is reached.
+    An introduce into the empty bag has no bag-mate, so no rounding happens
+    there, and it is not counted.  One pass in index order: every child
+    precedes its parent, so each child's depth is known when its parent is
+    reached.
     """
     depth: list[int] = []
     for node in nd.nodes:
@@ -468,8 +474,8 @@ def max_introduce_depth(nd: NiceDecomposition) -> int:
         for c in node.children:
             if depth[c] > below:
                 below = depth[c]
-        depth.append(below + (node.kind == "introduce"))
-    return depth[nd.root]
+        depth.append(below + (node.kind == "introduce" and len(node.children) == 1))
+    return depth[-1]
 
 
 def _compress(td: TreeDecomposition) -> tuple[list[set[int]], list[set[int]]]:

@@ -40,7 +40,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .decomp import NiceDecomposition, postorder, validate_nice
+from .decomp import NiceDecomposition, validate_nice
 from .graph_core import INF, VertexSet, WeightedGraph, distances_within
 
 # Unused here, but bench/tracing.py wraps these module-level names and the
@@ -187,21 +187,10 @@ def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int,
     exactly one node, and the bags holding both ends of a pair form a
     subtree whose top's parent is the forget node of one of them, the one
     forgotten first; that node's bag still holds the other.  So every pair
-    the engine reads meets exactly one search, and, taking the forget
-    nodes in index order, each vertex searches only the mates whose own
-    search has not run.  Distances are symmetric, so one search fills both
-    rows: the searching vertex's row takes every mate found, and a found
-    mate's row takes the searching vertex when it lies in the bag of one
-    of the mate's introduce nodes.  That gives exactly the rows of one
-    search per vertex over all its mates: a mate of v missing from v's
-    forget bag was forgotten first, so it lies in the bag of one of v's
-    introduce nodes and its own search fills v's row, and no entry is
-    stored that the engine does not read.
+    the engine reads meets exactly one search.  Distances are symmetric,
+    so each distance found goes into both rows.  A row may hold a mate the
+    engine never reads there, but every entry is a true distance below d.
     """
-    introduced: dict[int, set[int]] = {}
-    for node in nd.nodes:
-        if node.kind == "introduce":
-            introduced.setdefault(node.vertex, set()).update(node.bag)
     rows: dict[int, dict[int, int]] = {}
     for node in nd.nodes:
         if node.kind == "forget":
@@ -209,8 +198,7 @@ def _bag_distances(g: WeightedGraph, nd: NiceDecomposition, d: int) -> dict[int,
             row = rows.setdefault(v, {})
             for u, dist in distances_within(g, v, set(node.bag), d).items():
                 row[u] = dist
-                if v in introduced.get(u, ()):
-                    rows.setdefault(u, {})[v] = dist
+                rows.setdefault(u, {})[v] = dist
     return rows
 
 
@@ -340,8 +328,10 @@ def dp_over_decomposition(
     values too.  W = bit length of (cap + 1), plus one, and the top bit of
     each field is a guard bit, 0 in every key: both domains admit the cap,
     so it partners every clearance, and no field value, threshold or least
-    partner exceeds cap + 1.  The root's key is 0, and a leaf is an
-    introduce into the empty bag, whose table maps key 0 to no selection.
+    partner exceeds cap + 1.  Nodes run in index order, each child before
+    its parent, and the last node is the root, whose key is 0.  An
+    introduce without a child introduces into the empty bag, whose table
+    maps key 0 to no selection.
 
     Why the fold changes no verdict.  Let w be the lightest edge weight and
     lo = from_distance(w).  An unselected bag vertex is at distance >= w
@@ -555,7 +545,8 @@ def dp_over_decomposition(
 
     least = hooks.least
     tables: dict[int, dict] = {}
-    # The empty bag's table, below every leaf: no selection, count 1 or mask 0.
+    # The empty bag's table, below every childless introduce: no selection,
+    # count 1 or mask 0.
     empty = {0: 1 if counting else 0}
 
     def _node_table(i: int) -> dict:
@@ -649,12 +640,12 @@ def dp_over_decomposition(
                         old = table.get(merged)
                         if old is None or union.bit_count() > old.bit_count():
                             table[merged] = union
-        else:  # introduce, or a leaf: an introduce into the empty bag
+        else:  # introduce, into the empty bag if it has no child
+            v = node.vertex
             if node.children:
-                ctable = tables[node.children[0]]
-                cbag, v = nd.nodes[node.children[0]].bag, node.vertex
+                ctable, cbag = tables[node.children[0]], nd.nodes[node.children[0]].bag
             else:
-                ctable, cbag, v = empty, (), node.bag[0]
+                ctable, cbag = empty, ()
             at = node.bag.index(v) * width
             below = (1 << at) - 1
             drow = near[v]
@@ -705,7 +696,7 @@ def dp_over_decomposition(
             del tables[c]
         return table
 
-    for i in postorder([node.children for node in nd.nodes], nd.root):
+    for i in range(len(nd.nodes)):
         tables[i] = _node_table(i)
 
     root_table = tables[nd.root]

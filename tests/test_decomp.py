@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -344,13 +343,16 @@ def test_top_bag_validator_matches_the_reference_on_mutated_trees():
 def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
     """The engine's input check, spelled out as (kind, message, witness).
 
-    The nice rules node by node, where a parent's bag is its child's with
-    one vertex put in or taken out and the rest in order, and each child
-    is listed once and before its parent; the root in range with an empty
-    bag and every other node listed; then the holders-based reference on
-    the nice form viewed as a plain tree.
+    Some node; the nice rules node by node, where a parent's bag is its
+    child's with one vertex put in or taken out and the rest in order (an
+    introduce with no child puts it into the empty bag), and each child is
+    listed once and before its parent; the last node, the root, with an
+    empty bag and every other node listed; then the holders-based reference
+    on the nice form viewed as a plain tree.
     """
     nodes = nd.nodes
+    if not nodes:
+        return ("structure", "decomposition has no nodes", ())
     listed: set[int] = set()
     for i, node in enumerate(nodes):
         kids = node.children
@@ -360,13 +362,12 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
             if c in listed:
                 return ("structure", f"node {c} has more than one parent", (c,))
             listed.add(c)
-        if node.kind == "leaf":
-            if kids or len(node.bag) != 1:
-                return ("nice", f"node {i}: leaf must have no children and a size-1 bag", ())
-        elif node.kind in ("introduce", "forget"):
-            if len(kids) != 1:
-                return ("nice", f"node {i}: {node.kind} needs exactly one child", ())
-            child, own, v = nodes[kids[0]].bag, node.bag, node.vertex
+        if node.kind in ("introduce", "forget"):
+            if node.kind == "introduce" and len(kids) > 1:
+                return ("nice", f"node {i}: introduce needs at most one child", ())
+            if node.kind == "forget" and len(kids) != 1:
+                return ("nice", f"node {i}: forget needs exactly one child", ())
+            child, own, v = nodes[kids[0]].bag if kids else (), node.bag, node.vertex
             big, small = (own, child) if node.kind == "introduce" else (child, own)
             if v in small or len(big) != len(small) + 1 or tuple(x for x in big if x != v) != small:
                 return ("nice", f"node {i}: {node.kind} bag mismatch", ())
@@ -377,11 +378,9 @@ def _three_call_check(g: WeightedGraph, nd: NiceDecomposition):
                 return ("nice", f"node {i}: join children bags differ from own bag", ())
         else:
             return ("nice", f"node {i}: unknown kind {node.kind!r}", ())
-    if nd.root not in range(len(nodes)):
-        return ("structure", f"root {nd.root} out of range", ())
-    if nodes[nd.root].bag != ():
+    if nodes[-1].bag != ():
         return ("nice", "root bag is not empty", ())
-    unlisted = [i for i in range(len(nodes)) if i != nd.root and i not in listed]
+    unlisted = [i for i in range(len(nodes) - 1) if i not in listed]
     if unlisted:
         return ("structure", f"node {unlisted[0]} is no node's child", (unlisted[0],))
     return _as_triple(_reference_validate(g, nice_to_tree(nd)))
@@ -405,13 +404,13 @@ def _splice(nd: NiceDecomposition, at: int, chain) -> NiceDecomposition:
         nodes.append(node._replace(children=kids))
         if i == at:
             nodes += [NiceNode(kind, bag, (at + j,), v) for j, (kind, bag, v) in enumerate(chain)]
-    return NiceDecomposition(tuple(nodes), moved(nd.root))
+    return NiceDecomposition(tuple(nodes))
 
 
 def _with_bag(nd: NiceDecomposition, i: int, bag) -> NiceDecomposition:
     nodes = list(nd.nodes)
     nodes[i] = nodes[i]._replace(bag=tuple(sorted(bag)))
-    return NiceDecomposition(tuple(nodes), nd.root)
+    return NiceDecomposition(tuple(nodes))
 
 
 def _broken_nice_forms(seed: int):
@@ -421,7 +420,7 @@ def _broken_nice_forms(seed: int):
         td = heuristic_decomposition(g)
         nd = make_nice(balance(td, g) if i % 2 else td)
         nodes = nd.nodes
-        inner = [j for j in range(len(nodes)) if j != nd.root]
+        inner = range(len(nodes) - 1)
         filled = [j for j in range(len(nodes)) if nodes[j].bag]
         j = rng.choice(filled)
         yield "dropped", g, _with_bag(nd, j, set(nodes[j].bag) - {rng.choice(nodes[j].bag)})
@@ -447,14 +446,16 @@ def _broken_nice_forms(seed: int):
             kids[side] = rng.choice([c for c in range(len(nodes)) if c not in (j, kids[side])])
             shared = list(nodes)
             shared[j] = nodes[j]._replace(children=tuple(kids))
-            yield "shared-child", g, NiceDecomposition(tuple(shared), nd.root)
-        orphan = NiceNode("leaf", (rng.randrange(g.n),), ())
-        yield "orphaned", g, NiceDecomposition(nodes + (orphan,), nd.root)
+            yield "shared-child", g, NiceDecomposition(tuple(shared))
+        # Put in just before the root, which stays last and keeps its children.
+        x = rng.randrange(g.n)
+        orphan = NiceNode("introduce", (x,), (), x)
+        yield "orphaned", g, NiceDecomposition(nodes[:-1] + (orphan,) + nodes[-1:])
         # A copy of some node's parent that no node lists: the plain view is
         # still a tree, one edge longer.
         parent = {c: p for p, node in enumerate(nodes) for c in node.children}
         copy = nodes[parent[rng.choice(inner)]]
-        yield "dangling-parent", g, NiceDecomposition(nodes + (copy,), nd.root)
+        yield "dangling-parent", g, NiceDecomposition(nodes[:-1] + (copy,) + nodes[-1:])
         # The same bag set in another order, which the engine's fields follow.
         wide = [
             j for j, node in enumerate(nodes)
@@ -465,7 +466,7 @@ def _broken_nice_forms(seed: int):
             turn = rng.randrange(1, len(nodes[j].bag))
             reordered = list(nodes)
             reordered[j] = nodes[j]._replace(bag=nodes[j].bag[turn:] + nodes[j].bag[:turn])
-            yield "reordered-bag", g, NiceDecomposition(tuple(reordered), nd.root)
+            yield "reordered-bag", g, NiceDecomposition(tuple(reordered))
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         missing = sorted(set(pairs) - {(min(u, v), max(u, v)) for u, v, _ in g.edges})
         if missing:
@@ -504,13 +505,11 @@ def test_one_pass_nice_check_matches_the_three_calls(monkeypatch):
 
 
 def _index_breaks(nd: NiceDecomposition):
-    """Copies of nd whose root, or one child of its first introduce and first
-    join, is len(nodes) or -1: an index that names no node."""
+    """Copies of nd in which one child of its first introduce with a child,
+    and of its first join, is len(nodes) or -1: an index that names no node."""
     count = len(nd.nodes)
-    for r in (count, -1):
-        yield dataclasses.replace(nd, root=r)
     for kind in ("introduce", "join"):
-        i = next((i for i, node in enumerate(nd.nodes) if node.kind == kind), None)
+        i = next((i for i, node in enumerate(nd.nodes) if node.kind == kind and node.children), None)
         if i is None:
             continue
         for side in range(len(nd.nodes[i].children)):
@@ -519,7 +518,7 @@ def _index_breaks(nd: NiceDecomposition):
                 kids[side] = c
                 nodes = list(nd.nodes)
                 nodes[i] = nodes[i]._replace(children=tuple(kids))
-                yield NiceDecomposition(tuple(nodes), nd.root)
+                yield NiceDecomposition(tuple(nodes))
 
 
 @pytest.mark.parametrize(
@@ -531,48 +530,46 @@ def _index_breaks(nd: NiceDecomposition):
     ids=["path", "star"],
 )
 def test_nice_check_reports_indices_that_name_no_node(g, breaks):
-    # A root that names no node gets the plain validator's structure
-    # violation and a child index the nice node's, with or without g, where
-    # an unchecked index would raise IndexError or read the last node's bag.
+    # A child index that names no node gets the nice node's violation, with
+    # or without g, where an unchecked index would raise IndexError or read
+    # the last node's bag.  The root is the last node, so it names one.
     nd = make_nice(heuristic_decomposition(g))
     seen = set()
     for bad in _index_breaks(nd):
         got = validate_nice(bad, g)
         assert got is not None and validate_nice(bad) == got
-        if bad.root == nd.root:
-            assert got.kind == "nice"
-        else:
-            assert got == validate_decomposition(g, nice_to_tree(bad))
-            assert got.kind == "structure"
+        assert got.kind == "nice"
         with pytest.raises(ValueError) as info:
             max_scattered(g, bad, 3)
-        what = "nice decomposition" if got.kind == "nice" else "decomposition"
-        assert str(info.value) == f"invalid {what}: {got.message}"
+        assert str(info.value) == f"invalid nice decomposition: {got.message}"
         seen.add(got.message)
-    roots = {f"root {r} out of range" for r in (len(nd.nodes), -1)}
-    assert seen == roots | {f"node {i}: child {c} is no earlier node" for i, c in breaks}
+    assert seen == {f"node {i}: child {c} is no earlier node" for i, c in breaks}
 
 
 def test_nice_check_refuses_child_lists_that_are_no_tree_under_the_root():
-    # Two vertices, no edge.  Root 1 forgets leaf 0's vertex, and node 2,
-    # which no node lists, introduces vertex 1 above the same leaf.  As an
-    # undirected tree this is a path, which the plain validator accepts;
-    # the engine read it as max 1 and counts [1, 1, 0], against 2 and
-    # [1, 2, 1].  A forget and an introduce that list each other instead
+    # Two vertices, no edge.  The root, node 2, forgets leaf 0's vertex, and
+    # node 1, which no node lists, introduces vertex 1 above the same leaf.
+    # As an undirected tree this is a path, which the plain validator
+    # accepts; the engine read it as max 1 and counts [1, 1, 0], against 2
+    # and [1, 2, 1].  A forget and an introduce that list each other instead
     # keep one parent per node but leave them out of the root's tree; the
     # forget lists a later node.
     g = WeightedGraph(n=2, edges=())
-    leaf = NiceNode("leaf", (0,), ())
-    root = NiceNode("forget", (), (0,), 0)
-    dangling = (leaf, root, NiceNode("introduce", (0, 1), (0,), 1))
-    looped = (leaf, root, NiceNode("forget", (), (3,), 1), NiceNode("introduce", (1,), (2,), 1))
+    leaf = NiceNode("introduce", (0,), (), 0)
+    dangling = (leaf, NiceNode("introduce", (0, 1), (0,), 1), NiceNode("forget", (), (0,), 0))
+    looped = (
+        leaf,
+        NiceNode("forget", (), (2,), 1),
+        NiceNode("introduce", (1,), (1,), 1),
+        NiceNode("forget", (), (0,), 0),
+    )
     cases = [
         (dangling, Violation("structure", "node 0 has more than one parent", (0,))),
-        (looped, Violation("nice", "node 2: child 3 is no earlier node")),
+        (looped, Violation("nice", "node 1: child 2 is no earlier node")),
     ]
-    assert validate_decomposition(g, nice_to_tree(NiceDecomposition(dangling, 1))) is None
+    assert validate_decomposition(g, nice_to_tree(NiceDecomposition(dangling))) is None
     for nodes, want in cases:
-        nd = NiceDecomposition(nodes, 1)
+        nd = NiceDecomposition(nodes)
         assert validate_nice(nd) == want and validate_nice(nd, g) == want
         what = "nice decomposition" if want.kind == "nice" else "decomposition"
         with pytest.raises(ValueError, match=f"^invalid {what}: {want.message}$"):
@@ -585,12 +582,12 @@ def test_nice_check_refuses_a_vertex_put_in_twice():
     # Bag (0, 0) above leaf (0,), forgotten twice down to the empty root:
     # without g no decomposition property would catch the repeat.
     nodes = (
-        NiceNode("leaf", (0,), ()),
+        NiceNode("introduce", (0,), (), 0),
         NiceNode("introduce", (0, 0), (0,), 0),
         NiceNode("forget", (0,), (1,), 0),
         NiceNode("forget", (), (2,), 0),
     )
-    assert validate_nice(NiceDecomposition(nodes, 3)) == Violation("nice", "node 1: introduce bag mismatch")
+    assert validate_nice(NiceDecomposition(nodes)) == Violation("nice", "node 1: introduce bag mismatch")
 
 
 def _shuffled_bags(nd: NiceDecomposition, rng: random.Random) -> NiceDecomposition:
@@ -602,7 +599,7 @@ def _shuffled_bags(nd: NiceDecomposition, rng: random.Random) -> NiceDecompositi
             bag = list(node.bag)
             rng.shuffle(bag)
             nodes[i] = node._replace(bag=tuple(bag))
-    return NiceDecomposition(tuple(nodes), nd.root)
+    return NiceDecomposition(tuple(nodes))
 
 
 def test_nice_check_accepts_only_bag_orders_the_engine_reads():
@@ -636,8 +633,7 @@ def test_nice_check_refuses_children_after_their_parent():
             tuple(
                 node._replace(children=tuple(last - c for c in node.children))
                 for node in reversed(nd.nodes)
-            ),
-            last - nd.root,
+            )
         )
         want = Violation("nice", f"node 0: child {flipped.nodes[0].children[0]} is no earlier node")
         assert validate_nice(flipped) == want and validate_nice(flipped, g) == want
@@ -738,9 +734,14 @@ def _pruned_trees(count: int):
 
 def test_make_nice_pinned_on_pruned_trees():
     # Subtrees of empty bags are dropped; any change to the nice form, its
-    # node ids included, shows here.
+    # node ids included, shows here.  The digest was re-taken when leaves
+    # became introduces into the empty bag and the root field went, after
+    # checking every tree: each node tuple equalled the earlier one with
+    # each NiceNode("leaf", (v,), ()) replaced by
+    # NiceNode("introduce", (v,), (), v), and each earlier root was the
+    # last node.
     parts = [repr(make_nice(td)) for td in _pruned_trees(400)]
-    assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == "2b469a98b9e53c0668bafcab264321d505ae8d7d1a4bf81abb5babcfa107ce1d"
+    assert hashlib.sha256("\0".join(parts).encode()).hexdigest() == "7ca93d4c2a22a7c97a5d4d0771eb075f84986dbc0377922ff0d460539238abe4"
 
 
 def _heuristic_and_balanced(count: int, base_seed: int):

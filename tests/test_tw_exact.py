@@ -29,8 +29,8 @@ from scatterset.decomp import (
     make_nice,
     max_introduce_depth,
     parse_td,
-    postorder,
     validate_decomposition,
+    validate_nice,
 )
 from scatterset.gadgets import gen_fvs_unweighted, gen_seth, parse_cnf, parse_mcis
 from scatterset.graph_core import (
@@ -124,31 +124,45 @@ def test_join_threshold_closed_form_at_a_huge_d():
         _closed_form_limit_matches_least(d, w, fields)
 
 
-def _first(nd: NiceDecomposition, kind: str) -> int:
-    return next(i for i, node in enumerate(nd.nodes) if node.kind == kind)
+def _first(nd: NiceDecomposition, kind: str, kids: int | None = None) -> int:
+    """The first node of `kind`, with `kids` children if that is given."""
+    return next(
+        i
+        for i, node in enumerate(nd.nodes)
+        if node.kind == kind and kids in (None, len(node.children))
+    )
 
 
-def _with_node(nd: NiceDecomposition, which: str, **changes) -> NiceDecomposition:
-    """`nd` with its first node of kind `which` changed."""
+def _with_node(nd: NiceDecomposition, which: str, kids=None, **changes) -> NiceDecomposition:
+    """`nd` with its first node of kind `which` (and `kids` children) changed."""
     nodes = list(nd.nodes)
-    i = _first(nd, which)
+    i = _first(nd, which, kids)
     nodes[i] = nodes[i]._replace(**changes)
-    return NiceDecomposition(tuple(nodes), nd.root)
+    return NiceDecomposition(tuple(nodes))
 
 
-# One break per rule of validate_nice, keyed by the end of its message.
+# The breaks of each rule of validate_nice, keyed by the end of its message.
 NICE_BREAKS = {
-    "leaf must have no children and a size-1 bag": lambda nd: _with_node(nd, "leaf", bag=()),
-    "introduce needs exactly one child": lambda nd: _with_node(nd, "introduce", children=()),
-    "forget needs exactly one child": lambda nd: _with_node(nd, "forget", children=()),
-    "introduce bag mismatch": lambda nd: _with_node(nd, "introduce", vertex=None),
-    "forget bag mismatch": lambda nd: _with_node(nd, "forget", vertex=None),
-    "join needs two children": lambda nd: _with_node(
-        nd, "join", children=nd.nodes[_first(nd, "join")].children[:1]
+    # A join relabelled: an introduce with two children.
+    "introduce needs at most one child": (lambda nd: _with_node(nd, "join", kind="introduce"),),
+    "forget needs exactly one child": (lambda nd: _with_node(nd, "forget", children=()),),
+    "introduce bag mismatch": (
+        lambda nd: _with_node(nd, "introduce", 1, vertex=None),
+        lambda nd: _with_node(nd, "introduce", 0, vertex=None),
+        # A childless introduce puts its vertex into the empty bag.
+        lambda nd: _with_node(nd, "introduce", 0, bag=(0, 1)),
     ),
-    "join children bags differ from own bag": lambda nd: _with_node(nd, "join", bag=()),
-    "unknown kind 'bogus'": lambda nd: _with_node(nd, "leaf", kind="bogus"),
-    "root bag is not empty": lambda nd: NiceDecomposition(nd.nodes, _first(nd, "leaf")),
+    "forget bag mismatch": (lambda nd: _with_node(nd, "forget", vertex=None),),
+    "join needs two children": (
+        lambda nd: _with_node(nd, "join", children=nd.nodes[_first(nd, "join")].children[:1]),
+    ),
+    "join children bags differ from own bag": (lambda nd: _with_node(nd, "join", bag=()),),
+    "unknown kind 'bogus'": (lambda nd: _with_node(nd, "introduce", kind="bogus"),),
+    # The root is the last node, so a list cut short ends in a filled bag.
+    "root bag is not empty": (
+        lambda nd: NiceDecomposition(nd.nodes[:1]),
+        lambda nd: NiceDecomposition(nd.nodes[:-1]),
+    ),
 }
 
 
@@ -159,10 +173,21 @@ def test_engine_refuses_each_broken_nice_rule(rule):
     td = TreeDecomposition(bags=((0, 1), (0, 2), (0, 3)), tree_edges=((0, 1), (0, 2)))
     nd = make_nice(td)
     assert max_scattered(g, nd, 2)[0] == 3
-    with pytest.raises(ValueError) as info:
-        max_scattered(g, NICE_BREAKS[rule](nd), 2)
-    message = str(info.value)
-    assert message.startswith("invalid nice decomposition: ") and message.endswith(rule)
+    for i, broken in enumerate(NICE_BREAKS[rule]):
+        with pytest.raises(ValueError) as info:
+            max_scattered(g, broken(nd), 2)
+        message = str(info.value)
+        assert message.startswith("invalid nice decomposition: ") and message.endswith(rule), i
+
+
+def test_engine_refuses_the_empty_nice_form():
+    # No nodes means no root: the plain validator's words, and no IndexError.
+    empty = NiceDecomposition(())
+    want = "decomposition has no nodes"
+    assert validate_nice(empty) == validate_nice(empty, path_graph(2))
+    assert (validate_nice(empty).kind, validate_nice(empty).message) == ("structure", want)
+    with pytest.raises(ValueError, match=f"^invalid decomposition: {want}$"):
+        max_scattered(path_graph(2), empty, 2)
 
 
 def test_engine_refuses_an_unknown_mode():
@@ -459,7 +484,8 @@ def _tuple_engine(
 ):
     """The clearance engine on tuple keys (-1 = selected): the packed engine's reference.
 
-    It visits nodes, fills tables and breaks ties in the engine's order, but
+    It visits nodes, fills tables and breaks ties in the engine's order, with
+    an introduce that has no child reading the empty bag's table, but
     calls the domain's hooks directly on an all-pairs matrix and keeps each
     count polynomial as a list of n + 1 counts.  With `fold`, it stores each
     clearance capped at the fold point (`_fold_point`), as the engine does;
@@ -472,17 +498,18 @@ def _tuple_engine(
     top = _fold_point(g, dom) if fold else cap
     counting = mode == "count"
     tables: dict[int, dict] = {}
-    for i in postorder([node.children for node in nd.nodes], nd.root):
-        node = nd.nodes[i]
+    # The empty bag's table: no selection.
+    empty = {(): [1] + [0] * n if counting else (0, 0)}
+    for i, node in enumerate(nd.nodes):
         table: dict = {}
-        if node.kind == "leaf":
-            v = node.bag[0]
-            table[(top,)] = [1] + [0] * n if counting else (0, 0)
-            table[(sel,)] = [0, 1] + [0] * (n - 1) if counting else (1, 1 << v)
-        elif node.kind == "introduce":
-            cbag, v = nd.nodes[node.children[0]].bag, node.vertex
+        if node.kind == "introduce":
+            v = node.vertex
+            if node.children:
+                cbag, ctable = nd.nodes[node.children[0]].bag, tables[node.children[0]]
+            else:
+                cbag, ctable = (), empty
             pos = node.bag.index(v)
-            for states, value in tables[node.children[0]].items():
+            for states, value in ctable.items():
                 pairs = list(zip(states, cbag))
                 reach = min([dom.add(s, dist[v][u]) for s, u in pairs if s != sel], default=cap)
                 table[states[:pos] + (min(reach, top),) + states[pos:]] = value
@@ -535,7 +562,7 @@ def _tuple_engine(
         for c in node.children:
             del tables[c]
         tables[i] = table
-    root = tables[nd.root][()]
+    root = tables[len(nd.nodes) - 1][()]
     if counting:
         return root
     return root[0], tuple(v for v in range(n) if root[1] >> v & 1)
@@ -727,10 +754,12 @@ def test_exact_pinned_distances_closed_form(d):
 
 
 def test_bag_distances_match_floyd_warshall():
-    # Every row holds exactly its vertex's introduce and forget mates closer
-    # than d, at their distances, read from both ends of each pair, on unit,
-    # light and heavy weights and on heuristic, balanced and random
-    # elimination-order forms.
+    # Every row holds each of its vertex's introduce and forget mates closer
+    # than d, at its distance, and no mate at d or more, read from both ends
+    # of each pair, on unit, light and heavy weights and on heuristic,
+    # balanced and random elimination-order forms.  A row may hold more, but
+    # only true distances below d, and no more entries than two per pair
+    # searched (one search per forget node, over its bag).
     rng = random.Random(3402)
     graphs = [*seeded_corpus(12, 12, 1, base_seed=3402), *seeded_corpus(12, 12, 3, base_seed=3403)]
     graphs += [_heavy_graph(rng, 1, 10**6) for _ in range(12)]
@@ -758,20 +787,26 @@ def test_bag_distances_match_floyd_warshall():
                                 assert near[node.vertex].get(u) == want, (i, form, d)
                                 if node.vertex in mates.get(u, ()):
                                     assert near[u].get(node.vertex) == want, (i, form, d)
-                assert near == {
-                    v: {u: dist[v][u] for u in mine if dist[v][u] < d} for v, mine in mates.items()
-                }, (i, form, d)
+                assert all(
+                    x == dist[v][u] < d for v, row in near.items() for u, x in row.items()
+                ), (i, form, d)
+                searched = sum(len(node.bag) for node in nd.nodes if node.kind == "forget")
+                assert sum(map(len, near.values())) <= 2 * searched, (i, form, d)
 
 
 def _mate_kinds(g: WeightedGraph, nd: NiceDecomposition, d: int, dom=None) -> set:
-    """(has a pinned mate, has a read mate) for each introduce node of `nd`."""
+    """(has a pinned mate, has a read mate) for each introduce node of `nd`.
+
+    An introduce's mates are its child bag; one with no child has none.
+    """
     dom = dom if dom is not None else ExactClearance(d)
     hooks = _HookMemo(dom, min((w for _, _, w in g.edges), default=None))
     near = tw._bag_distances(g, nd, d)
     kinds = set()
     for node in nd.nodes:
         if node.kind == "introduce":
-            dists = [near[node.vertex][u] for u in node.bag if u in near[node.vertex]]
+            cbag = nd.nodes[node.children[0]].bag if node.children else ()
+            dists = [near[node.vertex][u] for u in cbag if u in near[node.vertex]]
             reads = [hooks.gate[x][1] for x in dists]
             kinds.add((not all(reads), any(reads)))
     return kinds
