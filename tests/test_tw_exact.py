@@ -148,7 +148,6 @@ NICE_BREAKS = {
     "forget needs exactly one child": (lambda nd: _with_node(nd, "forget", children=()),),
     "introduce bag mismatch": (
         lambda nd: _with_node(nd, "introduce", 1, vertex=None),
-        lambda nd: _with_node(nd, "introduce", 0, vertex=None),
         # A childless introduce puts its vertex into the empty bag.
         lambda nd: _with_node(nd, "introduce", 0, bag=(0, 1)),
     ),
@@ -562,7 +561,7 @@ def _tuple_engine(
         for c in node.children:
             del tables[c]
         tables[i] = table
-    root = tables[len(nd.nodes) - 1][()]
+    root = tables[nd.root][()]
     if counting:
         return root
     return root[0], tuple(v for v in range(n) if root[1] >> v & 1)
